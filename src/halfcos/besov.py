@@ -342,16 +342,22 @@ def seq_norm(coeffs: CoefficientMap, spec) -> float:
     return _lp(terms, params.q)
 
 
-def seq_norm_report(coeffs: CoefficientMap, spec, strict: bool = True) -> NormReport:
+def seq_norm_report(
+    coeffs: CoefficientMap, spec, strict: bool = True, J: int = None
+) -> NormReport:
     """seq_norm packaged with per-|jbar_+|_1 level sums and the same
-    geometric tail extrapolation used for the cosine-block norm."""
+    geometric tail extrapolation used for the cosine-block norm.
+
+    J, when given, is the top level per axis that the coefficients were
+    requested up to; requested levels with no entry are exact zeros. If no
+    entry reaches level J the expansion is finite and the tail is 0."""
     params = spec.effective() if isinstance(spec, SeqNormSpec) else spec
     q = params.q
     groups: dict = {}
-    J = -1
+    top = -1
     for (j, k), v in coeffs.entries.items():
         jt = tuple(int(t) for t in j)
-        J = max(J, max(jt))
+        top = max(top, max(jt))
         groups.setdefault(jt, []).append(abs(v))
     level_terms: dict = {}
     sums_for_tail: dict = {}
@@ -367,17 +373,20 @@ def seq_norm_report(coeffs: CoefficientMap, spec, strict: bool = True) -> NormRe
     value = _lp(list(level_terms.values()), q)
     if q != INF:
         sums_for_tail = {L: s ** (1.0 / q) for L, s in sums_for_tail.items()}
-    tail, rho = _tail_from_level_sums(sums_for_tail, q)
+    if J is not None and top < J:
+        tail, rho = 0.0, 0.0
+    else:
+        tail, rho = _tail_from_level_sums(sums_for_tail, q)
     if tail == INF and strict:
         raise DivergentTailError(
-            f"wavelet level sums do not decay (ratio {rho:.3f}) at J={J}"
+            f"wavelet level sums do not decay (ratio {rho:.3f}) at J={top}"
         )
     return NormReport(
         norm_kind="cw-seq",
         r=params.r,
         p=params.p,
         q=q,
-        J_max=J,
+        J_max=top,
         value=value,
         tail_bound=tail,
         level_terms=level_terms,

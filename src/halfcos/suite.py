@@ -158,6 +158,8 @@ def norm_comparison(
     cosine blocks up to level J (coefficient box kmax = 2^{J+1}), wavelet
     levels up to J, difference dyadics up to J. Values are the truncated
     quasi-norms; each report carries its own geometric tail estimate."""
+    if J < 0:
+        raise ConfigError(f"truncation level J must be >= 0, got {J}")
     if member.d > 2 and "cw" in compare:
         raise ConfigError("wavelet route implemented for d <= 2")
     kmax = kmax or 2 ** (J + 1)
@@ -177,7 +179,7 @@ def norm_comparison(
             f_breaks=member.factor_breaks or None,
             prune=prune,
         )
-        out["cw"] = seq_norm_report(lam, SeqNormSpec(params), strict=strict)
+        out["cw"] = seq_norm_report(lam, SeqNormSpec(params), strict=strict, J=J)
     if "diff" in compare:
         out["diff"] = difference_seminorm(
             params=params,

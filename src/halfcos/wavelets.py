@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import TruncationError
+from .errors import ConfigError, TruncationError
 from .grids import UNIT, CoefficientMap, GridFunction
-from .indexsets import plus_l1
 
 __all__ = [
     "PiecewiseLinear",
@@ -259,34 +258,25 @@ def dual_father_closed_form(n: int) -> float:
 _DUAL_CACHE: dict = {}
 
 
-def _dual_seq(eps: int, n_max: int = 40) -> DualCoefficientSequence:
-    key = (eps, n_max)
-    if key not in _DUAL_CACHE:
-        _DUAL_CACHE[key] = dual_coefficients(eps, n_max=n_max)
-    return _DUAL_CACHE[key]
-
-
 def dual_piecewise(l: int, k: int, n_max: int = 40) -> PiecewiseLinear:
-    """Truncated dual wavelet as an exact piecewise-linear function."""
-    seq = _dual_seq(min(l, 0), n_max)
-    if l == -1:
-        # Integer breakpoints; shifts of the hat enter with weights a_n.
-        lo = k - n_max
-        hi = k + n_max + 2
-        bp = np.arange(lo, hi + 1, dtype=float)
+    """Truncated dual wavelet as an exact piecewise-linear function: the
+    dilate and shift dual_{min(l,0),0}(2^l x - k) (x - k at level -1) of a
+    generator sum_n a_n psi_{min(l,0),n}, built once per (level kind, n_max)."""
+    if l < -1:
+        return psi_piecewise(l, k)
+    key = (min(l, 0), n_max)
+    if key not in _DUAL_CACHE:
+        seq = dual_coefficients(key[0], n_max=n_max)
+        gen = psi_piecewise(key[0], 0)
+        step = gen.breakpoints[1]  # grid of the primal shifts: 1 or 1/2
+        bp = -n_max + step * np.arange(round((2 * n_max + gen.support[1]) / step) + 1)
         vals = np.zeros_like(bp)
         for n in range(-n_max, n_max + 1):
-            vals += seq.a(n) * father()(bp - (k + n))
-        return PiecewiseLinear(tuple(bp), tuple(vals))
-    step = 0.5 / 2.0**l
-    lo = (k - n_max) / 2.0**l
-    ncells = 2 * (2 * n_max + 3)
-    bp = lo + step * np.arange(ncells + 1)
-    vals = np.zeros_like(bp)
-    mom = mother()
-    for n in range(-n_max, n_max + 1):
-        vals += seq.a(n) * mom(2.0**l * bp - (k + n))
-    return PiecewiseLinear(tuple(bp), tuple(vals))
+            vals += seq.a(n) * gen(bp - n)
+        _DUAL_CACHE[key] = PiecewiseLinear(tuple(bp), tuple(vals))
+    gen = _DUAL_CACHE[key]
+    scale = 1.0 if l == -1 else 2.0**l
+    return PiecewiseLinear(tuple((k + np.asarray(gen.breakpoints)) / scale), gen.values)
 
 
 def dual_eval(lbar, kbar, *axes, n_max: int = 40):
@@ -298,17 +288,6 @@ def dual_eval(lbar, kbar, *axes, n_max: int = 40):
     return out
 
 
-def _gauss_panels(panels, order: int):
-    """Gauss-Legendre nodes and weights across a list of intervals."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    a = np.asarray([p[0] for p in panels])
-    b = np.asarray([p[1] for p in panels])
-    half = 0.5 * (b - a)
-    nodes = a[:, None] + half[:, None] * (xg[None, :] + 1.0)
-    weights = half[:, None] * wg[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
 def _shift_range(l: int, box):
     lo, hi = box
     if l == -1:
@@ -316,14 +295,84 @@ def _shift_range(l: int, box):
     return range(int(math.floor(2.0**l * lo)) - 2, int(math.ceil(2.0**l * hi)) + 1)
 
 
+class _LevelAxis:
+    """Analysis at level l along one axis of the box.
+
+    Level-l wavelets, primal or dual, are piecewise linear on the cells of
+    width h = 2^-(l+1) (h = 1 at level -1), so <f, w> = sum_p w(p h) M_p
+    with hat moments M_p = <f, N_2(x/h - p + 1)>. Gauss panels on the cells,
+    clipped to the box and split at the breakpoints of f, give every M_p
+    with the panels a per-coefficient quadrature would use. The shifts of
+    the generator w_{l,0} then turn M into coefficients by one correlation
+    with stride 2 (1 at level -1).
+    """
+
+    def __init__(self, l: int, box, f_breaks, gen: PiecewiseLinear, order: int):
+        lo, hi = box
+        if not -math.inf < lo <= hi < math.inf:
+            raise ConfigError(f"analysis box {box} is not a finite interval")
+        self.level, self.shifts = l, _shift_range(l, box)
+        self.stride = 1 if l == -1 else 2
+        self.gen = np.asarray(gen.values)
+        self.gen_first = round(self.stride * gen.breakpoints[0])
+        h = 1.0 if l == -1 else 2.0 ** -(l + 1)
+        self.first = math.floor(lo / h)
+        self.size = math.ceil(hi / h) - self.first + 1
+        grid = h * np.arange(self.first, self.first + self.size)
+        cuts = np.unique(np.concatenate(([lo, hi], grid, np.asarray(f_breaks, dtype=float))))
+        a, b = cuts[(cuts >= lo) & (cuts < hi)], cuts[(cuts > lo) & (cuts <= hi)]
+        xg, wg = np.polynomial.legendre.leggauss(order)
+        self.nodes = (a[:, None] + 0.5 * (b - a)[:, None] * (xg + 1.0)).ravel()
+        self.weights = (0.5 * (b - a)[:, None] * wg).ravel()
+        cell = np.repeat(np.floor(0.5 * (a + b) / h), order)
+        self.frac = self.nodes / h - cell
+        self.cells, self.starts = np.unique(cell.astype(int) - self.first, return_index=True)
+
+    def apply(self, vals: np.ndarray, axis: int) -> np.ndarray:
+        """Replace axis of vals, the samples of f at self.nodes, by the
+        inner products with w_{l,k} for k in self.shifts."""
+        vals = np.moveaxis(vals, axis, 0)
+        col = (-1,) + (1,) * (vals.ndim - 1)
+        wf = self.weights.reshape(col) * vals
+        frac = self.frac.reshape(col)
+        moments = np.zeros((self.size,) + vals.shape[1:])
+        moments[self.cells] += np.add.reduceat(wf * (1.0 - frac), self.starts, axis=0)
+        moments[self.cells + 1] += np.add.reduceat(wf * frac, self.starts, axis=0)
+        # window[i] = M_p at p = stride * shifts[0] + gen_first + i; it
+        # covers every node of the box, since the shift range reaches past it
+        n, s = len(self.shifts), self.stride
+        start = s * self.shifts.start + self.gen_first - self.first
+        window = np.zeros((s * n + len(self.gen),) + vals.shape[1:])
+        window[-start : self.size - start] = moments
+        out = np.zeros((n,) + vals.shape[1:])
+        for t, g in enumerate(self.gen):
+            out += g * window[t : t + s * n : s]
+        return np.moveaxis(out, 0, axis)
+
+
+def _analyze(f, J: int, box, kind: str, f_breaks, gauss_order: int, n_max: int, prune: float) -> dict:
+    """(jbar, kbar) -> 2^{|jbar_+|} <f, w_{jbar,kbar}> over |jbar|_inf <= J
+    for the primal or dual tensor wavelets, keeping magnitudes above prune."""
+    gens = [psi_piecewise(eps, 0) if kind == "primal" else dual_piecewise(eps, 0, n_max)
+            for eps in range(-1, min(J, 0) + 1)]
+    axes = [[_LevelAxis(l, b, fb, gens[min(l, 0) + 1], gauss_order) for l in range(-1, J + 1)]
+            for b, fb in zip(box, f_breaks)]
+    entries = {}
+    for idx in np.ndindex(*(len(a) for a in axes)):
+        level = [axes[i][j] for i, j in enumerate(idx)]
+        vals = np.asarray(f(*np.ix_(*(a.nodes for a in level))), dtype=float)
+        lam = np.broadcast_to(vals, tuple(len(a.nodes) for a in level))
+        for ax, a in enumerate(level):
+            lam = a.apply(lam, ax)
+        lam *= 2.0 ** sum(max(a.level, 0) for a in level)
+        jbar = tuple(a.level for a in level)
+        for pos in zip(*np.nonzero(np.abs(lam) > prune)):
+            entries[(jbar, tuple(a.shifts[i] for a, i in zip(level, pos)))] = float(lam[pos])
+    return entries
+
+
 def cw_analyze_1d(
-    f,
-    J: int,
-    box,
-    kind: str = "primal",
-    f_breaks=(),
-    gauss_order: int = 8,
-    n_max: int = 40,
+    f, J: int, box, kind: str = "primal", f_breaks=(), gauss_order: int = 8, n_max: int = 40
 ) -> dict:
     """Univariate coefficient table (l, k) -> 2^{l_+} <f, psi_{l,k}>.
 
@@ -332,27 +381,8 @@ def cw_analyze_1d(
     quadrature is exact whenever f is piecewise polynomial of moderate
     degree.
     """
-    table = {}
-    fb = sorted(float(t) for t in f_breaks)
-    for l in range(-1, J + 1):
-        for k in _shift_range(l, box):
-            w = psi_piecewise(l, k) if kind == "primal" else dual_piecewise(l, k, n_max)
-            lo = max(w.support[0], box[0])
-            hi = min(w.support[1], box[1])
-            if hi <= lo:
-                continue
-            cuts = sorted(
-                {lo, hi}
-                | {b for b in w.breakpoints if lo < b < hi}
-                | {b for b in fb if lo < b < hi}
-            )
-            panels = list(zip(cuts[:-1], cuts[1:]))
-            nodes, weights = _gauss_panels(panels, gauss_order)
-            val = float(np.sum(weights * np.asarray(f(nodes), dtype=float) * w(nodes)))
-            lam = 2.0 ** max(l, 0) * val
-            if lam != 0.0:
-                table[(l, k)] = lam
-    return table
+    entries = _analyze(f, J, (box,), kind, (f_breaks,), gauss_order, n_max, 0.0)
+    return {(j[0], k[0]): v for (j, k), v in entries.items()}
 
 
 def cw_analyze(
@@ -371,68 +401,35 @@ def cw_analyze(
 
     Either pass a vectorized callable f (d = 1 or 2) or tensor_factors, a
     list of univariate callables whose product is f; tensor structure
-    factorizes the coefficients exactly.
+    factorizes the coefficients exactly. f_breaks holds per-axis
+    breakpoints, or a flat list for a univariate callable f.
     """
     basis = "cw-primal" if kind == "primal" else "cw-dual"
-    if tensor_factors is not None:
-        d = len(tensor_factors)
-        breaks = [()] * d if f_breaks is None or len(f_breaks) == 0 else f_breaks
-        tables = [
-            cw_analyze_1d(
-                tensor_factors[i], J, box[i], kind, breaks[i], gauss_order, n_max
-            )
-            for i in range(d)
-        ]
-        entries = {((), ()): 1.0}
-        for t in tables:
-            entries = {
-                (j + (lk[0],), k + (lk[1],)): v * tv
-                for (j, k), v in entries.items()
-                for lk, tv in t.items()
-            }
-        if prune > 0.0:
-            entries = {key: v for key, v in entries.items() if abs(v) > prune}
+    d = len(box) if tensor_factors is None else len(tensor_factors)
+    if tensor_factors is None and d == 1 and f_breaks is not None:
+        f_breaks = (f_breaks,)
+    if f_breaks is None or len(f_breaks) == 0:
+        f_breaks = ((),) * d
+    if tensor_factors is None:
+        if d > 2:
+            raise ValueError("generic callables are supported for d <= 2; use tensor_factors")
+        entries = _analyze(f, J, box, kind, f_breaks, gauss_order, n_max, prune)
         return CoefficientMap(basis=basis, d=d, entries=entries)
 
-    d = len(box)
-    if d == 1:
-        breaks = () if f_breaks is None else f_breaks
-        table = cw_analyze_1d(f, J, box[0], kind, breaks, gauss_order, n_max)
+    tables = [
+        cw_analyze_1d(tensor_factors[i], J, box[i], kind, f_breaks[i], gauss_order, n_max)
+        for i in range(d)
+    ]
+    entries = {((), ()): 1.0}
+    for t in tables:
         entries = {
-            ((l,), (k,)): v for (l, k), v in table.items() if abs(v) > prune
+            (j + (lk[0],), k + (lk[1],)): v * tv
+            for (j, k), v in entries.items()
+            for lk, tv in t.items()
         }
-        return CoefficientMap(basis=basis, d=1, entries=entries)
-    if d != 2:
-        raise ValueError("generic callables are supported for d <= 2; use tensor_factors")
-
-    entries = {}
-    fb = ((), ()) if f_breaks is None else f_breaks
-    for l1 in range(-1, J + 1):
-        for l2 in range(-1, J + 1):
-            for k1 in _shift_range(l1, box[0]):
-                w1 = psi_piecewise(l1, k1) if kind == "primal" else dual_piecewise(l1, k1, n_max)
-                lo1, hi1 = max(w1.support[0], box[0][0]), min(w1.support[1], box[0][1])
-                if hi1 <= lo1:
-                    continue
-                cuts1 = sorted({lo1, hi1} | {b for b in w1.breakpoints if lo1 < b < hi1}
-                               | {b for b in fb[0] if lo1 < b < hi1})
-                n1, wq1 = _gauss_panels(list(zip(cuts1[:-1], cuts1[1:])), gauss_order)
-                psi1 = w1(n1)
-                for k2 in _shift_range(l2, box[1]):
-                    w2 = psi_piecewise(l2, k2) if kind == "primal" else dual_piecewise(l2, k2, n_max)
-                    lo2, hi2 = max(w2.support[0], box[1][0]), min(w2.support[1], box[1][1])
-                    if hi2 <= lo2:
-                        continue
-                    cuts2 = sorted({lo2, hi2} | {b for b in w2.breakpoints if lo2 < b < hi2}
-                                   | {b for b in fb[1] if lo2 < b < hi2})
-                    n2, wq2 = _gauss_panels(list(zip(cuts2[:-1], cuts2[1:])), gauss_order)
-                    psi2 = w2(n2)
-                    vals = np.asarray(f(n1[:, None], n2[None, :]), dtype=float)
-                    ip = float(np.einsum("i,j,ij->", wq1 * psi1, wq2 * psi2, vals))
-                    lam = 2.0 ** (max(l1, 0) + max(l2, 0)) * ip
-                    if abs(lam) > prune:
-                        entries[((l1, l2), (k1, k2))] = lam
-    return CoefficientMap(basis="cw-primal" if kind == "primal" else "cw-dual", d=2, entries=entries)
+    if prune > 0.0:
+        entries = {key: v for key, v in entries.items() if abs(v) > prune}
+    return CoefficientMap(basis=basis, d=d, entries=entries)
 
 
 def cw_synthesize(

@@ -202,8 +202,21 @@ def test_seq_report_divergent_tail():
     spec = SeqNormSpec(BesovParams(0.5, 2.0, 2.0))
     with pytest.raises(DivergentTailError):
         seq_norm_report(cw_map(entries), spec, strict=True)
+    # levels reach the requested top level J = 4: still a real divergence
+    with pytest.raises(DivergentTailError):
+        seq_norm_report(cw_map(entries), spec, strict=True, J=4)
     rep = seq_norm_report(cw_map(entries), spec, strict=False)
     assert rep.tail_bound == INF
+    assert rep.value == seq_norm(cw_map(entries), spec)
+
+
+def test_seq_report_missing_top_levels_are_exact_zeros():
+    # levels 5..8 were requested and hold no coefficient: the expansion is
+    # finite, so growing low levels are no evidence of divergence
+    entries = {((L,), (0,)): 2.0**L for L in range(5)}
+    spec = SeqNormSpec(BesovParams(0.5, 2.0, 2.0))
+    rep = seq_norm_report(cw_map(entries), spec, strict=True, J=8)
+    assert rep.tail_bound == 0.0 and rep.J_max == 4
     assert rep.value == seq_norm(cw_map(entries), spec)
 
 

@@ -87,6 +87,8 @@ def test_unknown_function_is_a_config_error(capsys):
 def test_bad_compare_and_wrong_rule_dimension(capsys):
     rc, _, err = run(capsys, ["norms", "--fn", "kink1", "--compare", "cw,bogus"])
     assert rc == 2 and "bogus" in err
+    rc, out, err = run(capsys, ["norms", "--fn", "bspline2", "--J", "-1"])
+    assert rc == 2 and out == "" and "J must be >= 0" in err
     rc, _, err = run(capsys, ["cubature", "--fn", "kink1", "--rule", "fibonacci"])
     assert rc == 2 and "two-dimensional" in err
     rc, _, err = run(capsys, ["coeffs", "--fn", "kink2", "--mode", "gibbs"])

@@ -72,6 +72,18 @@ def test_norm_comparison_subset_and_guard():
     assert set(reps) == {"hpc"}
     with pytest.raises(ConfigError):
         norm_comparison(get_member("exp3"), BesovParams(1.0, 2.0, 2.0))
+    with pytest.raises(ConfigError, match="J must be >= 0"):
+        norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), J=-1)
+
+
+def test_norm_comparison_finite_expansion_is_not_divergent():
+    # hat8_1 at scale 1 lies in the level-3 spline space: levels 4..8 are
+    # exact zeros that the prune drops, and the tail is exactly zero
+    from halfcos.corpus import band_family
+
+    member = band_family(1)[0]
+    rep = norm_comparison(member, BesovParams(1.5, 2.0, 2.0), ("cw",), J=8)["cw"]
+    assert rep.J_max == 3 and rep.tail_bound == 0.0
 
 
 def test_ratio_table_rows():

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from halfcos.errors import ConfigError
 from halfcos.grids import CoefficientMap, GridFunction, UNIT
 from halfcos.wavelets import (
     DualCoefficientSequence,
     PiecewiseLinear,
+    _shift_range,
     biorthogonality_residual_1d,
     bspline_value,
     cw_analyze,
+    cw_analyze_1d,
     cw_synthesize,
     dual_coefficients,
     dual_father_closed_form,
@@ -257,3 +260,76 @@ def test_analyze_accepts_array_breakpoints():
         for (l2, k2), v2 in lam_f.entries.items():
             got = lam2.get(((l[0], l2[0]), (k[0], k2[0])))
             assert abs(got - v * v2) < 1e-9
+
+
+def _wavelet(kind, l, k):
+    return psi_piecewise(l, k) if kind == "primal" else dual_piecewise(l, k)
+
+
+def _per_coefficient_reference(f, J, box, kind, f_breaks, order=8):
+    """One Gauss panel set per (l, k): the wavelet's cells clipped to the
+    box and split at the breakpoints of f."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    table = {}
+    for l in range(-1, J + 1):
+        for k in _shift_range(l, box):
+            w = _wavelet(kind, l, k)
+            lo, hi = max(w.support[0], box[0]), min(w.support[1], box[1])
+            if hi <= lo:
+                continue
+            cuts = sorted({lo, hi} | {b for b in w.breakpoints + tuple(f_breaks) if lo < b < hi})
+            a, b = np.array(cuts[:-1]), np.array(cuts[1:])
+            nodes = a[:, None] + 0.5 * (b - a)[:, None] * (xg + 1.0)
+            weights = 0.5 * (b - a)[:, None] * wg
+            table[(l, k)] = 2.0 ** max(l, 0) * float(np.sum(weights * f(nodes) * w(nodes)))
+    return table
+
+
+@pytest.mark.parametrize("kind", ["primal", "dual"])
+@pytest.mark.parametrize(
+    "box, f",
+    [
+        ((0.0, 1.0), PiecewiseLinear((0.0, 0.3, 0.55, 0.8, 1.0), (0.0, 1.0, -0.5, 0.7, 0.0))),
+        ((-0.7, 1.9), PiecewiseLinear((-0.7, 0.1, 0.9, 1.9), (0.4, 1.0, -0.6, 0.3))),
+    ],
+)
+def test_analysis_of_piecewise_linear_is_exact(kind, box, f):
+    # f * w is piecewise quadratic on the split panels: Gauss is exact, so
+    # the hat-moment route must match the exact product integrals
+    got = cw_analyze_1d(f, 4, box, kind, f.breakpoints)
+    worst = 0.0
+    for l in range(-1, 5):
+        for k in _shift_range(l, box):
+            exact = 2.0 ** max(l, 0) * product_integral(f, _wavelet(kind, l, k))
+            worst = max(worst, abs(got.get((l, k), 0.0) - exact))
+    assert worst <= 1e-14
+    assert {l for l, _ in got} == set(range(-1, 5))
+
+
+@pytest.mark.parametrize("kind", ["primal", "dual"])
+def test_analysis_matches_per_coefficient_quadrature(kind):
+    box, breaks = (0.2, 1.3), (0.45, 1.0)
+    f = lambda x: np.exp(np.asarray(x)) * (np.asarray(x) > 0.45)
+    got = cw_analyze_1d(f, 6, box, kind, breaks)
+    ref = _per_coefficient_reference(f, 6, box, kind, breaks)
+    # relative to the largest coefficient: the small fine-level ones carry
+    # the absolute round-off of quadrature sums of size O(max |f|)
+    scale = max(abs(v) for v in ref.values())
+    for key in set(got) | set(ref):
+        assert abs(got.get(key, 0.0) - ref.get(key, 0.0)) <= 1e-14 * scale, key
+    assert {key for key, v in ref.items() if abs(v) > 1e-15} <= set(got)
+
+
+@pytest.mark.parametrize("l, k", [(-1, 0), (-1, 3), (0, -2), (0, 5), (3, 7)])
+def test_dual_piecewise_is_the_dual_sequence_expansion(l, k):
+    seq = dual_coefficients(min(l, 0), n_max=40)
+    lo, hi = dual_piecewise(l, k).support
+    x = np.random.default_rng(5).uniform(lo, hi, 200)
+    expansion = sum(seq.a(n) * psi_eval(l, k + n, x) for n in range(-40, 41))
+    assert np.max(np.abs(dual_piecewise(l, k)(x) - expansion)) <= 1e-14
+
+
+@pytest.mark.parametrize("box", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_analysis_rejects_a_box_that_is_not_an_interval(box):
+    with pytest.raises(ConfigError, match="not a finite interval"):
+        cw_analyze_1d(np.cos, 2, box)
