@@ -10,19 +10,24 @@ because mirrored sample values coincide node by node.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ConditionError
+from .cubature import fit_rate
+from .errors import ConditionError, ConfigError
 from .grids import (
     SYM,
     UNIT,
     CoefficientMap,
     GridFunction,
+    _check_aliasing,
+    box_slabs,
     fourier_analyze_dense,
     fourier_synthesize_dense,
     hpc_analyze_dense,
     hpc_basis_1d,
+    hpc_synthesize,
     hpc_synthesize_dense,
     periodize,
     evenize,
@@ -66,25 +71,31 @@ def _cross_mask_signed(n: int, d: int, N: int) -> np.ndarray:
     return prod <= N
 
 
+def _cross_projection(dense: np.ndarray, N: int, m: int):
+    dense = np.where(_cross_mask_nonneg(dense.shape, N), dense, 0.0)
+    return hpc_synthesize_dense(dense, m), dense
+
+
 def project_dense(f: GridFunction, N: int):
     """Dense-transform projection onto the cross of order N; returns the
     approximant on f's grid and the retained dense coefficient tensor."""
-    dense = hpc_analyze_dense(f)
-    dense = np.where(_cross_mask_nonneg(dense.shape, N), dense, 0.0)
-    return hpc_synthesize_dense(dense, f.m), dense
+    return _cross_projection(hpc_analyze_dense(f), N, f.m)
 
 
 def hpc_project(f: GridFunction, N: int):
     """Projection onto span{c_kbar : prod (1+k_i) <= N}.
 
     Returns (approximant GridFunction, CoefficientMap on the cross).
-    Aliasing is checked through the index-set analysis path.
+    Raises AliasingError when the grid is too coarse for the cross, whose
+    largest frequency is N - 1.
     """
-    from .grids import hpc_analyze
-
     K = hyperbolic_cross(N, f.d, signed=False)
-    coeffs = hpc_analyze(f, K)
-    approx, _ = project_dense(f, N)
+    _check_aliasing(f.m, N - 1)
+    dense = hpc_analyze_dense(f)
+    coeffs = CoefficientMap(
+        basis="hpc", d=f.d, entries={tuple(k): dense[tuple(k)] for k in K.as_array()}
+    )
+    approx, _ = _cross_projection(dense, N, f.m)
     return approx, coeffs
 
 
@@ -125,14 +136,17 @@ def evenization_check(f: GridFunction, N: int):
 
 
 def _design_matrix(points: np.ndarray, K: IndexSet) -> np.ndarray:
+    """Columns prod_i c_{k_i}(x_i) for kbar in K, multiplied in axis order;
+    each axis evaluates one cosine row per distinct frequency."""
     arr = K.as_array()
     n, d = points.shape
     cols = np.ones((n, len(arr)))
-    for j, kbar in enumerate(arr):
-        col = np.ones(n)
-        for ax in range(d):
-            col = col * hpc_basis_1d(int(kbar[ax]), points[:, ax])
-        cols[:, j] = col
+    for ax in range(d):
+        ks, inverse = np.unique(arr[:, ax], return_inverse=True)
+        table = np.empty((n, len(ks)))
+        for j, k in enumerate(ks):
+            table[:, j] = hpc_basis_1d(int(k), points[:, ax])
+        cols *= table[:, inverse]
     return cols
 
 
@@ -173,14 +187,6 @@ def ls_recover(
     return CoefficientMap(basis="hpc", d=points.shape[1], entries=entries), info
 
 
-def _l2_error_on_grid(f, coeffs: CoefficientMap, m: int, d: int) -> float:
-    from .grids import hpc_synthesize
-
-    g = GridFunction.from_callable(f, d, m, UNIT)
-    approx = hpc_synthesize(coeffs, m)
-    return (g - approx).lp_norm(2.0)
-
-
 def ls_error_experiment(
     member,
     N: int,
@@ -192,6 +198,8 @@ def ls_error_experiment(
     """Recovery error of iid-uniform sampling with logarithmic oversampling
     against the projection error of the same cross; returns a dict with both
     errors, the sample count, and the design condition number."""
+    if N < 1:
+        raise ConfigError(f"cross order N must be >= 1, got {N}")
     d = member.d
     K = hyperbolic_cross(N, d, signed=False)
     card = len(K.members)
@@ -201,9 +209,8 @@ def ls_error_experiment(
     vals = member(*[pts[:, i] for i in range(d)])
     w = None if weights == "uniform" else np.ones(n_samples)
     coeffs, info = ls_recover(pts, vals, K, weights=w)
-    ls_err = _l2_error_on_grid(member, coeffs, grid_level, d)
-
     g = GridFunction.from_callable(member, d, grid_level, UNIT)
+    ls_err = (g - hpc_synthesize(coeffs, grid_level)).lp_norm(2.0)
     approx, _ = project_dense(g, N)
     proj_err = (g - approx).lp_norm(2.0)
     return {
@@ -220,16 +227,22 @@ def ls_error_experiment(
 def exact_projection_error(member, N: int, kmax: int) -> float:
     """L_2 projection error from closed-form coefficients: the tail
     ell_2 norm over the complement of the cross, computed on a box large
-    enough that the remainder beyond kmax is negligible for k^{-2} decay."""
-    d = member.d
+    enough that the remainder beyond kmax is negligible for k^{-2} decay.
+
+    The box is walked one leading-axis slab at a time and the squares are
+    added in lexicographic order (a sequential cumsum), as a scalar loop
+    over the box would. Each square is Python's float power, as in that
+    loop: numpy's square is the correctly rounded product, which differs
+    from the C library's pow in the last bit for about one term in a
+    thousand, so only this keeps every term, and so the sum, bit-identical.
+    """
     total = 0.0
-    for kbar in np.ndindex(*([kmax + 1] * d)):
-        prod = 1.0
-        for k in kbar:
-            prod *= 1.0 + k
-        if prod <= N:
-            continue
-        total += member.hpc_coefficient(kbar) ** 2
+    one_plus_k = [1.0 + np.arange(kmax + 1.0)] * member.d
+    slabs = zip(box_slabs(member.coefficient_vectors(kmax)), box_slabs(one_plus_k))
+    for (_, coef), (_, prod) in slabs:
+        tail = coef[prod > N].tolist()
+        squares = np.fromiter(map(math.pow, tail, repeat(2.0)), float, len(tail))
+        total = float(np.cumsum(np.concatenate(([total], squares)))[-1])
     return math.sqrt(total)
 
 
@@ -243,30 +256,17 @@ def projection_error_rate(
 ):
     """Errors against dim(cross) with a least-squares slope fit in log2
     coordinates; a positive log_exponent divides (log2 n)^e out first."""
-    from .cubature import RateFit
-
+    if member.factor_coeff is None:
+        raise ConfigError(
+            f"{member.name} has no closed-form coefficients, which the "
+            "projection error table needs"
+        )
+    bad = [N for N in N_list if N < 1]
+    if bad:
+        raise ConfigError(f"cross order N must be >= 1, got {bad[0]}")
     dims, errors = [], []
     for N in N_list:
         K = hyperbolic_cross(N, member.d, signed=False)
         dims.append(len(K.members))
         errors.append(exact_projection_error(member, N, kmax))
-    xs, ys = [], []
-    for n, e in zip(dims[skip_smallest:], errors[skip_smallest:]):
-        if e <= 0:
-            continue
-        corrected = e / (math.log2(n) ** log_exponent if log_exponent else 1.0)
-        xs.append(math.log2(n))
-        ys.append(math.log2(corrected))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(
-        np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.asarray(ys)) ** 2))
-    )
-    return RateFit(
-        ns=dims,
-        errors=errors,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=resid,
-        log_exponent=log_exponent,
-        skipped=skip_smallest,
-    )
+    return fit_rate(dims, errors, log_exponent, skip_smallest)

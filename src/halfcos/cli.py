@@ -175,6 +175,8 @@ def _cmd_coeffs(args) -> int:
     cfg = _resolve("coeffs", args)
     member = _member(cfg)
     kmax = int(cfg["kmax"])
+    if kmax < 1:
+        raise ConfigError(f"--kmax must be >= 1, got {kmax}")
     lines = [_config_line("coeffs", cfg)]
     if cfg["mode"] == "gibbs":
         if member.d != 1:

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import UNIT, CoefficientMap, GridFunction, hpc_analyze_dense
+from .errors import AliasingError
+from .grids import (
+    UNIT,
+    CoefficientMap,
+    GridFunction,
+    box_slabs,
+    hpc_analyze_dense,
+    slab_keys,
+)
 from .wavelets import bspline_value
 
 __all__ = [
@@ -97,25 +105,30 @@ class TestFunction:
             val *= c(int(k))
         return val
 
+    def coefficient_vectors(self, kmax: int) -> list:
+        """Per-axis closed-form coefficients c_i(0), ..., c_i(kmax)."""
+        if self.factor_coeff is None:
+            raise ValueError(f"{self.name} has no closed-form coefficients")
+        return [np.array([c(k) for k in range(kmax + 1)], dtype=float)
+                for c in self.factor_coeff]
+
     def hpc_map(self, kmax: int) -> CoefficientMap:
         """Closed-form coefficients on the full box |kbar|_inf <= kmax."""
         entries = {}
-        for kbar in np.ndindex(*([kmax + 1] * self.d)):
-            v = self.hpc_coefficient(kbar)
-            if v != 0.0:
-                entries[tuple(int(t) for t in kbar)] = v
+        for prefix, slab in box_slabs(self.coefficient_vectors(kmax)):
+            keep = slab != 0.0
+            entries.update(zip(slab_keys(prefix, keep), slab[keep].tolist()))
         return CoefficientMap(basis="hpc", d=self.d, entries=entries)
 
     def hpc_map_numeric(self, kmax: int, grid_level: int = None) -> CoefficientMap:
         """Coefficients by aliasing-checked dense transform on the box."""
         m = grid_level or max(6, int(math.ceil(math.log2(4 * max(kmax, 1)))))
         g = GridFunction.from_callable(self, self.d, m, UNIT)
-        dense = hpc_analyze_dense(g)
-        entries = {}
-        for kbar in np.ndindex(*([kmax + 1] * self.d)):
-            v = float(dense[kbar])
-            if abs(v) > 1e-15:
-                entries[tuple(int(t) for t in kbar)] = v
+        box = hpc_analyze_dense(g)[(slice(0, kmax + 1),) * self.d]
+        if box.shape != (kmax + 1,) * self.d:
+            raise AliasingError(f"grid level m={m} has no coefficients up to {kmax}")
+        keep = np.abs(box) > 1e-15
+        entries = dict(zip(slab_keys((), keep), box[keep].tolist()))
         return CoefficientMap(basis="hpc", d=self.d, entries=entries)
 
     def self_check(self, panels: int = 64, order: int = 10) -> float:

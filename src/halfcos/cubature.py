@@ -31,6 +31,7 @@ __all__ = [
     "random_shift",
     "shifted_mean_error",
     "convergence_experiment",
+    "fit_rate",
 ]
 
 
@@ -250,6 +251,38 @@ class RateFit:
         return "\n".join(lines) + "\n"
 
 
+def fit_rate(ns, errors, log_exponent: float, skip_smallest: int) -> RateFit:
+    """Least-squares line through (log2 n, log2 err) after dropping the
+    skip_smallest first points and every zero error; a positive
+    log_exponent divides err by (log2 n)^exponent first. Raises ConfigError
+    unless at least two points remain."""
+    xs, ys = [], []
+    for n, e in zip(ns[skip_smallest:], errors[skip_smallest:]):
+        if e <= 0.0:
+            continue
+        corrected = e / (math.log2(n) ** log_exponent if log_exponent else 1.0)
+        xs.append(math.log2(n))
+        ys.append(math.log2(corrected))
+    if len(xs) < 2:
+        raise ConfigError(
+            f"not enough positive errors to fit a rate: {len(xs)} of "
+            f"{len(ns)} points remain after skipping {skip_smallest}, need 2"
+        )
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(
+        np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.asarray(ys)) ** 2))
+    )
+    return RateFit(
+        ns=ns,
+        errors=errors,
+        slope=float(slope),
+        intercept=float(intercept),
+        residual=resid,
+        log_exponent=log_exponent,
+        skipped=skip_smallest,
+    )
+
+
 def convergence_experiment(
     rule_for_n,
     f,
@@ -285,26 +318,4 @@ def convergence_experiment(
             err = abs(integrate(used, f) - exact)
         ns.append(rule.n)
         errors.append(err)
-
-    xs, ys = [], []
-    for n, e in zip(ns[skip_smallest:], errors[skip_smallest:]):
-        if e <= 0.0:
-            continue
-        corrected = e / (math.log2(n) ** log_exponent if log_exponent else 1.0)
-        xs.append(math.log2(n))
-        ys.append(math.log2(corrected))
-    if len(xs) < 2:
-        raise ConfigError("not enough positive errors to fit a rate")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(
-        np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.asarray(ys)) ** 2))
-    )
-    return RateFit(
-        ns=ns,
-        errors=errors,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=resid,
-        log_exponent=log_exponent,
-        skipped=skip_smallest,
-    )
+    return fit_rate(ns, errors, log_exponent, skip_smallest)

@@ -394,21 +394,34 @@ def hpc_analyze(f: GridFunction, K: IndexSet) -> CoefficientMap:
 
 
 def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
-    """Evaluate the finite expansion sum of coeff * c_kbar on the closed grid."""
+    """Evaluate the finite expansion sum of coeff * c_kbar on the closed grid.
+
+    Terms are added one at a time in key order, each the outer product of
+    1-D basis rows (computed once per frequency) times its coefficient.
+    This per-term sum is kept on purpose: scattering the coefficients into
+    a dense tensor and running one DCT-I would be faster, but it rounds
+    differently, and `halfcos identities` prints residuals at exactly that
+    round-off.
+    """
     if coeffs.basis != "hpc":
         raise ValueError("expected half-period cosine coefficients")
     d = coeffs.d
     n = 2**m + 1
     x = np.arange(n) * 2.0**-m
+    rows = {}
     out = np.zeros((n,) * d)
+    buf = np.empty((n,) * d)
     for k, v in coeffs.items_sorted():
-        term = np.real(v)
-        piece = np.ones((n,) * d)
-        for ax, ki in enumerate(k):
-            shape = [1] * d
-            shape[ax] = -1
-            piece = piece * hpc_basis_1d(ki, x).reshape(shape)
-        out += term * piece
+        for ki in k:
+            if ki not in rows:
+                rows[ki] = hpc_basis_1d(ki, x)
+        piece = rows[k[0]]
+        for ki in k[1:-1]:
+            piece = np.multiply.outer(piece, rows[ki])
+        if d > 1:
+            piece = np.multiply.outer(piece, rows[k[-1]], out=buf)
+        np.multiply(piece, np.real(v), out=buf)
+        out += buf
     return GridFunction(UNIT, m, out)
 
 
@@ -508,6 +521,34 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     return GridFunction(SYM, m, vals)
 
 
+def box_slabs(vectors):
+    """Outer product of per-axis vectors over a box, one leading-axis slab
+    at a time.
+
+    Yields (prefix, slab) in lexicographic order of the box. For d >= 2,
+    prefix is (i,) and slab[j_2, ..., j_d] = v_1[i] * v_2[j_2] * ... *
+    v_d[j_d], multiplied left to right as a scalar loop over the box
+    would, so every entry is bit-identical to that loop's product; only one
+    slab of prod(len(v_2), ..., len(v_d)) floats is held at a time. For
+    d = 1 the single slab is v_1 itself with prefix ().
+    """
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if len(vectors) == 1:
+        yield (), vectors[0]
+        return
+    for i, head in enumerate(vectors[0]):
+        slab = head * vectors[1]
+        for v in vectors[2:]:
+            slab = np.multiply.outer(slab, v)
+        yield (i,), slab
+
+
+def slab_keys(prefix: tuple, mask: np.ndarray) -> list:
+    """Multi-indices prefix + j of the True entries of a slab mask, in
+    lexicographic order, as tuples of Python ints."""
+    return [prefix + j for j in zip(*(ix.tolist() for ix in np.nonzero(mask)))]
+
+
 def coefficient_decay_report(f: GridFunction, k_max: int):
     """Rows (kbar, |coef| * prod max(1,|k_i|)^2) over the box |kbar|_inf <= k_max.
 
@@ -516,11 +557,10 @@ def coefficient_decay_report(f: GridFunction, k_max: int):
     2 per axis.
     """
     _check_aliasing(f.m, k_max)
-    dense = hpc_analyze_dense(f)
+    box = np.abs(hpc_analyze_dense(f)[(slice(0, k_max + 1),) * f.d])
+    weight = np.maximum(1, np.arange(k_max + 1)) ** 2
     rows = []
-    for k in np.ndindex(*([k_max + 1] * f.d)):
-        weight = 1.0
-        for ki in k:
-            weight *= max(1, ki) ** 2
-        rows.append((tuple(k), abs(float(dense[k])) * weight))
+    for prefix, w in box_slabs([weight] * f.d):
+        vals = box[prefix] * w
+        rows.extend(zip((prefix + j for j in np.ndindex(vals.shape)), vals.ravel().tolist()))
     return rows

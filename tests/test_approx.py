@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from halfcos.approx import (
+    _design_matrix,
     error_transfer_check,
     evenization_check,
     exact_projection_error,
@@ -17,8 +18,8 @@ from halfcos.approx import (
     projection_error_rate,
 )
 from halfcos.corpus import get_member
-from halfcos.errors import ConditionError
-from halfcos.grids import UNIT, CoefficientMap, GridFunction, hpc_synthesize
+from halfcos.errors import ConditionError, ConfigError
+from halfcos.grids import UNIT, CoefficientMap, GridFunction, hpc_basis_1d, hpc_synthesize
 from halfcos.indexsets import hyperbolic_cross
 
 INF = float("inf")
@@ -171,3 +172,51 @@ def test_projection_rate_recovers_coefficient_decay():
     assert fit.residual < 0.05
     errs = fit.errors
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+def box_walk_tail(member, N, kmax):
+    """Reference: the scalar walk over the coefficient box, term by term."""
+    total = 0.0
+    for kbar in np.ndindex(*([kmax + 1] * member.d)):
+        prod = 1.0
+        for k in kbar:
+            prod *= 1.0 + k
+        if prod > N:
+            total += member.hpc_coefficient(kbar) ** 2
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize(
+    "name, kmax, N_list",
+    [("kink1", 600, [1, 2, 7, 64]), ("kink2", 60, [1, 2, 11, 64]),
+     ("exp3", 12, [3, 20]), ("const2", 9, [1, 4])],
+)
+def test_exact_tail_is_bit_identical_to_the_box_walk(name, kmax, N_list):
+    member = get_member(name)
+    for N in N_list:
+        assert exact_projection_error(member, N, kmax) == box_walk_tail(member, N, kmax)
+
+
+@pytest.mark.parametrize("d, N", [(1, 9), (2, 12), (3, 10)])
+def test_design_matrix_matches_the_column_loop(d, N):
+    pts = np.random.default_rng(d).random((40, d))
+    K = hyperbolic_cross(N, d, signed=False)
+    ref = np.ones((40, len(K)))
+    for j, kbar in enumerate(K.as_array()):
+        col = np.ones(40)
+        for ax in range(d):
+            col = col * hpc_basis_1d(int(kbar[ax]), pts[:, ax])
+        ref[:, j] = col
+    assert np.array_equal(_design_matrix(pts, K), ref)
+
+
+def test_rate_entry_points_reject_bad_input():
+    with pytest.raises(ConfigError, match="N must be >= 1"):
+        projection_error_rate(get_member("kink1"), [4, 0])
+    with pytest.raises(ConfigError, match="N must be >= 1"):
+        ls_error_experiment(get_member("kink1"), N=0)
+    with pytest.raises(ConfigError, match="no closed-form coefficients"):
+        projection_error_rate(get_member("bspline2_1"), [2, 4, 8])
+    for n_list in ([2, 3], [2]):
+        with pytest.raises(ConfigError, match="not enough positive errors"):
+            projection_error_rate(get_member("kink1"), n_list, kmax=64)

@@ -95,6 +95,22 @@ def test_bad_compare_and_wrong_rule_dimension(capsys):
     assert rc == 2 and "univariate" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["approx", "--fn", "kink1d", "--N-list", "2,3"], "not enough positive errors"),
+        (["approx", "--fn", "kink1d", "--N-list", "2"], "not enough positive errors"),
+        (["approx", "--fn", "kink1d", "--N-list", "0"], "N must be >= 1"),
+        (["recover", "--fn", "kink1d", "--N", "0", "--seed", "1"], "N must be >= 1"),
+        (["approx", "--fn", "bspline2"], "no closed-form coefficients"),
+        (["coeffs", "--fn", "kink1d", "--kmax", "0"], "--kmax must be >= 1"),
+    ],
+)
+def test_rate_table_inputs_exit_two(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == "" and message in err
+
+
 def test_divergent_tail_exits_three(capsys):
     rc, _, err = run(capsys, ["norms", "--fn", "kink1", "--r", "2.5",
                               "--strict", "--compare", "hpc"])

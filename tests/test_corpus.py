@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from halfcos.errors import AliasingError
+from halfcos.grids import UNIT, GridFunction, hpc_analyze_dense
 from halfcos.corpus import (
     KINK_A,
     band_family,
@@ -65,6 +67,33 @@ def test_closed_map_matches_numeric_transform():
         for key in set(a) | set(b):
             # dense transform is trapezoid-based: h^2 accuracy at level 12
             assert a.get(key, 0.0) == pytest.approx(b.get(key, 0.0), abs=2e-7), name
+
+
+@pytest.mark.parametrize(
+    "name, kmax",
+    [("kink2", 20), ("exp3", 6), ("smoothper2", 9), ("mode4_1", 7), ("const3", 3)],
+)
+def test_closed_map_matches_the_box_walk(name, kmax):
+    tf = get_member(name)
+    ref = {}
+    for kbar in np.ndindex(*([kmax + 1] * tf.d)):
+        v = tf.hpc_coefficient(kbar)
+        if v != 0.0:
+            ref[kbar] = v
+    assert list(tf.hpc_map(kmax).entries.items()) == list(ref.items())
+
+
+def test_numeric_map_matches_the_box_walk():
+    tf = get_member("bspline2_2")
+    g = GridFunction.from_callable(tf, 2, 6, UNIT)
+    dense = hpc_analyze_dense(g)
+    ref = {}
+    for kbar in np.ndindex(9, 9):
+        if abs(float(dense[kbar])) > 1e-15:
+            ref[kbar] = float(dense[kbar])
+    assert list(tf.hpc_map_numeric(8, grid_level=6).entries.items()) == list(ref.items())
+    with pytest.raises(AliasingError):
+        tf.hpc_map_numeric(40, grid_level=5)
 
 
 def test_numeric_map_without_closed_form():

@@ -12,6 +12,7 @@ from halfcos.grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
+    coefficient_decay_report,
     cos_basis,
     evenize,
     exp_basis,
@@ -208,3 +209,39 @@ def test_lp_norms_against_closed_forms():
     assert abs(f.lp_norm(np.inf) - 1.0) < 1e-15
     assert abs(f.lp_norm(2.0) - math.sqrt(1.0 / 3.0)) < 1e-6
     assert abs(f.lp_norm(1.0) - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3)])
+def test_synthesis_matches_the_per_term_grid_loop(d, m):
+    rng = np.random.default_rng(10 + d)
+    entries = {
+        tuple(int(k) for k in rng.integers(0, 3 * 2**m, size=d)): float(rng.normal())
+        for _ in range(10)
+    }
+    entries[(0,) * d] = 0.5
+    entries[(2**m,) * d] = -0.25  # folds onto the Nyquist row of the grid
+    n = 2**m + 1
+    x = np.arange(n) * 2.0**-m
+    ref = np.zeros((n,) * d)
+    for k, v in sorted(entries.items()):
+        piece = np.ones((n,) * d)
+        for ax, ki in enumerate(k):
+            shape = [1] * d
+            shape[ax] = -1
+            piece = piece * hpc_basis_1d(ki, x).reshape(shape)
+        ref += v * piece
+    got = hpc_synthesize(CoefficientMap("hpc", d, entries), m).values
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("d, m, kmax", [(1, 7, 32), (2, 6, 16), (3, 4, 4)])
+def test_decay_report_matches_the_box_walk(d, m, kmax):
+    f = GridFunction.from_callable(lambda *xs: np.exp(sum(xs)), d, m, UNIT)
+    dense = hpc_analyze_dense(f)
+    ref = []
+    for k in np.ndindex(*([kmax + 1] * d)):
+        weight = 1.0
+        for ki in k:
+            weight *= max(1, ki) ** 2
+        ref.append((k, abs(float(dense[k])) * weight))
+    assert coefficient_decay_report(f, kmax) == ref
