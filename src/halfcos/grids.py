@@ -61,6 +61,8 @@ __all__ = [
     "fourier_synthesize_dense",
     "signed_fft_freqs",
     "coefficient_decay_report",
+    "box_slabs",
+    "slab_keys",
 ]
 
 UNIT = "unit"
