@@ -21,6 +21,7 @@ from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
+    _along,
     _check_aliasing,
     box_slabs,
     fourier_analyze_dense,
@@ -47,32 +48,18 @@ __all__ = [
 ]
 
 
-def _cross_mask_nonneg(shape, N: int) -> np.ndarray:
-    """Mask of the nonnegative hyperbolic cross on a dense DCT tensor."""
-    d = len(shape)
-    mask = np.ones(shape, dtype=bool)
-    prod = np.ones(shape)
-    for ax in range(d):
-        ks = np.arange(shape[ax], dtype=float)
-        sl = [1] * d
-        sl[ax] = -1
-        prod = prod * (1.0 + ks).reshape(sl)
-    return prod <= N
-
-
-def _cross_mask_signed(n: int, d: int, N: int) -> np.ndarray:
-    """Mask of the signed hyperbolic cross in FFT layout."""
-    ks = np.abs(signed_fft_freqs(n)).astype(float)
-    prod = np.ones((n,) * d)
-    for ax in range(d):
-        sl = [1] * d
-        sl[ax] = -1
-        prod = prod * (1.0 + ks).reshape(sl)
+def _cross_mask(freqs, N: int) -> np.ndarray:
+    """Mask of the hyperbolic cross prod (1 + |k_i|) <= N on the tensor
+    spanned by the per-axis frequency vectors."""
+    prod = np.ones(tuple(len(k) for k in freqs))
+    for ax, k in enumerate(freqs):
+        prod = prod * _along(1.0 + np.abs(k), ax, len(freqs))
     return prod <= N
 
 
 def _cross_projection(dense: np.ndarray, N: int, m: int):
-    dense = np.where(_cross_mask_nonneg(dense.shape, N), dense, 0.0)
+    freqs = [np.arange(size, dtype=float) for size in dense.shape]
+    dense = np.where(_cross_mask(freqs, N), dense, 0.0)
     return hpc_synthesize_dense(dense, m), dense
 
 
@@ -99,25 +86,23 @@ def hpc_project(f: GridFunction, N: int):
     return approx, coeffs
 
 
+def _torus_projection(g: GridFunction, N: int) -> GridFunction:
+    """FFT-masking projection of a torus grid function onto the signed cross."""
+    dense = fourier_analyze_dense(g)
+    freqs = [signed_fft_freqs(dense.shape[0]).astype(float)] * g.d
+    return fourier_synthesize_dense(np.where(_cross_mask(freqs, N), dense, 0.0), g.m)
+
+
 def error_transfer_check(f: GridFunction, N: int, p: float):
     """Left: ||f - (cross projection of f)||_{L_p} on the unit cube.
     Right: the same quantity computed entirely on the torus: periodize the
     samples, project onto the signed cross by FFT masking, and take the
     normalized-measure L_p error. Equal to round-off on matched grids."""
-    approx, _ = project_dense(f, N)
-    diff_unit = f - approx
-    lhs = diff_unit.lp_norm(p)
-
+    lhs = (f - project_dense(f, N)[0]).lp_norm(p)
     g = periodize(f)
-    dense = fourier_analyze_dense(g)
-    n = dense.shape[0]
-    dense = np.where(_cross_mask_signed(n, f.d, N), dense, 0.0)
-    proj_t = fourier_synthesize_dense(dense, f.m)
-    diff_t = g - proj_t
-    if p == math.inf:
-        rhs = diff_t.lp_norm(p)
-    else:
-        rhs = 2.0 ** (-f.d / p) * diff_t.lp_norm(p)
+    rhs = (g - _torus_projection(g, N)).lp_norm(p)
+    if p != math.inf:
+        rhs *= 2.0 ** (-f.d / p)
     return lhs, rhs
 
 
@@ -127,10 +112,7 @@ def evenization_check(f: GridFunction, N: int):
     periodization, and the explicitly evenized torus projection."""
     lhs, rhs = error_transfer_check(f, N, 2.0)
     g = periodize(f)
-    dense = fourier_analyze_dense(g)
-    n = dense.shape[0]
-    dense = np.where(_cross_mask_signed(n, f.d, N), dense, 0.0)
-    proj_even = evenize(fourier_synthesize_dense(dense, f.m))
+    proj_even = evenize(_torus_projection(g, N))
     third = 2.0 ** (-f.d / 2.0) * (g - proj_even).lp_norm(2.0)
     return lhs, rhs, third
 
@@ -167,6 +149,8 @@ def ls_recover(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
     A = _design_matrix(points, K)
+    if len(values) < A.shape[1]:
+        raise ConditionError(f"underdetermined design: {len(values)} samples, {A.shape[1]} unknowns")
     sqw = np.ones(len(values)) if weights is None else np.sqrt(
         np.asarray(weights, dtype=float)
     )
@@ -204,6 +188,11 @@ def ls_error_experiment(
     K = hyperbolic_cross(N, d, signed=False)
     card = len(K.members)
     n_samples = int(math.ceil(oversample * card * (1.0 + math.log(card))))
+    if n_samples < card:
+        raise ConfigError(
+            f"oversample={oversample}: {n_samples} samples for {card} unknowns, an underdetermined design"
+        )
+    _check_aliasing(grid_level, N - 1)
     rng = np.random.default_rng(seed)
     pts = rng.random((n_samples, d))
     vals = member(*[pts[:, i] for i in range(d)])
@@ -254,12 +243,16 @@ def projection_error_rate(
     log_exponent: float = 0.0,
     skip_smallest: int = 1,
 ):
-    """Errors against dim(cross) with a least-squares slope fit in log2
+    """L2 errors against dim(cross) with a least-squares slope fit in log2
     coordinates; a positive log_exponent divides (log2 n)^e out first."""
     if member.factor_coeff is None:
         raise ConfigError(
             f"{member.name} has no closed-form coefficients, which the "
             "projection error table needs"
+        )
+    if p != 2:
+        raise ConfigError(
+            f"p={p}: the closed-form projection error is an L2 quantity (Parseval); use p=2"
         )
     bad = [N for N in N_list if N < 1]
     if bad:

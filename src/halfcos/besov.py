@@ -19,6 +19,7 @@ from .errors import ConfigError, DivergentTailError
 from .grids import (
     CoefficientMap,
     GridFunction,
+    _along,
     fourier_analyze_dense,
     fourier_synthesize_dense,
     hpc_synthesize_dense,
@@ -184,13 +185,11 @@ def _lp(values, p: float) -> float:
 
 
 def _hpc_dense(coeffs: CoefficientMap) -> np.ndarray:
-    """Dense nonnegative-frequency tensor from a cosine coefficient map."""
-    kmax = 0
-    for k in coeffs.entries:
-        kmax = max(kmax, max(int(t) for t in k))
-    out = np.zeros((kmax + 1,) * coeffs.d)
-    for k, v in coeffs.entries.items():
-        out[tuple(int(t) for t in k)] = np.real(v)
+    """Dense nonnegative-frequency tensor from a cosine coefficient map,
+    of side 1 + the largest frequency, built in one pass over the keys."""
+    keys = np.array(list(coeffs.entries), dtype=np.int64).reshape(-1, coeffs.d)
+    out = np.zeros((int(np.abs(keys).max(initial=0)) + 1,) * coeffs.d)
+    out[tuple(keys.T)] = np.real(np.array(list(coeffs.entries.values())))
     return out
 
 
@@ -201,19 +200,18 @@ def hpc_block(
     dense = _hpc_dense(f_coeffs)
     ks = np.arange(dense.shape[0], dtype=float)
     for ax, j in enumerate(jbar):
-        shape = [1] * f_coeffs.d
-        shape[ax] = -1
-        dense = dense * decomp.phi(int(j), ks).reshape(shape)
+        dense = dense * _along(decomp.phi(int(j), ks), ax, f_coeffs.d)
     return hpc_synthesize_dense(dense, grid_level)
+
+
+def _level_cap(kmax: int) -> int:
+    return int(math.floor(math.log2(max(kmax, 1)))) + 2
 
 
 def default_level_cap(f_coeffs: CoefficientMap) -> int:
     """Smallest J with every retained frequency < 2^{J-1}: levels beyond J
     are exactly zero for this coefficient set."""
-    kmax = 1
-    for k in f_coeffs.entries:
-        kmax = max(kmax, max(abs(int(t)) for t in k))
-    return int(math.floor(math.log2(kmax))) + 2
+    return _level_cap(max((abs(int(t)) for k in f_coeffs.entries for t in k), default=0))
 
 
 def _tail_from_level_sums(level_sums: dict, q: float):
@@ -251,15 +249,16 @@ def hpc_besov_norm(
     """
     decomp = decomp or DecompositionOfUnity()
     d = f_coeffs.d
-    exact_cap = default_level_cap(f_coeffs)
+    base = _hpc_dense(f_coeffs)
+    kmax = base.shape[0] - 1
+    exact_cap = _level_cap(kmax)
     J = exact_cap if J_max is None else int(J_max)
     exact = J >= exact_cap
     if grid_level is None:
-        kmax_used = min(2 ** (J + 1), max(dense_kmax(f_coeffs), 1))
+        kmax_used = min(2 ** (J + 1), max(kmax, 1))
         grid_level = max(4, int(math.ceil(math.log2(4 * kmax_used))))
 
-    base = _hpc_dense(f_coeffs)
-    ks = np.arange(base.shape[0], dtype=float)
+    ks = np.arange(kmax + 1, dtype=float)
     axis_w = []
     for j in range(J + 1):
         w = decomp.phi(j, ks)
@@ -271,16 +270,12 @@ def hpc_besov_norm(
     total_q = 0.0
     sup = 0.0
     for jbar in np.ndindex(*([J + 1] * d)):
+        if any(axis_w[j] is None for j in jbar):
+            continue
         block = base
-        dead = False
         for ax, j in enumerate(jbar):
-            if axis_w[j] is None:
-                dead = True
-                break
-            shape = [1] * d
-            shape[ax] = -1
-            block = block * axis_w[j].reshape(shape)
-        if dead or not np.any(block):
+            block = block * _along(axis_w[j], ax, d)
+        if not np.any(block):
             continue
         g = hpc_synthesize_dense(block, grid_level)
         term = 2.0 ** (params.r * sum(jbar)) * g.lp_norm(params.p)
@@ -322,24 +317,10 @@ def hpc_besov_norm(
     )
 
 
-def dense_kmax(f_coeffs: CoefficientMap) -> int:
-    return max(
-        (max(abs(int(t)) for t in k) for k in f_coeffs.entries), default=0
-    )
-
-
 def seq_norm(coeffs: CoefficientMap, spec) -> float:
     """Weighted ell_q(ell_p) norm of wavelet coefficients: level jbar carries
     2^{(sum_i max(j_i,0)) (r - 1/p)}; shift sums inside, level sum outside."""
-    params = spec.effective() if isinstance(spec, SeqNormSpec) else spec
-    groups: dict = {}
-    for (j, k), v in coeffs.entries.items():
-        groups.setdefault(tuple(int(t) for t in j), []).append(abs(v))
-    terms = []
-    for j, block in groups.items():
-        w = 2.0 ** (plus_l1(j) * (params.r - params.inv_p))
-        terms.append(w * _lp(block, params.p))
-    return _lp(terms, params.q)
+    return seq_norm_report(coeffs, spec, strict=False).value
 
 
 def seq_norm_report(
@@ -416,12 +397,15 @@ def lp_block_torus(
     dense = np.zeros((n,) * d, dtype=complex)
     for k, v in f_coeffs.entries.items():
         dense[tuple(int(t) % n for t in k)] = v
-    freqs = signed_fft_freqs(n).astype(float)
+    return fourier_synthesize_dense(_torus_weights(dense, jbar, decomp), grid_level)
+
+
+def _torus_weights(dense: np.ndarray, jbar, decomp: DecompositionOfUnity) -> np.ndarray:
+    """FFT-layout tensor times the even block weights psi_{j_i}, axis by axis."""
+    freqs = signed_fft_freqs(dense.shape[0]).astype(float)
     for ax, j in enumerate(jbar):
-        shape = [1] * d
-        shape[ax] = -1
-        dense = dense * decomp.symmetric(int(j), freqs).reshape(shape)
-    return fourier_synthesize_dense(dense, grid_level)
+        dense = dense * _along(decomp.symmetric(int(j), freqs), ax, dense.ndim)
+    return dense
 
 
 def periodization_block_identity(
@@ -440,15 +424,8 @@ def periodization_block_identity(
     d = f_coeffs.d
 
     g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs), grid_level)
-    g_torus = periodize(g_unit)
-    dense = fourier_analyze_dense(g_torus)
-    n = dense.shape[0]
-    freqs = signed_fft_freqs(n).astype(float)
-    for ax, j in enumerate(jbar):
-        shape = [1] * d
-        shape[ax] = -1
-        dense = dense * decomp.symmetric(int(j), freqs).reshape(shape)
-    block_t = fourier_synthesize_dense(dense, grid_level)
+    dense = fourier_analyze_dense(periodize(g_unit))
+    block_t = fourier_synthesize_dense(_torus_weights(dense, jbar, decomp), grid_level)
 
     block_u = hpc_block(f_coeffs, jbar, decomp, grid_level)
     if p == INF:

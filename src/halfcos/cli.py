@@ -91,6 +91,17 @@ _DEFAULTS = {
 }
 
 
+def _check_number(key: str, val, default):
+    """A config-file value for a numeric key must convert as the command
+    will convert it; the seed and the grid level have no numeric default."""
+    kind = int if key in ("seed", "grid_level") else type(default)
+    if kind in (int, float) and not (val is None and default is None):
+        try:
+            kind(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config value {key}={val!r} is not a valid {kind.__name__}")
+
+
 def _resolve(cmd: str, args: argparse.Namespace) -> dict:
     """defaults <- config file section <- explicit flags."""
     cfg = dict(_DEFAULTS[cmd])
@@ -106,6 +117,7 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"config key {key!r} unknown for {cmd!r}")
+            _check_number(key, val, cfg[key])
             cfg[key] = val
     for key in cfg:
         val = getattr(args, key, None)

@@ -27,15 +27,19 @@ import numpy as np
 import scipy.fft
 
 from .errors import AliasingError, DomainError, ResolutionMismatchError
-from .indexsets import IndexSet, count_nonzero
+from .indexsets import IndexSet
 
 
 def fft_workers() -> int:
-    """Thread cap for the transform backends, from HPC_BESOV_THREADS."""
+    """Thread count for the transform backends, from HPC_BESOV_THREADS:
+    at least 1, and at most four per CPU, so that a runaway value cannot
+    ask the backend for thousands of threads."""
     try:
-        return max(1, int(os.environ.get("HPC_BESOV_THREADS", "1")))
+        requested = int(os.environ.get("HPC_BESOV_THREADS", "1"))
     except ValueError:
         return 1
+    return min(max(1, requested), 4 * (os.cpu_count() or 1))
+
 
 __all__ = [
     "UNIT",
@@ -67,6 +71,24 @@ __all__ = [
 
 UNIT = "unit"
 SYM = "sym"
+
+
+def _along(vec, ax: int, d: int) -> np.ndarray:
+    """vec as a d-dimensional array that varies along axis ax only."""
+    return np.reshape(vec, (1,) * ax + (-1,) + (1,) * (d - ax - 1))
+
+
+def _axis_index(ax: int, index) -> tuple:
+    """Index tuple that applies index to axis ax and keeps the axes before it whole."""
+    return (slice(None),) * ax + (index,)
+
+
+def _negate_odd(a: np.ndarray) -> None:
+    """Multiply a in place by (-1)^(k_1 + ... + k_d): the odd slices of
+    one axis at a time are negated, which is exact and allocates nothing."""
+    for ax in range(a.ndim):
+        odd = a[_axis_index(ax, slice(1, None, 2))]
+        np.negative(odd, out=odd)
 
 
 def tent(x):
@@ -169,8 +191,11 @@ class GridFunction:
         a = np.abs(self.values)
         if p == np.inf or p == "inf":
             return float(a.max())
-        powed = GridFunction(self.domain, self.m, a ** float(p))
-        return float(powed.integrate()) ** (1.0 / float(p))
+        if a.dtype.kind == "f":
+            a **= float(p)  # in place: one grid-sized temporary per call, not two
+        else:
+            a = a ** float(p)
+        return float(GridFunction(self.domain, self.m, a).integrate()) ** (1.0 / float(p))
 
     def __add__(self, other):
         if (self.domain, self.m) != (other.domain, other.m):
@@ -209,15 +234,16 @@ def periodize(f: GridFunction) -> GridFunction:
     """Reflection periodization P: f -> f o rho restricted to [-1,1]^d.
 
     Exact index mirroring: the torus node -1 + i 2^-m reflects onto the
-    unit node |i - 2^m| 2^-m.
+    unit node |i - 2^m| 2^-m, so each axis is the reversed slice 2^m..1
+    followed by the slice 0..2^m - 1.
     """
     if f.domain != UNIT:
         raise DomainError("periodize expects a unit-cube grid function")
     n = 2**f.m
-    idx = np.abs(np.arange(2 * n) - n)
     vals = f.values
     for ax in range(f.d):
-        vals = np.take(vals, idx, axis=ax)
+        mirror = vals[_axis_index(ax, slice(n, 0, -1))]
+        vals = np.concatenate((mirror, vals[_axis_index(ax, slice(0, n))]), axis=ax)
     return GridFunction(SYM, f.m, vals)
 
 
@@ -239,9 +265,7 @@ def evenize(f: GridFunction) -> GridFunction:
     if f.domain == UNIT:
         flip = lambda v, ax: np.flip(v, axis=ax)
     else:
-        n2 = f.axis_size
-        idx = (n2 - np.arange(n2)) % n2
-        flip = lambda v, ax: np.take(v, idx, axis=ax)
+        flip = lambda v, ax: np.roll(np.flip(v, axis=ax), 1, axis=ax)
     out = np.zeros_like(np.asarray(f.values))
     for mask in range(2**f.d):
         v = f.values
@@ -261,7 +285,9 @@ def hpc_basis_1d(k: int, x):
 
 
 def cos_basis(kbar, *axes):
-    """Tensor cosine 2^(-d/2) prod cos(pi k_i x_i) on the torus."""
+    """Tensor cosine 2^(-d/2) prod cos(pi k_i x_i) on the torus. The axes
+    broadcast against each other: an open mesh (np.ix_) gives the tensor
+    grid from 1-D factors."""
     d = len(kbar)
     out = 2.0 ** (-d / 2.0)
     for k, x in zip(kbar, axes):
@@ -270,7 +296,8 @@ def cos_basis(kbar, *axes):
 
 
 def exp_basis(kbar, *axes):
-    """Tensor exponential 2^(-d/2) exp(i pi k . x) on the torus."""
+    """Tensor exponential 2^(-d/2) exp(i pi k . x) on the torus; the axes
+    broadcast as in cos_basis."""
     d = len(kbar)
     out = None
     for k, x in zip(kbar, axes):
@@ -373,9 +400,7 @@ def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
     norm = np.ones(f.axis_size)
     norm[1:] = np.sqrt(2.0)
     for ax in range(f.d):
-        shape = [1] * f.d
-        shape[ax] = -1
-        coeff = coeff * norm.reshape(shape)
+        coeff = coeff * _along(norm, ax, f.d)
     return coeff
 
 
@@ -432,39 +457,40 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     or truncated to the grid size); used by the block machinery.
 
     Sum_k z_k cos(pi k j / 2^m) equals an unnormalized DCT-I after halving
-    the interior coefficients, so synthesis is again a single transform.
+    the interior coefficients. The d-dimensional DCT-I is run one axis at
+    a time, and each axis is zero-padded to the grid only just before its
+    own transform, so the earlier axes skip the lines that would hold only
+    padding (FFT pruning). Those lines transform to exact zeros, and every
+    other line is transformed as one DCT-I of the whole padded tensor
+    would transform it, in the same axis order, so the values are
+    identical to that transform.
     """
     d = coeff.ndim
     n = 2**m + 1
-    full = np.zeros((n,) * d)
-    sl = tuple(slice(0, min(s, n)) for s in coeff.shape)
-    full[sl] = coeff[sl]
-    scale = np.full(n, 0.5)
-    scale[0] = 1.0
-    scale[-1] = 1.0
-    norm = np.ones(n)
-    norm[1:] = np.sqrt(2.0)
+    work = np.asarray(coeff[(slice(0, n),) * d], dtype=float)
+    weight = np.full(n, np.sqrt(2.0) * 0.5)  # c_k normalization times the halving
+    weight[[0, -1]] = 1.0, np.sqrt(2.0)
     for ax in range(d):
-        shape = [1] * d
-        shape[ax] = -1
-        full = full * (norm * scale).reshape(shape)
-    vals = scipy.fft.dctn(full, type=1, workers=fft_workers())
-    return GridFunction(UNIT, m, vals)
+        work = work * _along(weight[: work.shape[ax]], ax, d)
+    for ax in range(d):
+        if work.shape[ax] < n:
+            full = np.zeros(work.shape[:ax] + (n,) + work.shape[ax + 1 :])
+            full[_axis_index(ax, slice(0, work.shape[ax]))] = work
+            work = full
+        work = scipy.fft.dct(work, type=1, axis=ax, workers=fft_workers(), overwrite_x=True)
+    return GridFunction(UNIT, m, work)
 
 
 def fourier_analyze_dense(g: GridFunction) -> np.ndarray:
     """Full tensor of torus Fourier coefficients, index k in FFT layout."""
     if g.domain != SYM:
         raise DomainError("fourier_analyze expects a torus grid function")
-    n = g.axis_size
     h = 2.0**-g.m
-    coeff = scipy.fft.fftn(np.asarray(g.values, dtype=complex), workers=fft_workers()) * h**g.d * 2.0 ** (-g.d / 2.0)
+    coeff = scipy.fft.fftn(np.asarray(g.values, dtype=complex), workers=fft_workers())
+    coeff *= h**g.d
+    coeff *= 2.0 ** (-g.d / 2.0)
     # Node offset -1 per axis contributes the alternating sign (-1)^k.
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    for ax in range(g.d):
-        shape = [1] * g.d
-        shape[ax] = -1
-        coeff = coeff * sign.reshape(shape)
+    _negate_odd(coeff)
     return coeff
 
 
@@ -492,9 +518,7 @@ def fourier_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     for k, v in coeffs.items_sorted():
         piece = np.full((n,) * d, 2.0 ** (-d / 2.0), dtype=complex)
         for ax, ki in enumerate(k):
-            shape = [1] * d
-            shape[ax] = -1
-            piece = piece * np.exp(1j * np.pi * ki * x).reshape(shape)
+            piece = piece * _along(np.exp(1j * np.pi * ki * x), ax, d)
         out += complex(v) * piece
     return GridFunction(SYM, m, out)
 
@@ -513,13 +537,10 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
             f"dense Fourier tensor must have {n} slots per axis"
         )
     h = 2.0**-m
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    work = np.asarray(coeff, dtype=complex)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = -1
-        work = work * sign.reshape(shape)
-    vals = scipy.fft.ifftn(work, workers=fft_workers()) / (h**d * 2.0 ** (-d / 2.0))
+    work = np.array(coeff, dtype=complex)  # the one copy; coeff is not touched
+    _negate_odd(work)
+    vals = scipy.fft.ifftn(work, workers=fft_workers(), overwrite_x=True)
+    vals /= h**d * 2.0 ** (-d / 2.0)
     return GridFunction(SYM, m, vals)
 
 

@@ -64,6 +64,8 @@ def _rel(a: float, b: float) -> float:
 
 def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
     """Max relative residual per identity over n_funcs random inputs."""
+    if d < 1:
+        raise ConfigError(f"dimension d must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
     res = {
         "cosine-reflection": 0.0,
@@ -75,15 +77,13 @@ def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
     }
     n = 2 ** (m + 1)
     x_sym = -1.0 + np.arange(n) * 2.0**-m
-    axes = [x_sym] * d
-    mesh = np.meshgrid(*axes, indexing="ij") if d > 1 else [x_sym]
+    mesh = np.ix_(*[x_sym] * d)  # open mesh: the bases broadcast 1-D factors
     decomp = DecompositionOfUnity()
     rule = fibonacci_rule(7) if d == 2 else digital_net(6, d)
 
     for _ in range(n_funcs):
         kbar = tuple(int(t) for t in rng.integers(0, 9, size=d))
-        single = CoefficientMap(basis="hpc", d=d, entries={kbar: 1.0})
-        gk = hpc_synthesize(single, m)
+        gk = hpc_synthesize(CoefficientMap(basis="hpc", d=d, entries={kbar: 1.0}), m)
         lhs = periodize(gk).values
         nnz = sum(1 for t in kbar if t != 0)
         rhs = 2.0 ** ((nnz + d) / 2.0) * cos_basis(kbar, *mesh)
@@ -99,13 +99,13 @@ def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
         fscale = math.sqrt(sum(abs(v) ** 2 for v in cf.entries.values()))
         f = hpc_synthesize(cf, m)
         g = hpc_synthesize(cg, m)
+        pf = periodize(f)
         lhs = f.inner(g)
-        rhs = 2.0**-d * periodize(f).inner(periodize(g))
+        rhs = 2.0**-d * pf.inner(periodize(g))
         res["scalar-product"] = max(res["scalar-product"], _rel(lhs, rhs))
 
         signed = tuple(int(s) * int(t) for s, t in zip(rng.choice([-1, 1], d), kbar))
-        ip_cos = f.inner(hpc_synthesize(single, m))
-        pf = periodize(f)
+        ip_cos = f.inner(gk)
         eb = GridFunction(SYM, m, exp_basis(signed, *mesh))
         ip_exp = pf.inner(eb)
         res["coefficient-relation"] = max(

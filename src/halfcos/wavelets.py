@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, TruncationError
-from .grids import UNIT, CoefficientMap, GridFunction
+from .grids import UNIT, CoefficientMap, GridFunction, _along
 
 __all__ = [
     "PiecewiseLinear",
@@ -456,10 +456,7 @@ def cw_synthesize(
         piece = float(np.real(v))
         acc = None
         for ax in range(d):
-            t = axis_vals(int(j[ax]), int(k[ax]))
-            shape = [1] * d
-            shape[ax] = -1
-            t = t.reshape(shape)
+            t = _along(axis_vals(int(j[ax]), int(k[ax])), ax, d)
             acc = t if acc is None else acc * t
         out += piece * acc
     return GridFunction(UNIT, m, out)

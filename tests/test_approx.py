@@ -18,7 +18,7 @@ from halfcos.approx import (
     projection_error_rate,
 )
 from halfcos.corpus import get_member
-from halfcos.errors import ConditionError, ConfigError
+from halfcos.errors import AliasingError, ConditionError, ConfigError
 from halfcos.grids import UNIT, CoefficientMap, GridFunction, hpc_basis_1d, hpc_synthesize
 from halfcos.indexsets import hyperbolic_cross
 
@@ -220,3 +220,23 @@ def test_rate_entry_points_reject_bad_input():
     for n_list in ([2, 3], [2]):
         with pytest.raises(ConfigError, match="not enough positive errors"):
             projection_error_rate(get_member("kink1"), n_list, kmax=64)
+
+
+def test_projection_rate_is_an_l2_quantity():
+    with pytest.raises(ConfigError, match="L2"):
+        projection_error_rate(get_member("kink1"), [2, 4, 8, 16], kmax=256, p=1.0)
+
+
+def test_ls_experiment_checks_aliasing_and_sample_count():
+    with pytest.raises(AliasingError):
+        ls_error_experiment(get_member("kink1"), N=4, seed=1, grid_level=0)
+    for oversample in (0.0, 0.01):
+        with pytest.raises(ConfigError, match="underdetermined"):
+            ls_error_experiment(get_member("kink1"), N=2, seed=1, oversample=oversample)
+
+
+def test_ls_recover_names_an_underdetermined_design():
+    K = hyperbolic_cross(4, 1, signed=False)
+    for n in (0, 3):
+        with pytest.raises(ConditionError, match="underdetermined design"):
+            ls_recover(np.full((n, 1), 0.3), np.ones(n), K)

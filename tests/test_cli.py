@@ -1,7 +1,9 @@
 """Command line contract: resolved-config headers, reproducible bodies,
 and the documented exit codes."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -215,6 +217,51 @@ def test_fft_worker_cap(monkeypatch):
     assert fft_workers() == 1
     monkeypatch.setenv("HPC_BESOV_THREADS", "-2")
     assert fft_workers() == 1
+    # Only the count is computed; no transform and no thread is started.
+    monkeypatch.setenv("HPC_BESOV_THREADS", str(10**9))
+    assert fft_workers() == 4 * os.cpu_count()
+
+
+def test_identities_stdout_does_not_depend_on_thread_count(monkeypatch, capsys):
+    digests = set()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HPC_BESOV_THREADS", threads)
+        rc, out, _ = run(capsys, ["identities", "--d", "3", "--seed", "7", "--funcs", "10"])
+        assert rc == 0
+        digests.add(hashlib.sha256(out.encode()).hexdigest())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["identities", "--d", "0", "--seed", "1"], 2, "d must be >= 1"),
+        (["approx", "--fn", "kink1d", "--N-list", "2,4,8,16", "--kmax", "256",
+          "--p", "1"], 2, "L2 quantity"),
+        (["recover", "--fn", "kink1d", "--N", "4", "--seed", "1",
+          "--grid-level", "0"], 3, "grid level m=0"),
+        (["recover", "--fn", "kink1d", "--N", "2", "--seed", "1",
+          "--oversample", "0"], 2, "underdetermined"),
+        (["recover", "--fn", "kink1d", "--N", "2", "--seed", "1",
+          "--oversample", "0.01"], 2, "underdetermined"),
+    ],
+)
+def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == code and out == "" and message in err
+    assert "matrix condition" not in err
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [({"d": "abc", "seed": 1}, "d='abc'"), ({"funcs": None, "seed": 1}, "funcs=None"),
+     ({"seed": "x"}, "seed='x'")],
+)
+def test_config_values_that_do_not_convert_exit_two(tmp_path, capsys, content, field):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(content))
+    rc, out, err = run(capsys, ["identities", "--config", str(cfgfile)])
+    assert rc == 2 and out == "" and field in err
 
 
 def test_testfns_rejects_unknown_action(capsys):

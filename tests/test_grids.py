@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from halfcos.errors import AliasingError, DomainError
@@ -245,3 +246,93 @@ def test_decay_report_matches_the_box_walk(d, m, kmax):
             weight *= max(1, ki) ** 2
         ref.append((k, abs(float(dense[k])) * weight))
     assert coefficient_decay_report(f, kmax) == ref
+
+
+# Reference routes kept here to pin the separable kernels bit for bit:
+# one dctn over the zero-padded scaled tensor, sign-vector multiplies,
+# np.take mirroring and full meshgrids.
+
+
+def _dctn_synthesis(coeff, m):
+    d = coeff.ndim
+    n = 2**m + 1
+    full = np.zeros((n,) * d)
+    sl = tuple(slice(0, min(s, n)) for s in coeff.shape)
+    full[sl] = coeff[sl]
+    scale = np.full(n, 0.5)
+    scale[0] = scale[-1] = 1.0
+    norm = np.ones(n)
+    norm[1:] = np.sqrt(2.0)
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = -1
+        full = full * (norm * scale).reshape(shape)
+    return scipy.fft.dctn(full, type=1)
+
+
+def _sign_multiply(coeff):
+    n = coeff.shape[0]
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    for ax in range(coeff.ndim):
+        shape = [1] * coeff.ndim
+        shape[ax] = -1
+        coeff = coeff * sign.reshape(shape)
+    return coeff
+
+
+@pytest.mark.parametrize("d, m", [(1, 7), (2, 5), (3, 3)])
+@pytest.mark.parametrize("extra", [-5, 0, 3])
+def test_pruned_synthesis_matches_one_dctn(d, m, extra):
+    rng = np.random.default_rng(100 * d + extra)
+    n = 2**m + 1
+    for shape in [(n + extra,) * d, tuple(n + extra - 2 * ax for ax in range(d))]:
+        coeff = rng.normal(size=shape)
+        coeff[coeff < -0.5] = 0.0  # exact zeros, as in the cosine blocks
+        got = hpc_synthesize_dense(coeff, m).values
+        assert got.shape == (n,) * d
+        assert np.array_equal(got, _dctn_synthesis(coeff, m))
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 2)])
+def test_fourier_dense_signs_match_the_sign_vector(d, m):
+    rng = np.random.default_rng(d)
+    n = 2 ** (m + 1)
+    h = 2.0**-m
+    g = GridFunction(SYM, m, rng.normal(size=(n,) * d))
+    ref = _sign_multiply(scipy.fft.fftn(g.values.astype(complex)) * h**d * 2.0 ** (-d / 2.0))
+    assert np.array_equal(fourier_analyze_dense(g), ref)
+
+    coeff = rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d)
+    kept = coeff.copy()
+    ref = scipy.fft.ifftn(_sign_multiply(coeff)) / (h**d * 2.0 ** (-d / 2.0))
+    assert np.array_equal(fourier_synthesize_dense(coeff, m).values, ref)
+    assert np.array_equal(coeff, kept)  # the caller's tensor is not touched
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2)])
+def test_periodize_matches_index_mirroring(d, m):
+    f = GridFunction(UNIT, m, np.random.default_rng(m).normal(size=(2**m + 1,) * d))
+    n = 2**m
+    ref = f.values
+    for ax in range(d):
+        ref = np.take(ref, np.abs(np.arange(2 * n) - n), axis=ax)
+    assert np.array_equal(periodize(f).values, ref)
+
+
+@pytest.mark.parametrize("kbar", [(3,), (2, 5), (0, 4, 7), (-3, 1, 2)])
+def test_bases_on_open_mesh_match_full_meshgrid(kbar):
+    x = -1.0 + np.arange(32) * 2.0**-4
+    full = np.meshgrid(*[x] * len(kbar), indexing="ij")
+    open_mesh = np.ix_(*[x] * len(kbar))
+    assert np.array_equal(cos_basis(kbar, *open_mesh), cos_basis(kbar, *full))
+    assert np.array_equal(exp_basis(kbar, *open_mesh), exp_basis(kbar, *full))
+
+
+@pytest.mark.parametrize("dtype", [float, np.float32, complex, np.int64])
+def test_lp_norm_matches_the_out_of_place_power(dtype):
+    vals = (np.random.default_rng(4).normal(size=(9, 9)) * 7).astype(dtype)
+    f = GridFunction(UNIT, 3, vals.copy())
+    for p in (1.0, 1.5, 2.0, 3.0):
+        powed = GridFunction(UNIT, 3, np.abs(vals) ** p)
+        assert f.lp_norm(p) == float(powed.integrate()) ** (1.0 / p)
+    assert np.array_equal(f.values, vals)

@@ -46,6 +46,11 @@ def test_identity_suite_at_roundoff(d):
         assert residual < 1e-12, name
 
 
+def test_identity_suite_rejects_dimension_zero():
+    with pytest.raises(ConfigError, match="d must be >= 1"):
+        identity_suite(0, seed=1)
+
+
 def test_identity_suite_is_deterministic():
     a = identity_suite(1, seed=7, n_funcs=3)
     b = identity_suite(1, seed=7, n_funcs=3)
