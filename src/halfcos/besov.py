@@ -106,6 +106,8 @@ class BesovParams:
     q: float
 
     def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise ConfigError(f"smoothness r must be finite, got {self.r}")
         if not (0.0 < self.p <= INF) or not (0.0 < self.q <= INF):
             raise ConfigError("p and q must lie in (0, inf]")
 

@@ -24,9 +24,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .errors import AliasingError, DomainError, ResolutionMismatchError
+from .errors import AliasingError, ConfigError, DomainError, ResolutionMismatchError
 from .indexsets import IndexSet
 
 
@@ -94,7 +93,7 @@ def _negate_odd(a: np.ndarray) -> None:
 def tent(x):
     """Componentwise tent map t -> 1 - |2t - 1| on [0,1]^d."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # written so that NaN fails too
         raise DomainError("tent expects points in [0,1]^d")
     return 1.0 - np.abs(2.0 * x - 1.0)
 
@@ -123,6 +122,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ConfigError(f"grid level m must be >= 0, got {self.m}")
         self.values = np.asarray(self.values)
         n = self.axis_size
         if self.values.shape != (n,) * self.d:
@@ -222,11 +223,32 @@ class GridFunction:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "GridFunction":
+        """Inverse of to_bytes. A malformed blob raises DomainError (bad
+        domain tag or value kind) or ResolutionMismatchError (bad sizes)."""
+        if len(blob) < 16:
+            raise ResolutionMismatchError(
+                f"grid blob has {len(blob)} bytes, fewer than its 16-byte header"
+            )
         d, M, tag, kind = struct.unpack("<4I", blob[:16])
+        if tag not in (0, 1) or kind not in (0, 1):
+            raise DomainError(
+                f"grid blob has domain tag {tag} and value kind {kind}; each must be 0 or 1"
+            )
         domain = UNIT if tag == 0 else SYM
-        m = int(np.log2(M - 1)) if domain == UNIT else int(np.log2(M)) - 1
-        dtype = "<c16" if kind else "<f8"
-        vals = np.frombuffer(blob[16:], dtype=dtype).reshape((M,) * d)
+        n = M - 1 if domain == UNIT else M  # 2^m on the cube, 2^(m+1) on the torus
+        m = n.bit_length() - 1 if domain == UNIT else n.bit_length() - 2
+        if n < 1 or n & (n - 1) or m < 0:
+            raise ResolutionMismatchError(f"grid blob axis size {M} is not a {domain} grid size")
+        dtype = np.dtype("<c16" if kind else "<f8")
+        payload = len(blob) - 16
+        # M >= 2, so d beyond the payload's bit length cannot fit; checked first
+        # so that a garbage d never builds a huge M**d or shape tuple.
+        if d > payload.bit_length() or payload != M**d * dtype.itemsize:
+            raise ResolutionMismatchError(
+                f"grid blob payload has {payload} bytes; d={d} with {M} points per axis"
+                f" needs {M}^{d} values of {dtype.itemsize} bytes"
+            )
+        vals = np.frombuffer(blob, dtype=dtype, offset=16).reshape((M,) * d)
         return cls(domain=domain, m=m, values=vals.copy())
 
 
@@ -395,6 +417,8 @@ def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
     """
     if f.domain != UNIT:
         raise DomainError("hpc_analyze expects a unit-cube grid function")
+    import scipy.fft  # loaded on the first transform, so closed-form commands start without scipy
+
     h = 2.0**-f.m
     coeff = scipy.fft.dctn(np.asarray(f.values, dtype=float), type=1, workers=fft_workers()) * (h / 2.0) ** f.d
     norm = np.ones(f.axis_size)
@@ -465,6 +489,8 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     would transform it, in the same axis order, so the values are
     identical to that transform.
     """
+    import scipy.fft
+
     d = coeff.ndim
     n = 2**m + 1
     work = np.asarray(coeff[(slice(0, n),) * d], dtype=float)
@@ -485,6 +511,8 @@ def fourier_analyze_dense(g: GridFunction) -> np.ndarray:
     """Full tensor of torus Fourier coefficients, index k in FFT layout."""
     if g.domain != SYM:
         raise DomainError("fourier_analyze expects a torus grid function")
+    import scipy.fft
+
     h = 2.0**-g.m
     coeff = scipy.fft.fftn(np.asarray(g.values, dtype=complex), workers=fft_workers())
     coeff *= h**g.d
@@ -536,6 +564,8 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
         raise ResolutionMismatchError(
             f"dense Fourier tensor must have {n} slots per axis"
         )
+    import scipy.fft
+
     h = 2.0**-m
     work = np.array(coeff, dtype=complex)  # the one copy; coeff is not touched
     _negate_odd(work)

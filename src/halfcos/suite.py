@@ -66,6 +66,8 @@ def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
     """Max relative residual per identity over n_funcs random inputs."""
     if d < 1:
         raise ConfigError(f"dimension d must be >= 1, got {d}")
+    if n_funcs < 1:
+        raise ConfigError(f"n_funcs must be >= 1, got {n_funcs}: no function would be checked")
     rng = np.random.default_rng(seed)
     res = {
         "cosine-reflection": 0.0,

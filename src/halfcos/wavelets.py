@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, TruncationError
 from .grids import UNIT, CoefficientMap, GridFunction, _along
@@ -229,6 +228,8 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
     truncated Toeplitz solve converges geometrically in n_max; the fitted
     decay base yields the reported tail bound.
     """
+    import scipy.linalg  # loaded on the first solve, not with the module
+
     g = gram_sequence(eps)
     size = 2 * n_max + 1
     col = np.array([g.get(n, 0.0) for n in range(size)])

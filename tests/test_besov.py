@@ -90,6 +90,9 @@ def test_params_validation_and_sigma():
         BesovParams(1.0, 0.0, 2.0)
     with pytest.raises(ConfigError):
         BesovParams(1.0, 2.0, -1.0)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="r must be finite"):
+            BesovParams(r, 2.0, 2.0)
     assert BesovParams(1.0, 2.0, 2.0).sigma_p == 0.0
     assert BesovParams(1.0, 0.5, 2.0).sigma_p == 1.0
     assert BesovParams(1.0, INF, 2.0).inv_p == 0.0

@@ -4,6 +4,8 @@ and the documented exit codes."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -244,6 +246,9 @@ def test_identities_stdout_does_not_depend_on_thread_count(monkeypatch, capsys):
           "--oversample", "0"], 2, "underdetermined"),
         (["recover", "--fn", "kink1d", "--N", "2", "--seed", "1",
           "--oversample", "0.01"], 2, "underdetermined"),
+        (["identities", "--funcs", "0", "--seed", "1"], 2, "n_funcs must be >= 1"),
+        (["coeffs", "--fn", "kink1d", "--grid-level", "-1"], 2, "grid level m must be >= 0"),
+        (["norms", "--fn", "bspline2", "--r", "nan"], 2, "r must be finite"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
@@ -267,3 +272,29 @@ def test_config_values_that_do_not_convert_exit_two(tmp_path, capsys, content, f
 def test_testfns_rejects_unknown_action(capsys):
     rc, _, err = run(capsys, ["testfns", "dump"])
     assert rc == 2
+
+
+_LAZY_SCIPY_CHECK = """
+import io, sys, contextlib
+from halfcos import cli
+from halfcos.grids import UNIT, GridFunction, hpc_analyze_dense
+for argv in (["testfns"],
+             ["cubature", "--rule", "fibonacci", "--tent", "--fn", "kink2d", "--nmax", "13"],
+             ["approx", "--fn", "kink1d", "--kmax", "4096"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded = {"scipy.fft", "scipy.linalg"} & set(sys.modules)
+    assert not loaded, (argv, loaded)
+hpc_analyze_dense(GridFunction(UNIT, 2, [1.0] * 5))
+assert "scipy.fft" in sys.modules
+"""
+
+
+def test_closed_form_commands_do_not_load_scipy():
+    # A fresh interpreter: this test session has scipy loaded already.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

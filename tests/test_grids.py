@@ -1,13 +1,14 @@
 """Grid transforms against direct quadrature sums and exact index maps."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from halfcos.errors import AliasingError, DomainError
+from halfcos.errors import AliasingError, ConfigError, DomainError, ResolutionMismatchError
 from halfcos.grids import (
     SYM,
     UNIT,
@@ -44,6 +45,8 @@ def test_point_maps():
     assert np.allclose(tau(x), 2.0 * x - 1.0)
     with pytest.raises(DomainError):
         tent(np.array([1.5]))
+    with pytest.raises(DomainError):
+        tent(np.array([0.5, np.nan]))
     # tent = rho after the affine chart
     assert np.allclose(tent(x), 1.0 - rho(tau(x)))
 
@@ -183,6 +186,45 @@ def test_grid_function_bytes_round_trip():
         assert np.array_equal(g.values, f.values)
     c = GridFunction(SYM, 3, rng.normal(size=(16,)) + 1j * rng.normal(size=(16,)))
     assert np.array_equal(GridFunction.from_bytes(c.to_bytes()).values, c.values)
+    for domain, m, size in ((UNIT, 0, 2), (UNIT, 3, 9), (SYM, 0, 2), (SYM, 2, 8)):
+        for vals in (rng.normal(size=(size,) * 3),
+                     rng.normal(size=(size,) * 2) + 1j * rng.normal(size=(size,) * 2)):
+            g = GridFunction.from_bytes(GridFunction(domain, m, vals).to_bytes())
+            assert (g.domain, g.m, g.values.dtype) == (domain, m, vals.dtype)
+            assert np.array_equal(g.values, vals)
+
+
+def test_grid_level_must_be_nonnegative():
+    with pytest.raises(ConfigError, match="grid level m must be >= 0, got -1"):
+        GridFunction(UNIT, -1, np.zeros(2))
+    with pytest.raises(ConfigError, match="grid level"):
+        GridFunction.from_callable(np.cos, 1, -2, SYM)
+
+
+_GOOD_BLOB = GridFunction(UNIT, 2, np.arange(25.0).reshape(5, 5)).to_bytes()
+
+
+@pytest.mark.parametrize(
+    "blob, error, message",
+    [
+        (b"", ResolutionMismatchError, "fewer than its 16-byte header"),
+        (_GOOD_BLOB[:10], ResolutionMismatchError, "fewer than its 16-byte header"),
+        (_GOOD_BLOB[:-8], ResolutionMismatchError, "payload has 192 bytes"),
+        (_GOOD_BLOB + b"\0", ResolutionMismatchError, "payload has 201 bytes"),
+        (struct.pack("<4I", 2, 5, 7, 0) + _GOOD_BLOB[16:], DomainError, "domain tag 7"),
+        (struct.pack("<4I", 2, 5, 0, 3) + _GOOD_BLOB[16:], DomainError, "value kind 3"),
+        (struct.pack("<4I", 1, 6, 0, 0) + bytes(48), ResolutionMismatchError, "axis size 6"),
+        (struct.pack("<4I", 1, 0, 0, 0), ResolutionMismatchError, "axis size 0"),
+        (struct.pack("<4I", 1, 1, 1, 0) + bytes(8), ResolutionMismatchError, "axis size 1"),
+        (struct.pack("<4I", 1, 12, 1, 0) + bytes(96), ResolutionMismatchError, "axis size 12"),
+        (struct.pack("<4I", 2**32 - 1, 5, 0, 0) + bytes(8), ResolutionMismatchError,
+         "payload has 8 bytes"),
+        (bytes(range(48)), DomainError, "domain tag"),
+    ],
+)
+def test_grid_function_from_bad_bytes(blob, error, message):
+    with pytest.raises(error, match=message):
+        GridFunction.from_bytes(blob)
 
 
 def test_coefficient_map_csv_round_trip():

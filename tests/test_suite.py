@@ -51,6 +51,13 @@ def test_identity_suite_rejects_dimension_zero():
         identity_suite(0, seed=1)
 
 
+@pytest.mark.parametrize("n_funcs", [0, -3])
+def test_identity_suite_rejects_an_empty_sample(n_funcs):
+    # zero functions would report six residuals of exactly 0.0
+    with pytest.raises(ConfigError, match="n_funcs must be >= 1"):
+        identity_suite(1, seed=1, n_funcs=n_funcs)
+
+
 def test_identity_suite_is_deterministic():
     a = identity_suite(1, seed=7, n_funcs=3)
     b = identity_suite(1, seed=7, n_funcs=3)
