@@ -181,9 +181,14 @@ def ls_error_experiment(
 ):
     """Recovery error of iid-uniform sampling with logarithmic oversampling
     against the projection error of the same cross; returns a dict with both
-    errors, the sample count, and the design condition number."""
+    errors, the sample count, and the design condition number. weights
+    names the sampling weights; only 'uniform' is implemented."""
     if N < 1:
         raise ConfigError(f"cross order N must be >= 1, got {N}")
+    if weights != "uniform":
+        raise ConfigError(
+            f"weights={weights!r}: only 'uniform' sampling weights are implemented"
+        )
     d = member.d
     K = hyperbolic_cross(N, d, signed=False)
     card = len(K.members)
@@ -196,8 +201,7 @@ def ls_error_experiment(
     rng = np.random.default_rng(seed)
     pts = rng.random((n_samples, d))
     vals = member(*[pts[:, i] for i in range(d)])
-    w = None if weights == "uniform" else np.ones(n_samples)
-    coeffs, info = ls_recover(pts, vals, K, weights=w)
+    coeffs, info = ls_recover(pts, vals, K)
     g = GridFunction.from_callable(member, d, grid_level, UNIT)
     ls_err = (g - hpc_synthesize(coeffs, grid_level)).lp_norm(2.0)
     approx, _ = project_dense(g, N)

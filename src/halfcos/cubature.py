@@ -134,43 +134,61 @@ def _direction_integers(dim: int, nbits: int = _NBITS) -> np.ndarray:
     )
 
 
-def _net_points_int(m: int, dims: int) -> np.ndarray:
-    """First 2^m points of the base-2 sequence as nbits-bit integers, in
-    direct binary (index-XOR) order; shape (2^m, dims)."""
+def _generating_integers(d: int, alpha: int) -> np.ndarray:
+    """Generating integers v_k of a d-dimensional net, shape (_NBITS, d):
+    the direction integers for alpha=1, and for alpha=2 the digit-interlaced
+    pairs of those of a 2d-dimensional net."""
+    dims = alpha * d
     if dims > len(_NET_TABLE) + 1:
         raise ConfigError(
             f"direction-number table covers {len(_NET_TABLE) + 1} dimensions"
         )
-    n = 2**m
-    idx = np.arange(n, dtype=np.uint64)
-    out = np.zeros((n, dims), dtype=np.uint64)
+    v = np.zeros((_NBITS, dims), dtype=np.uint64)
     for axis in range(dims):
-        v = _direction_integers(axis)
-        acc = np.zeros(n, dtype=np.uint64)
-        for k in range(max(m, 1)):
-            bit = (idx >> np.uint64(k)) & np.uint64(1)
-            acc ^= bit * v[k]
-        out[:, axis] = acc
+        v[:, axis] = _direction_integers(axis)
+    return v if alpha == 1 else _interlace_pairs(v)
+
+
+def _net_points_int(m: int, v: np.ndarray) -> np.ndarray:
+    """First 2^m points of the digital sequence with generating integers v,
+    as integers in direct binary (index-XOR) order; shape (2^m, d).
+
+    Point i is the XOR of v_k over the set bits k of i. The table is built
+    by doubling: row 0 is zero, and rows [2^k, 2^(k+1)) are rows [0, 2^k)
+    XOR v_k, so level m costs 2^m row XORs in all and every level is a
+    prefix of the next. Interlacing moves digits without mixing them, so it
+    commutes with XOR: the points of interlaced generating integers are the
+    interlaced points of the 2d-dimensional net."""
+    out = np.zeros((2**m, v.shape[1]), dtype=np.uint64)
+    for k in range(m):
+        np.bitwise_xor(out[: 2**k], v[k], out=out[2**k : 2 ** (k + 1)])
     return out
 
 
-def _interlace_pairs(ints: np.ndarray, nbits: int = _NBITS) -> np.ndarray:
-    """Digit-interlace consecutive coordinate pairs: two nbits-bit inputs
-    produce one 2*nbits-bit output whose digits alternate between them."""
-    npts, two_d = ints.shape
-    d = two_d // 2
-    out = np.zeros((npts, d), dtype=np.uint64)
-    for i in range(d):
-        u = ints[:, 2 * i]
-        v = ints[:, 2 * i + 1]
-        acc = np.zeros(npts, dtype=np.uint64)
-        for k in range(nbits):
-            bu = (u >> np.uint64(nbits - 1 - k)) & np.uint64(1)
-            bv = (v >> np.uint64(nbits - 1 - k)) & np.uint64(1)
-            acc |= bu << np.uint64(2 * nbits - 1 - 2 * k)
-            acc |= bv << np.uint64(2 * nbits - 2 - 2 * k)
-        out[:, i] = acc
-    return out
+# Shifts and masks of Morton spreading, for _NBITS = 32: after the five
+# steps, bit b of a 32-bit input sits at bit 2b of the 64-bit output.
+_SPREAD = [
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+]
+
+
+def _spread_bits(x: np.ndarray) -> np.ndarray:
+    """Move bit b of each 32-bit entry to bit 2b, zeros between."""
+    for shift, mask in _SPREAD:
+        x = (x | (x << np.uint64(shift))) & np.uint64(mask)
+    return x
+
+
+def _interlace_pairs(ints: np.ndarray) -> np.ndarray:
+    """Digit-interlace consecutive columns: two 32-bit inputs produce one
+    64-bit output whose digits alternate between them, the first input's
+    digit leading (Morton order: the first input's bits go to the odd
+    positions, the second's to the even ones)."""
+    return (_spread_bits(ints[:, 0::2]) << np.uint64(1)) | _spread_bits(ints[:, 1::2])
 
 
 def digital_net(m: int, d: int, alpha: int = 1) -> CubatureRule:
@@ -180,12 +198,8 @@ def digital_net(m: int, d: int, alpha: int = 1) -> CubatureRule:
         raise ConfigError("m must lie in 0..20")
     if alpha not in (1, 2):
         raise ConfigError("interlacing factor must be 1 or 2")
-    if alpha == 1:
-        ints = _net_points_int(m, d)
-        nodes = ints.astype(np.float64) * 2.0**-_NBITS
-    else:
-        ints = _net_points_int(m, 2 * d)
-        nodes = _interlace_pairs(ints).astype(np.float64) * 2.0 ** (-2 * _NBITS)
+    nodes = _net_points_int(m, _generating_integers(d, alpha)).astype(np.float64)
+    nodes *= 2.0 ** (-alpha * _NBITS)
     n = 2**m
     return CubatureRule(
         nodes=nodes,
@@ -204,9 +218,22 @@ def tent_transform_rule(rule: CubatureRule) -> CubatureRule:
 
 
 def random_shift(rule: CubatureRule, rng) -> CubatureRule:
+    """The rule with its nodes shifted by rng.random(d) modulo 1.
+
+    The nodes are shifted one column at a time, and y - floor(y) takes the
+    place of np.mod(y, 1.0): for finite y the two are equal bit for bit
+    (fmod is exact, and both round the same exact value once). One column
+    buffer holds the floors, so the call allocates little beyond the new
+    node array."""
     shift = rng.random(rule.d)
+    nodes = np.empty(rule.nodes.shape)
+    floors = np.empty(rule.n)
+    for j, s in enumerate(shift):
+        col = nodes[:, j]
+        np.add(rule.nodes[:, j], s, out=col)
+        col -= np.floor(col, out=floors)
     return CubatureRule(
-        nodes=np.mod(rule.nodes + shift[None, :], 1.0),
+        nodes=nodes,
         weights=rule.weights,
         provenance=f"shifted({rule.provenance})",
     )
@@ -225,10 +252,19 @@ def shifted_mean_error(
     rule: CubatureRule, f, exact: float, shifts: int = 16, seed: int = 0
 ) -> float:
     """Mean absolute error over seeded random modular shifts of the rule."""
+    return _shift_average(rule, f, exact, shifts, seed, tented=False)
+
+
+def _shift_average(rule, f, exact: float, shifts: int, seed: int, tented: bool) -> float:
+    """Mean absolute error over `shifts` random modular shifts drawn from
+    default_rng(seed); with tented, each shifted rule is tent-transformed."""
     rng = np.random.default_rng(seed)
-    errs = [
-        abs(integrate(random_shift(rule, rng), f) - exact) for _ in range(shifts)
-    ]
+    errs = []
+    for _ in range(shifts):
+        used = random_shift(rule, rng)
+        if tented:
+            used = tent_transform_rule(used)
+        errs.append(abs(integrate(used, f) - exact))
     return float(np.mean(errs))
 
 
@@ -306,13 +342,7 @@ def convergence_experiment(
     for idx in n_indices:
         rule = rule_for_n(idx)
         if shifts > 0:
-            rng = np.random.default_rng(seed)
-            errs = []
-            for _ in range(shifts):
-                shifted = random_shift(rule, rng)
-                used = tent_transform_rule(shifted) if transform == "tent" else shifted
-                errs.append(abs(integrate(used, f) - exact))
-            err = float(np.mean(errs))
+            err = _shift_average(rule, f, exact, shifts, seed, tented=transform == "tent")
         else:
             used = tent_transform_rule(rule) if transform == "tent" else rule
             err = abs(integrate(used, f) - exact)

@@ -91,11 +91,17 @@ def _negate_odd(a: np.ndarray) -> None:
 
 
 def tent(x):
-    """Componentwise tent map t -> 1 - |2t - 1| on [0,1]^d."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):  # written so that NaN fails too
+    """Componentwise tent map t -> 1 - |2t - 1| on [0,1]^d. Each step runs
+    in place on one copy of x, with the same values as the out-of-place
+    formula; a scalar input gives a NumPy scalar."""
+    t = np.array(x, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # written so that NaN fails too
         raise DomainError("tent expects points in [0,1]^d")
-    return 1.0 - np.abs(2.0 * x - 1.0)
+    t *= 2.0
+    t -= 1.0
+    np.abs(t, out=t)
+    np.subtract(1.0, t, out=t)
+    return t[()]
 
 
 def rho(x):
@@ -160,7 +166,15 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f, d: int, m: int, domain: str = UNIT) -> "GridFunction":
-        """Sample a vectorized callable on the tensor grid."""
+        """Sample a vectorized callable on the tensor grid.
+
+        f gets the d grid axes as an open mesh (np.ix_): axis i has shape
+        (1, ..., n, ..., 1), so f must broadcast its arguments against each
+        other, as numpy's elementwise functions do. A product of 1-D
+        factors, such as a TestFunction, then evaluates each factor on n
+        points rather than n^d, and the broadcast product gives the same
+        values as on a full meshgrid.
+        """
         h = 2.0**-m
         if domain == UNIT:
             ax = np.arange(2**m + 1) * h
@@ -168,9 +182,8 @@ class GridFunction:
             ax = -1.0 + np.arange(2 ** (m + 1)) * h
         else:
             raise DomainError(f"unknown domain {domain!r}")
-        grids = np.meshgrid(*([ax] * d), indexing="ij")
-        vals = f(*grids) if d > 1 else f(grids[0])
-        vals = np.broadcast_to(np.asarray(vals), grids[0].shape).copy()
+        vals = f(*np.ix_(*([ax] * d)))
+        vals = np.broadcast_to(np.asarray(vals), (ax.size,) * d).copy()
         return cls(domain=domain, m=m, values=vals)
 
     def integrate(self) -> complex:
@@ -444,6 +457,10 @@ def hpc_analyze(f: GridFunction, K: IndexSet) -> CoefficientMap:
     return CoefficientMap(basis="hpc", d=f.d, entries=entries)
 
 
+# Output bytes per block of hpc_synthesize: a block and its buffer fit in L2.
+_SYNTH_BLOCK_BYTES = 512 * 1024
+
+
 def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     """Evaluate the finite expansion sum of coeff * c_kbar on the closed grid.
 
@@ -453,6 +470,14 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     a dense tensor and running one DCT-I would be faster, but it rounds
     differently, and `halfcos identities` prints residuals at exactly that
     round-off.
+
+    On a large grid the sum runs in blocks of consecutive rows of the
+    leading axis, each about _SYNTH_BLOCK_BYTES of the output: the whole
+    term loop finishes one block before the next starts, so the block and
+    its scratch buffer stay in cache. Every grid value still gets the same
+    products, the same scaling and the same additions in the same key
+    order, so the result is bit-identical to the unblocked sum; a grid
+    that fits in one block takes the unblocked path as it is.
     """
     if coeffs.basis != "hpc":
         raise ValueError("expected half-period cosine coefficients")
@@ -460,20 +485,35 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     n = 2**m + 1
     x = np.arange(n) * 2.0**-m
     rows = {}
-    out = np.zeros((n,) * d)
-    buf = np.empty((n,) * d)
+    terms = []
     for k, v in coeffs.items_sorted():
         for ki in k:
             if ki not in rows:
                 rows[ki] = hpc_basis_1d(ki, x)
-        piece = rows[k[0]]
-        for ki in k[1:-1]:
-            piece = np.multiply.outer(piece, rows[ki])
-        if d > 1:
-            piece = np.multiply.outer(piece, rows[k[-1]], out=buf)
-        np.multiply(piece, np.real(v), out=buf)
-        out += buf
+        terms.append(([rows[ki] for ki in k], np.real(v)))
+    out = np.zeros((n,) * d)
+    step = max(1, _SYNTH_BLOCK_BYTES // (out.itemsize * n ** (d - 1)))
+    if step >= n:
+        _synthesize_block(out, terms, None)
+    else:
+        for lo in range(0, n, step):
+            _synthesize_block(out[lo : lo + step], terms, slice(lo, lo + step))
     return GridFunction(UNIT, m, out)
+
+
+def _synthesize_block(out: np.ndarray, terms, lead) -> None:
+    """out += v * (outer product of the rows), term by term in list order,
+    the rows multiplied left to right; lead, unless None, slices the
+    leading-axis row to the rows that out holds."""
+    buf = np.empty_like(out)
+    for rows, v in terms:
+        piece = rows[0] if lead is None else rows[0][lead]
+        for row in rows[1:-1]:
+            piece = np.multiply.outer(piece, row)
+        if len(rows) > 1:
+            piece = np.multiply.outer(piece, rows[-1], out=buf)
+        np.multiply(piece, v, out=buf)
+        out += buf
 
 
 def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:

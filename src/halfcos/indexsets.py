@@ -6,6 +6,7 @@ lexicographic order so that coefficient vectors are reproducible run to run.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -78,7 +79,9 @@ class IndexSet:
         return len(self.members)
 
     def __contains__(self, k):
-        return tuple(int(x) for x in k) in set(self.members)
+        key = tuple(int(x) for x in k)
+        i = bisect.bisect_left(self.members, key)
+        return i < len(self.members) and self.members[i] == key
 
     def as_array(self) -> np.ndarray:
         """Members as an (n, d) integer array in lexicographic order."""
@@ -121,14 +124,13 @@ def _enumerate_cross(d: int, budget: int, signed: bool):
 def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
     """Frequencies k with prod_i (1 + |k_i|) <= N.
 
-    With signed=False the set is the image under componentwise absolute
-    value (deduplicated), which indexes the half-period cosine system.
+    With signed=False the set is its nonnegative part, which is also its
+    image under componentwise absolute value and indexes the half-period
+    cosine system; the enumeration meets each member once.
     """
     if N < 1 or d < 1:
         raise ValueError("need N >= 1 and d >= 1")
     members = tuple(_enumerate_cross(d, N, signed))
-    if not signed:
-        members = tuple(set(members))
     return IndexSet(d=d, kind="hyperbolic-cross", members=members, N=N)
 
 

@@ -235,6 +235,14 @@ def test_ls_experiment_checks_aliasing_and_sample_count():
             ls_error_experiment(get_member("kink1"), N=2, seed=1, oversample=oversample)
 
 
+def test_ls_experiment_rejects_unknown_weights():
+    for weights in ("christoffel", "Uniform", None):
+        with pytest.raises(ConfigError, match="only 'uniform'"):
+            ls_error_experiment(get_member("kink1"), N=4, seed=1, weights=weights)
+    row = ls_error_experiment(get_member("kink1"), N=4, seed=1, weights="uniform")
+    assert row == ls_error_experiment(get_member("kink1"), N=4, seed=1)
+
+
 def test_ls_recover_names_an_underdetermined_design():
     K = hyperbolic_cross(4, 1, signed=False)
     for n in (0, 3):

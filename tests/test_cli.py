@@ -269,6 +269,14 @@ def test_config_values_that_do_not_convert_exit_two(tmp_path, capsys, content, f
     assert rc == 2 and out == "" and field in err
 
 
+def test_recover_config_with_unknown_weights_exits_two(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"weights": "christoffel"}))
+    rc, out, err = run(capsys, ["recover", "--fn", "kink1d", "--N", "8", "--seed", "1",
+                                "--config", str(cfgfile)])
+    assert rc == 2 and out == "" and "weights='christoffel'" in err
+
+
 def test_testfns_rejects_unknown_action(capsys):
     rc, _, err = run(capsys, ["testfns", "dump"])
     assert rc == 2

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from halfcos.cubature import (
+    _NET_TABLE,
+    _direction_integers,
     CubatureRule,
     convergence_experiment,
     digital_net,
@@ -87,6 +89,54 @@ def test_interlaced_net_digits():
     assert np.all((0.0 <= z) & (z < 1.0))
 
 
+NET_DIMS = len(_NET_TABLE) + 1  # every dimension the direction-number table allows
+REF_LEVEL = 13
+
+
+def _reference_net_ints():
+    """Point i, axis a of the base-2 sequence, one point at a time: the XOR
+    of the direction integers v_k of axis a over the set bits k of i."""
+    v = [[int(x) for x in _direction_integers(a)] for a in range(NET_DIMS)]
+    rows = []
+    for i in range(2**REF_LEVEL):
+        row = []
+        for a in range(NET_DIMS):
+            acc = 0
+            for k in range(REF_LEVEL):
+                if (i >> k) & 1:
+                    acc ^= v[a][k]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def _interlace(u: int, w: int) -> int:
+    """Digits of two 32-bit integers alternated, u's digit first."""
+    out = 0
+    for k in range(32):
+        out |= ((u >> (31 - k)) & 1) << (63 - 2 * k)
+        out |= ((w >> (31 - k)) & 1) << (62 - 2 * k)
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_nets():
+    ints = _reference_net_ints()
+    pairs = [[_interlace(r[2 * i], r[2 * i + 1]) for i in range(NET_DIMS // 2)] for r in ints]
+    plain = np.array([[float(x) * 2.0**-32 for x in r] for r in ints])
+    interlaced = np.array([[float(x) * 2.0**-64 for x in r] for r in pairs])
+    return {1: plain, 2: interlaced}
+
+
+def test_digital_net_matches_the_per_point_reference(reference_nets):
+    # mixed level order: a level must not depend on the levels built before it
+    for m in (13, 0, 7, 1, 13, 7):
+        for alpha, ref in reference_nets.items():
+            for d in range(1, ref.shape[1] + 1):
+                got = digital_net(m, d, alpha).nodes
+                assert np.array_equal(got, ref[: 2**m, :d]), (m, d, alpha)
+
+
 def test_net_argument_guards():
     with pytest.raises(ConfigError):
         digital_net(21, 2)
@@ -123,6 +173,23 @@ def test_integrate_closed_forms():
     assert got == pytest.approx(63.0 / 128.0, rel=1e-15)
     cplx = integrate(digital_net(4, 1), lambda x: np.exp(2j * np.pi * 0 * x))
     assert isinstance(cplx, float) and cplx == 1.0
+
+
+def test_random_shift_is_the_modular_sum():
+    # y - floor(y) must equal np.mod(y, 1.0) bit for bit, here also on
+    # nodes outside [0, 1) and at the edges where the sum is an integer
+    nodes = np.random.default_rng(1).random((300, 3))
+    nodes[:6, 0] = 0.0, 1.0, -0.0, -2.5, np.nextafter(1.0, 0.0), 7.25
+    rule = CubatureRule(nodes, np.full(300, 1.0 / 300), "test")
+    for seed in range(4):
+        shift = np.random.default_rng(seed).random(3)
+        got = random_shift(rule, np.random.default_rng(seed)).nodes
+        want = np.mod(nodes + shift[None, :], 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for net in (digital_net(10, 3), tent_transform_rule(digital_net(10, 2, alpha=2))):
+        got = random_shift(net, np.random.default_rng(7)).nodes
+        want = np.mod(net.nodes + np.random.default_rng(7).random(net.d)[None, :], 1.0)
+        assert np.array_equal(got, want)
 
 
 def test_random_shift_and_mean_error_are_seeded():
@@ -196,6 +263,25 @@ def test_shifted_experiment_path():
     )
     assert fit.errors == again.errors
     assert all(e > 0.0 for e in fit.errors)
+
+
+def test_shifted_experiment_averages_as_shifted_mean_error():
+    f = lambda x, y: np.exp(x + y)
+    exact = (math.e - 1.0) ** 2
+    plain = convergence_experiment(
+        fibonacci_rule, f, exact, range(5, 10), shifts=3, seed=4, skip_smallest=0
+    )
+    tented = convergence_experiment(
+        fibonacci_rule, f, exact, range(5, 10), transform="tent", shifts=3, seed=4,
+        skip_smallest=0,
+    )
+    for i, err, err_tent in zip(range(5, 10), plain.errors, tented.errors):
+        rule = fibonacci_rule(i)
+        assert err == shifted_mean_error(rule, f, exact, shifts=3, seed=4)
+        rng = np.random.default_rng(4)
+        errs = [abs(integrate(tent_transform_rule(random_shift(rule, rng)), f) - exact)
+                for _ in range(3)]
+        assert err_tent == float(np.mean(errs))
 
 
 def test_rate_fit_csv():

@@ -1,5 +1,6 @@
 """Grid transforms against direct quadrature sums and exact index maps."""
 
+import dataclasses
 import math
 import struct
 
@@ -32,6 +33,8 @@ from halfcos.grids import (
     tau,
     tent,
 )
+from halfcos import grids
+from halfcos.corpus import corpus
 from halfcos.indexsets import hyperbolic_cross
 
 
@@ -49,6 +52,19 @@ def test_point_maps():
         tent(np.array([0.5, np.nan]))
     # tent = rho after the affine chart
     assert np.allclose(tent(x), 1.0 - rho(tau(x)))
+
+
+def test_tent_matches_the_out_of_place_formula():
+    x = np.random.default_rng(3).random((257, 3))
+    x[:4, 0] = 0.0, 0.5, 1.0, np.nextafter(1.0, 0.0)
+    assert np.array_equal(tent(x), 1.0 - np.abs(2.0 * x - 1.0))
+    assert np.array_equal(tent(x[:, 1]), 1.0 - np.abs(2.0 * x[:, 1] - 1.0))
+    before = x.copy()
+    tent(x)
+    assert np.array_equal(x, before)  # the input is not mutated
+    for t in (0.0, 0.3, 1.0):
+        got = tent(t)
+        assert isinstance(got, np.float64) and got == 1.0 - abs(2.0 * t - 1.0)
 
 
 def test_periodize_is_composition_with_rho():
@@ -254,7 +270,9 @@ def test_lp_norms_against_closed_forms():
     assert abs(f.lp_norm(1.0) - 0.5) < 1e-15
 
 
-@pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3)])
+# (2, 10) and (3, 7) span several blocks of the synthesis (17 and 43 of
+# them), (2, 10) with a ragged last block; the others fit in one.
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3), (2, 10), (3, 7)])
 def test_synthesis_matches_the_per_term_grid_loop(d, m):
     rng = np.random.default_rng(10 + d)
     entries = {
@@ -275,6 +293,8 @@ def test_synthesis_matches_the_per_term_grid_loop(d, m):
         ref += v * piece
     got = hpc_synthesize(CoefficientMap("hpc", d, entries), m).values
     assert np.array_equal(got, ref)
+    if m >= 7:  # the block cases must not fit in one block
+        assert 8 * n**d > 2 * grids._SYNTH_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("d, m, kmax", [(1, 7, 32), (2, 6, 16), (3, 4, 4)])
@@ -378,3 +398,25 @@ def test_lp_norm_matches_the_out_of_place_power(dtype):
         powed = GridFunction(UNIT, 3, np.abs(vals) ** p)
         assert f.lp_norm(p) == float(powed.integrate()) ** (1.0 / p)
     assert np.array_equal(f.values, vals)
+
+
+def _meshgrid_samples(f, d, m, domain):
+    """Samples of f on full np.meshgrid arrays of the grid."""
+    n = 2**m + 1 if domain == UNIT else 2 ** (m + 1)
+    ax = GridFunction(domain, m, np.zeros(n)).axis_points()
+    mesh = np.meshgrid(*([ax] * d), indexing="ij")
+    return np.broadcast_to(np.asarray(f(*mesh)), mesh[0].shape)
+
+
+@pytest.mark.parametrize("domain", [UNIT, SYM])
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_open_mesh_sampling_matches_full_meshgrid(name, domain):
+    member = corpus()[name]
+    for d in (1, 2, 3):
+        power = [member.factors[0]] * d
+        mixed = [member.factors[0], np.exp, np.sin][:d]  # tells the axes apart
+        m = 5 if d == 3 else 7
+        for factors in (power, mixed):
+            tf = dataclasses.replace(member, d=d, factors=factors)
+            got = GridFunction.from_callable(tf, d, m, domain).values
+            assert np.array_equal(got, _meshgrid_samples(tf, d, m, domain)), (name, d)

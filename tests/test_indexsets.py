@@ -54,6 +54,18 @@ def test_unsigned_is_abs_image_of_signed():
     assert set(unsigned.members) == {abs_index(k) for k in signed.members}
 
 
+@pytest.mark.parametrize("N,d,signed", [(6, 1, True), (9, 2, True), (12, 2, False), (8, 3, False)])
+def test_membership_agrees_with_set_lookup(N, d, signed):
+    K = hyperbolic_cross(N, d, signed=signed)
+    members = set(K.members)
+    span = range(-N - 1, N + 2)
+    for k in np.ndindex(*([len(span)] * d)):
+        key = tuple(span[i] for i in k)
+        assert (key in K) == (key in members)
+        assert (np.array(key) in K) == (key in members)
+    assert (0,) * (d + 1) not in K
+
+
 def test_cardinality_growth_band():
     rows = cross_cardinality_check([8, 16, 32, 64, 128], 2)
     ratios = [r for _, _, r in rows]
