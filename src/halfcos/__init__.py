@@ -34,9 +34,7 @@ from .grids import (
     hpc_analyze_dense,
     hpc_synthesize,
     hpc_synthesize_dense,
-    fourier_analyze,
     fourier_analyze_dense,
-    fourier_synthesize,
     fourier_synthesize_dense,
     coefficient_decay_report,
 )
@@ -48,7 +46,6 @@ from .wavelets import (
     psi_piecewise,
     dual_coefficients,
     dual_father_closed_form,
-    dual_eval,
     cw_analyze,
     cw_synthesize,
     biorthogonality_residual_1d,

@@ -189,6 +189,8 @@ def ls_error_experiment(
         raise ConfigError(
             f"weights={weights!r}: only 'uniform' sampling weights are implemented"
         )
+    if not math.isfinite(oversample):
+        raise ConfigError(f"oversample must be finite, got {oversample}")
     d = member.d
     K = hyperbolic_cross(N, d, signed=False)
     card = len(K.members)

@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import ConfigError, DivergentTailError
 from .grids import (
+    SYM,
     CoefficientMap,
     GridFunction,
     _along,
+    _grid_axis,
     fourier_analyze_dense,
     fourier_synthesize_dense,
     hpc_synthesize_dense,
@@ -39,7 +41,6 @@ __all__ = [
     "hpc_besov_norm",
     "seq_norm",
     "holder_pairing_check",
-    "lp_block_torus",
     "periodization_block_identity",
     "difference_seminorm",
     "rectangular_mean_1d",
@@ -118,10 +119,6 @@ class BesovParams:
     @property
     def inv_p(self) -> float:
         return 0.0 if self.p == INF else 1.0 / self.p
-
-    @property
-    def inv_q(self) -> float:
-        return 0.0 if self.q == INF else 1.0 / self.q
 
     def conjugate(self) -> "BesovParams":
         """(r', p', q') with r' = -r + sigma_p; exponents <= 1 conjugate to inf."""
@@ -233,6 +230,36 @@ def _tail_from_level_sums(level_sums: dict, q: float):
     return tail_q ** (1.0 / q), rho
 
 
+def _norm_report(
+    kind: str, params: BesovParams, J_max: int, level_terms: dict, exact: bool, strict: bool
+) -> NormReport:
+    """NormReport of one route from its level terms, keyed by jbar.
+
+    The value is the ell_q norm of the terms. Unless the truncation is
+    exact, the tail is fitted to the per-|jbar_+|_1 level sums (level
+    maxima at q = inf); a non-decaying fit raises when strict, and is
+    reported as an infinite tail bound otherwise."""
+    q = params.q
+    level_sums: dict = {}
+    for j, t in level_terms.items():
+        L = plus_l1(j)
+        if q == INF:
+            level_sums[L] = max(level_sums.get(L, 0.0), t)
+        else:
+            level_sums[L] = level_sums.get(L, 0.0) + t**q
+    if q != INF:
+        level_sums = {L: s ** (1.0 / q) for L, s in level_sums.items()}
+    tail = 0.0
+    if not exact:
+        tail, rho = _tail_from_level_sums(level_sums, q)
+        if tail == INF and strict:
+            raise DivergentTailError(
+                f"{kind} level sums do not decay (ratio {rho:.3f}) at J_max={J_max}"
+            )
+    value = _lp(list(level_terms.values()), q)
+    return NormReport(kind, params.r, params.p, q, J_max, value, tail, level_terms)
+
+
 def hpc_besov_norm(
     f_coeffs: CoefficientMap,
     params: BesovParams,
@@ -255,7 +282,6 @@ def hpc_besov_norm(
     kmax = base.shape[0] - 1
     exact_cap = _level_cap(kmax)
     J = exact_cap if J_max is None else int(J_max)
-    exact = J >= exact_cap
     if grid_level is None:
         kmax_used = min(2 ** (J + 1), max(kmax, 1))
         grid_level = max(4, int(math.ceil(math.log2(4 * kmax_used))))
@@ -267,10 +293,6 @@ def hpc_besov_norm(
         axis_w.append(w if np.any(w != 0.0) else None)
 
     level_terms = {}
-    level_sums: dict = {}
-    q = params.q
-    total_q = 0.0
-    sup = 0.0
     for jbar in np.ndindex(*([J + 1] * d)):
         if any(axis_w[j] is None for j in jbar):
             continue
@@ -281,42 +303,9 @@ def hpc_besov_norm(
             continue
         g = hpc_synthesize_dense(block, grid_level)
         term = 2.0 ** (params.r * sum(jbar)) * g.lp_norm(params.p)
-        if term == 0.0:
-            continue
-        level_terms[tuple(int(t) for t in jbar)] = term
-        L = int(sum(jbar))
-        if q == INF:
-            sup = max(sup, term)
-            level_sums[L] = max(level_sums.get(L, 0.0), term)
-        else:
-            total_q += term**q
-            level_sums[L] = level_sums.get(L, 0.0) + term**q
-
-    if q == INF:
-        value = sup
-        sums_for_tail = dict(level_sums)
-    else:
-        value = total_q ** (1.0 / q)
-        sums_for_tail = {L: s ** (1.0 / q) for L, s in level_sums.items()}
-
-    if exact:
-        tail = 0.0
-    else:
-        tail, rho = _tail_from_level_sums(sums_for_tail, q)
-        if tail == INF and strict:
-            raise DivergentTailError(
-                f"level sums do not decay (ratio {rho:.3f}) at J_max={J}"
-            )
-    return NormReport(
-        norm_kind="hpc",
-        r=params.r,
-        p=params.p,
-        q=q,
-        J_max=J,
-        value=value,
-        tail_bound=tail,
-        level_terms=level_terms,
-    )
+        if term != 0.0:
+            level_terms[tuple(int(t) for t in jbar)] = term
+    return _norm_report("hpc", params, J, level_terms, exact=J >= exact_cap, strict=strict)
 
 
 def seq_norm(coeffs: CoefficientMap, spec) -> float:
@@ -335,45 +324,18 @@ def seq_norm_report(
     requested up to; requested levels with no entry are exact zeros. If no
     entry reaches level J the expansion is finite and the tail is 0."""
     params = spec.effective() if isinstance(spec, SeqNormSpec) else spec
-    q = params.q
     groups: dict = {}
     top = -1
     for (j, k), v in coeffs.entries.items():
         jt = tuple(int(t) for t in j)
         top = max(top, max(jt))
         groups.setdefault(jt, []).append(abs(v))
-    level_terms: dict = {}
-    sums_for_tail: dict = {}
-    for j, block in groups.items():
-        w = 2.0 ** (plus_l1(j) * (params.r - params.inv_p))
-        term = w * _lp(block, params.p)
-        level_terms[j] = term
-        L = plus_l1(j)
-        if q == INF:
-            sums_for_tail[L] = max(sums_for_tail.get(L, 0.0), term)
-        else:
-            sums_for_tail[L] = sums_for_tail.get(L, 0.0) + term**q
-    value = _lp(list(level_terms.values()), q)
-    if q != INF:
-        sums_for_tail = {L: s ** (1.0 / q) for L, s in sums_for_tail.items()}
-    if J is not None and top < J:
-        tail, rho = 0.0, 0.0
-    else:
-        tail, rho = _tail_from_level_sums(sums_for_tail, q)
-    if tail == INF and strict:
-        raise DivergentTailError(
-            f"wavelet level sums do not decay (ratio {rho:.3f}) at J={top}"
-        )
-    return NormReport(
-        norm_kind="cw-seq",
-        r=params.r,
-        p=params.p,
-        q=q,
-        J_max=top,
-        value=value,
-        tail_bound=tail,
-        level_terms=level_terms,
-    )
+    level_terms = {
+        j: 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(block, params.p)
+        for j, block in groups.items()
+    }
+    exact = J is not None and top < J
+    return _norm_report("cw-seq", params, top, level_terms, exact=exact, strict=strict)
 
 
 def holder_pairing_check(lam: CoefficientMap, mu: CoefficientMap, params: BesovParams):
@@ -387,19 +349,6 @@ def holder_pairing_check(lam: CoefficientMap, mu: CoefficientMap, params: BesovP
         mu, SeqNormSpec(params, "dual")
     )
     return lhs, rhs
-
-
-def lp_block_torus(
-    f_coeffs: CoefficientMap, jbar, decomp: DecompositionOfUnity, grid_level: int
-) -> GridFunction:
-    """Weighted exponential sum  sum_k psi_jbar(k) ghat(k) exp_k  on the
-    periodic grid, with even weights psi_j(x) = phi_j(|x|)."""
-    d = f_coeffs.d
-    n = 2 ** (grid_level + 1)
-    dense = np.zeros((n,) * d, dtype=complex)
-    for k, v in f_coeffs.entries.items():
-        dense[tuple(int(t) % n for t in k)] = v
-    return fourier_synthesize_dense(_torus_weights(dense, jbar, decomp), grid_level)
 
 
 def _torus_weights(dense: np.ndarray, jbar, decomp: DecompositionOfUnity) -> np.ndarray:
@@ -457,8 +406,6 @@ def difference_seminorm(
     d: int = 1,
     tensor_factors=None,
     gauss: int = 8,
-    mc_samples: int = 4096,
-    seed: int = 0,
 ) -> NormReport:
     """Truncated (sum_jbar 2^{r q |jbar|_1} ||R^{e(jbar)}_m(f,2^{-jbar},.)||_p^q)^{1/q}
     for a continuous periodic f on the torus, with the difference applied
@@ -467,16 +414,17 @@ def difference_seminorm(
     L_p norms use the normalized torus measure, so for reflection-symmetric
     periodizations the values match unit-cube norms of the underlying
     function. tensor_factors (univariate periodic callables) factorize the
-    computation exactly; otherwise d <= 2 uses tensor Gauss quadrature for
-    the h-integral and d >= 3 falls back to Monte Carlo sampling.
+    computation exactly in any dimension; a generic callable f needs d <= 2
+    and uses tensor Gauss quadrature for the h-integral.
     """
     if params is None:
         raise ConfigError("params required")
     if m <= params.r:
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
-    p, q, r = params.p, params.q, params.r
-    npts = 2 ** (grid_level + 1)
-    x1 = -1.0 + np.arange(npts) * 2.0**-grid_level
+    if tensor_factors is None and d > 2:
+        raise ConfigError(f"difference route for a generic callable needs d <= 2, got d={d}")
+    p, r = params.p, params.r
+    x1 = _grid_axis(SYM, grid_level)
 
     def grid_lp(values) -> float:
         a = np.abs(np.asarray(values, dtype=float))
@@ -500,7 +448,7 @@ def difference_seminorm(
             term = 2.0 ** (r * sum(jbar)) * val
             if term > 0.0:
                 level_terms[tuple(int(t) for t in jbar)] = term
-    elif d <= 2:
+    else:
         axes = [x1] * d
         nodes, weights = np.polynomial.legendre.leggauss(gauss)
         signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
@@ -512,10 +460,10 @@ def difference_seminorm(
                 if term > 0.0:
                     level_terms[tuple(int(t) for t in jbar)] = term
                 continue
-            acc = np.zeros((npts,) * d)
+            acc = np.zeros((x1.size,) * d)
             for combo in np.ndindex(*([gauss] * len(e))):
                 wq = 1.0
-                diff = np.zeros((npts,) * d)
+                diff = np.zeros((x1.size,) * d)
                 for shifts in np.ndindex(*([m + 1] * len(e))):
                     coeff = 1.0
                     moved = list(axes)
@@ -532,49 +480,4 @@ def difference_seminorm(
             term = 2.0 ** (r * sum(jbar)) * grid_lp(acc)
             if term > 0.0:
                 level_terms[tuple(int(t) for t in jbar)] = term
-    else:
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-1.0, 1.0, size=(mc_samples, d))
-        signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
-        for jbar in np.ndindex(*([J_max + 1] * d)):
-            e = [i for i in range(d) if jbar[i] != 0]
-            if not e:
-                vals = np.asarray(f(*[xs[:, i] for i in range(d)]), dtype=float)
-                level_terms[tuple(int(t) for t in jbar)] = grid_lp(vals)
-                continue
-            hs = rng.uniform(-1.0, 1.0, size=(mc_samples, d))
-            acc = np.zeros(mc_samples)
-            for shifts in np.ndindex(*([m + 1] * len(e))):
-                coeff = 1.0
-                pts = xs.copy()
-                for pos, l in zip(e, shifts):
-                    coeff *= signs[l]
-                    pts[:, pos] += l * hs[:, pos] * 2.0 ** (-jbar[pos])
-                acc += coeff * np.asarray(f(*[pts[:, i] for i in range(d)]))
-            # One h-sample per x-sample: unbiased for the (2^|e|-volume) integral.
-            term = 2.0 ** (r * sum(jbar)) * grid_lp(2.0 ** len(e) * np.abs(acc))
-            if term > 0.0:
-                level_terms[tuple(int(t) for t in jbar)] = term
-
-    value = _lp(list(level_terms.values()), q)
-    level_sums: dict = {}
-    for j, t in level_terms.items():
-        L = sum(j)
-        if q == INF:
-            level_sums[L] = max(level_sums.get(L, 0.0), t)
-        else:
-            level_sums[L] = level_sums.get(L, 0.0) + t**q
-    sums = (
-        level_sums if q == INF else {L: s ** (1.0 / q) for L, s in level_sums.items()}
-    )
-    tail, _ = _tail_from_level_sums(sums, q)
-    return NormReport(
-        norm_kind="diff",
-        r=r,
-        p=p,
-        q=q,
-        J_max=J_max,
-        value=value,
-        tail_bound=tail,
-        level_terms=level_terms,
-    )
+    return _norm_report("diff", params, J_max, level_terms, exact=False, strict=False)

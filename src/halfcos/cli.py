@@ -157,10 +157,21 @@ def _gnuplot(csv_path: str, xlabel: str, ylabel: str, logscale: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_fit(cmd: str, cfg: dict, fit, args, xlabel: str, ylabel: str) -> int:
+    """Write a rate table: the fit's rows, its slope and intercept, and a
+    log-log gnuplot script when --gnuplot is given."""
+    trailer = f"# slope = {fit.slope:.6f}\n# intercept = {fit.intercept:.6f}\n"
+    script = _gnuplot(args.out, xlabel, ylabel, logscale=True) if args.gnuplot else None
+    _emit(_config_line(cmd, cfg) + "\n" + fit.csv_rows() + trailer, args.out, script)
+    return 0
+
+
 def _require_seed(cfg: dict):
     if cfg.get("seed") is None:
         raise ConfigError("this path is randomized: --seed is mandatory")
     cfg["seed"] = int(cfg["seed"])
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
 
 
 def _member(cfg: dict):
@@ -270,13 +281,7 @@ def _cmd_cubature(args) -> int:
         log_exponent=float(cfg["log_exponent"]),
         skip_smallest=int(cfg["skip"]),
     )
-    body = fit.csv_rows()
-    trailer = f"# slope = {fit.slope:.6f}\n# intercept = {fit.intercept:.6f}\n"
-    script = None
-    if args.gnuplot:
-        script = _gnuplot(args.out, "n", "error", logscale=True)
-    _emit(_config_line("cubature", cfg) + "\n" + body + trailer, args.out, script)
-    return 0
+    return _emit_fit("cubature", cfg, fit, args, "n", "error")
 
 
 def _cmd_approx(args) -> int:
@@ -294,13 +299,7 @@ def _cmd_approx(args) -> int:
         log_exponent=float(cfg["log_exponent"]),
         skip_smallest=int(cfg["skip"]),
     )
-    body = fit.csv_rows()
-    trailer = f"# slope = {fit.slope:.6f}\n# intercept = {fit.intercept:.6f}\n"
-    script = None
-    if args.gnuplot:
-        script = _gnuplot(args.out, "dim", "projection error", logscale=True)
-    _emit(_config_line("approx", cfg) + "\n" + body + trailer, args.out, script)
-    return 0
+    return _emit_fit("approx", cfg, fit, args, "dim", "projection error")
 
 
 def _cmd_recover(args) -> int:

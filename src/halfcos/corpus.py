@@ -23,6 +23,8 @@ from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
+    _check_aliasing,
+    _grid_axis,
     box_slabs,
     hpc_analyze_dense,
     slab_keys,
@@ -297,12 +299,11 @@ def gibbs_demo(f, k_max: int, grid_level: int = 12) -> list:
     """Rows (k, |periodic sine coefficient| * k, |cosine coefficient| * k^2)
     for k = 1..k_max: the first column stays bounded away from zero for a
     step-like f (periodization jump), the second stays bounded."""
-    x = np.arange(2**grid_level + 1) * 2.0**-grid_level
-    w = np.full(x.size, 2.0**-grid_level)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    _check_aliasing(grid_level, k_max)
+    x = _grid_axis(UNIT, grid_level)
     vals = np.asarray(f(x), dtype=float)
     g = GridFunction(UNIT, grid_level, vals)
+    w = g.axis_weights()
     dense = hpc_analyze_dense(g)
     rows = []
     for k in range(1, k_max + 1):

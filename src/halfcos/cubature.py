@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,10 +52,6 @@ class CubatureRule:
     @property
     def d(self) -> int:
         return self.nodes.shape[1]
-
-    def weight_sum_exact(self) -> Fraction:
-        """Rational weight total for equal-weight rules (denominator n)."""
-        return Fraction(1, self.n) * self.n
 
     def to_csv(self) -> str:
         rows = [",".join(f"{c!r}" for c in row) for row in self.nodes]

@@ -19,7 +19,6 @@ to round-off, not just asymptotically.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -27,17 +26,6 @@ import numpy as np
 
 from .errors import AliasingError, ConfigError, DomainError, ResolutionMismatchError
 from .indexsets import IndexSet
-
-
-def fft_workers() -> int:
-    """Thread count for the transform backends, from HPC_BESOV_THREADS:
-    at least 1, and at most four per CPU, so that a runaway value cannot
-    ask the backend for thousands of threads."""
-    try:
-        requested = int(os.environ.get("HPC_BESOV_THREADS", "1"))
-    except ValueError:
-        return 1
-    return min(max(1, requested), 4 * (os.cpu_count() or 1))
 
 
 __all__ = [
@@ -58,9 +46,7 @@ __all__ = [
     "hpc_analyze_dense",
     "hpc_synthesize",
     "hpc_synthesize_dense",
-    "fourier_analyze",
     "fourier_analyze_dense",
-    "fourier_synthesize",
     "fourier_synthesize_dense",
     "signed_fft_freqs",
     "coefficient_decay_report",
@@ -75,6 +61,15 @@ SYM = "sym"
 def _along(vec, ax: int, d: int) -> np.ndarray:
     """vec as a d-dimensional array that varies along axis ax only."""
     return np.reshape(vec, (1,) * ax + (-1,) + (1,) * (d - ax - 1))
+
+
+def _grid_axis(domain: str, m: int) -> np.ndarray:
+    """Node coordinates of one axis of the level-m grid on the domain."""
+    if domain == UNIT:
+        return np.arange(2**m + 1) * 2.0**-m
+    if domain == SYM:
+        return -1.0 + np.arange(2 ** (m + 1)) * 2.0**-m
+    raise DomainError(f"unknown domain {domain!r}")
 
 
 def _axis_index(ax: int, index) -> tuple:
@@ -150,10 +145,7 @@ class GridFunction:
         raise DomainError(f"unknown domain {self.domain!r}")
 
     def axis_points(self) -> np.ndarray:
-        h = 2.0**-self.m
-        if self.domain == UNIT:
-            return np.arange(2**self.m + 1) * h
-        return -1.0 + np.arange(2 ** (self.m + 1)) * h
+        return _grid_axis(self.domain, self.m)
 
     def axis_weights(self) -> np.ndarray:
         h = 2.0**-self.m
@@ -175,13 +167,7 @@ class GridFunction:
         points rather than n^d, and the broadcast product gives the same
         values as on a full meshgrid.
         """
-        h = 2.0**-m
-        if domain == UNIT:
-            ax = np.arange(2**m + 1) * h
-        elif domain == SYM:
-            ax = -1.0 + np.arange(2 ** (m + 1)) * h
-        else:
-            raise DomainError(f"unknown domain {domain!r}")
+        ax = _grid_axis(domain, m)
         vals = f(*np.ix_(*([ax] * d)))
         vals = np.broadcast_to(np.asarray(vals), (ax.size,) * d).copy()
         return cls(domain=domain, m=m, values=vals)
@@ -433,7 +419,7 @@ def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
     import scipy.fft  # loaded on the first transform, so closed-form commands start without scipy
 
     h = 2.0**-f.m
-    coeff = scipy.fft.dctn(np.asarray(f.values, dtype=float), type=1, workers=fft_workers()) * (h / 2.0) ** f.d
+    coeff = scipy.fft.dctn(np.asarray(f.values, dtype=float), type=1) * (h / 2.0) ** f.d
     norm = np.ones(f.axis_size)
     norm[1:] = np.sqrt(2.0)
     for ax in range(f.d):
@@ -482,8 +468,8 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     if coeffs.basis != "hpc":
         raise ValueError("expected half-period cosine coefficients")
     d = coeffs.d
-    n = 2**m + 1
-    x = np.arange(n) * 2.0**-m
+    x = _grid_axis(UNIT, m)
+    n = x.size
     rows = {}
     terms = []
     for k, v in coeffs.items_sorted():
@@ -543,52 +529,23 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
             full = np.zeros(work.shape[:ax] + (n,) + work.shape[ax + 1 :])
             full[_axis_index(ax, slice(0, work.shape[ax]))] = work
             work = full
-        work = scipy.fft.dct(work, type=1, axis=ax, workers=fft_workers(), overwrite_x=True)
+        work = scipy.fft.dct(work, type=1, axis=ax, overwrite_x=True)
     return GridFunction(UNIT, m, work)
 
 
 def fourier_analyze_dense(g: GridFunction) -> np.ndarray:
     """Full tensor of torus Fourier coefficients, index k in FFT layout."""
     if g.domain != SYM:
-        raise DomainError("fourier_analyze expects a torus grid function")
+        raise DomainError("fourier_analyze_dense expects a torus grid function")
     import scipy.fft
 
     h = 2.0**-g.m
-    coeff = scipy.fft.fftn(np.asarray(g.values, dtype=complex), workers=fft_workers())
+    coeff = scipy.fft.fftn(np.asarray(g.values, dtype=complex))
     coeff *= h**g.d
     coeff *= 2.0 ** (-g.d / 2.0)
     # Node offset -1 per axis contributes the alternating sign (-1)^k.
     _negate_odd(coeff)
     return coeff
-
-
-def fourier_analyze(g: GridFunction, K: IndexSet) -> CoefficientMap:
-    """Torus Fourier coefficients <g, exp_kbar> for signed kbar in K."""
-    arr = K.as_array()
-    kmax = int(np.abs(arr).max()) if arr.size else 0
-    _check_aliasing(g.m, kmax)
-    dense = fourier_analyze_dense(g)
-    n = g.axis_size
-    entries = {}
-    for k in arr:
-        entries[tuple(k)] = dense[tuple(int(ki) % n for ki in k)]
-    return CoefficientMap(basis="torus-exp", d=g.d, entries=entries)
-
-
-def fourier_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
-    """Evaluate the finite expansion sum of coeff * exp_kbar on the torus grid."""
-    if coeffs.basis != "torus-exp":
-        raise ValueError("expected torus Fourier coefficients")
-    d = coeffs.d
-    n = 2 ** (m + 1)
-    x = -1.0 + np.arange(n) * 2.0**-m
-    out = np.zeros((n,) * d, dtype=complex)
-    for k, v in coeffs.items_sorted():
-        piece = np.full((n,) * d, 2.0 ** (-d / 2.0), dtype=complex)
-        for ax, ki in enumerate(k):
-            piece = piece * _along(np.exp(1j * np.pi * ki * x), ax, d)
-        out += complex(v) * piece
-    return GridFunction(SYM, m, out)
 
 
 def signed_fft_freqs(n: int) -> np.ndarray:
@@ -609,7 +566,7 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     h = 2.0**-m
     work = np.array(coeff, dtype=complex)  # the one copy; coeff is not touched
     _negate_odd(work)
-    vals = scipy.fft.ifftn(work, workers=fft_workers(), overwrite_x=True)
+    vals = scipy.fft.ifftn(work, overwrite_x=True)
     vals /= h**d * 2.0 ** (-d / 2.0)
     return GridFunction(SYM, m, vals)
 

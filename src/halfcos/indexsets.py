@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "nonneg_part",
     "abs_index",
-    "count_nonzero",
     "l1_norm",
     "plus_l1",
     "IndexSet",
@@ -33,11 +32,6 @@ def nonneg_part(k: tuple) -> tuple:
 def abs_index(k: tuple) -> tuple:
     """Componentwise |k_i|."""
     return tuple(abs(int(x)) for x in k)
-
-
-def count_nonzero(k: tuple) -> int:
-    """Number of nonzero components."""
-    return sum(1 for x in k if x != 0)
 
 
 def l1_norm(k: tuple) -> int:

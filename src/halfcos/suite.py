@@ -32,6 +32,7 @@ from .grids import (
     SYM,
     CoefficientMap,
     GridFunction,
+    _grid_axis,
     cos_basis,
     exp_basis,
     hpc_synthesize,
@@ -77,9 +78,7 @@ def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
         "cubature-transfer": 0.0,
         "block-identity": 0.0,
     }
-    n = 2 ** (m + 1)
-    x_sym = -1.0 + np.arange(n) * 2.0**-m
-    mesh = np.ix_(*[x_sym] * d)  # open mesh: the bases broadcast 1-D factors
+    mesh = np.ix_(*[_grid_axis(SYM, m)] * d)  # open mesh: the bases broadcast 1-D factors
     decomp = DecompositionOfUnity()
     rule = fibonacci_rule(7) if d == 2 else digital_net(6, d)
 

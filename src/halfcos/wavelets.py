@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .grids import UNIT, CoefficientMap, GridFunction, _along
+from .grids import UNIT, CoefficientMap, GridFunction, _along, _grid_axis
 
 __all__ = [
     "PiecewiseLinear",
@@ -33,7 +33,6 @@ __all__ = [
     "dual_coefficients",
     "dual_father_closed_form",
     "dual_piecewise",
-    "dual_eval",
     "cw_analyze_1d",
     "cw_analyze",
     "cw_synthesize",
@@ -280,15 +279,6 @@ def dual_piecewise(l: int, k: int, n_max: int = 40) -> PiecewiseLinear:
     return PiecewiseLinear(tuple((k + np.asarray(gen.breakpoints)) / scale), gen.values)
 
 
-def dual_eval(lbar, kbar, *axes, n_max: int = 40):
-    """Tensor-product dual wavelet value at the given coordinate arrays."""
-    out = None
-    for l, k, x in zip(lbar, kbar, axes):
-        t = dual_piecewise(int(l), int(k), n_max)(x)
-        out = t if out is None else out * t
-    return out
-
-
 def _shift_range(l: int, box):
     lo, hi = box
     if l == -1:
@@ -439,9 +429,8 @@ def cw_synthesize(
     """Evaluate sum of coeff * psi_{jbar,kbar} (or dual wavelets) on the
     closed unit-cube grid at level m."""
     d = coeffs.d
-    n = 2**m + 1
-    x = np.arange(n) * 2.0**-m
-    out = np.zeros((n,) * d)
+    x = _grid_axis(UNIT, m)
+    out = np.zeros((x.size,) * d)
     cache: dict = {}
 
     def axis_vals(l, k):

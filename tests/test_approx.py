@@ -233,6 +233,9 @@ def test_ls_experiment_checks_aliasing_and_sample_count():
     for oversample in (0.0, 0.01):
         with pytest.raises(ConfigError, match="underdetermined"):
             ls_error_experiment(get_member("kink1"), N=2, seed=1, oversample=oversample)
+    for oversample in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="oversample must be finite"):
+            ls_error_experiment(get_member("kink1"), N=2, seed=1, oversample=oversample)
 
 
 def test_ls_experiment_rejects_unknown_weights():

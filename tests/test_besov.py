@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from halfcos.besov import (
+    _lp,
     BesovParams,
     DecompositionOfUnity,
     SeqNormSpec,
@@ -203,10 +204,10 @@ def test_seq_report_matches_norm_and_tail_closed_form():
 def test_seq_report_divergent_tail():
     entries = {((L,), (0,)): 2.0**L for L in range(5)}
     spec = SeqNormSpec(BesovParams(0.5, 2.0, 2.0))
-    with pytest.raises(DivergentTailError):
+    with pytest.raises(DivergentTailError, match="cw-seq level sums do not decay"):
         seq_norm_report(cw_map(entries), spec, strict=True)
     # levels reach the requested top level J = 4: still a real divergence
-    with pytest.raises(DivergentTailError):
+    with pytest.raises(DivergentTailError, match="cw-seq"):
         seq_norm_report(cw_map(entries), spec, strict=True, J=4)
     rep = seq_norm_report(cw_map(entries), spec, strict=False)
     assert rep.tail_bound == INF
@@ -353,7 +354,7 @@ def test_block_norm_decomposition_profile_band():
 def test_block_norm_divergent_tail_paths():
     slow = hpc_map({(k,): 1.0 / k for k in range(1, 65)})
     params = BesovParams(1.0, 2.0, 2.0)
-    with pytest.raises(DivergentTailError):
+    with pytest.raises(DivergentTailError, match="hpc level sums do not decay"):
         hpc_besov_norm(slow, params, J_max=4)
     rep = hpc_besov_norm(slow, params, J_max=4, strict=False)
     assert rep.tail_bound == INF
@@ -471,15 +472,30 @@ def test_difference_tensor_equals_generic_2d():
         assert a.level_terms[key] == pytest.approx(b.level_terms[key], rel=1e-11)
 
 
-def test_difference_sup_norm_takes_the_max_level():
-    rep = difference_seminorm(
-        params=BesovParams(0.5, 2.0, INF),
+def _route_report(route, params):
+    if route == "hpc":
+        return hpc_besov_norm(hpc_map({(0,): 0.3, (1,): -0.7, (3,): 0.41, (5,): 0.2}), params)
+    if route == "cw-seq":
+        entries = {((L,), (k,)): 0.5**L * (k + 1) for L in range(-1, 5) for k in range(3)}
+        return seq_norm_report(cw_map(entries), params, strict=False)
+    return difference_seminorm(
+        params=params,
         m=2,
         J_max=4,
         grid_level=6,
         tensor_factors=[lambda x: np.cos(np.pi * x)],
     )
-    assert rep.value == max(rep.level_terms.values())
+
+
+@pytest.mark.parametrize("q", [INF, 2.0], ids=["qinf", "q2"])
+@pytest.mark.parametrize("route", ["hpc", "cw-seq", "diff"])
+def test_norm_value_is_the_lq_norm_of_the_level_terms(route, q):
+    rep = _route_report(route, BesovParams(0.5, 2.0, q))
+    assert rep.norm_kind == route and len(rep.level_terms) > 1
+    if q == INF:
+        assert rep.value == max(rep.level_terms.values())
+    else:
+        assert rep.value == _lp(list(rep.level_terms.values()), q)
 
 
 def test_difference_order_must_exceed_smoothness():
@@ -491,3 +507,10 @@ def test_difference_order_must_exceed_smoothness():
         )
     with pytest.raises(ConfigError):
         difference_seminorm(f=lambda x: x, m=2)
+
+
+def test_difference_generic_callable_needs_d_at_most_two():
+    with pytest.raises(ConfigError, match="d <= 2"):
+        difference_seminorm(
+            f=lambda x, y, z: x * y * z, params=BesovParams(1.0, 2.0, 2.0), d=3
+        )

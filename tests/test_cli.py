@@ -1,7 +1,6 @@
 """Command line contract: resolved-config headers, reproducible bodies,
 and the documented exit codes."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +10,6 @@ import pytest
 
 from halfcos import cli
 from halfcos.corpus import corpus
-from halfcos.grids import fft_workers
 
 
 def run(capsys, argv):
@@ -210,30 +208,6 @@ def test_gnuplot_companion(tmp_path, capsys):
     assert rc == 2 and "--gnuplot needs --out" in err
 
 
-def test_fft_worker_cap(monkeypatch):
-    monkeypatch.delenv("HPC_BESOV_THREADS", raising=False)
-    assert fft_workers() == 1
-    monkeypatch.setenv("HPC_BESOV_THREADS", "4")
-    assert fft_workers() == 4
-    monkeypatch.setenv("HPC_BESOV_THREADS", "junk")
-    assert fft_workers() == 1
-    monkeypatch.setenv("HPC_BESOV_THREADS", "-2")
-    assert fft_workers() == 1
-    # Only the count is computed; no transform and no thread is started.
-    monkeypatch.setenv("HPC_BESOV_THREADS", str(10**9))
-    assert fft_workers() == 4 * os.cpu_count()
-
-
-def test_identities_stdout_does_not_depend_on_thread_count(monkeypatch, capsys):
-    digests = set()
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HPC_BESOV_THREADS", threads)
-        rc, out, _ = run(capsys, ["identities", "--d", "3", "--seed", "7", "--funcs", "10"])
-        assert rc == 0
-        digests.add(hashlib.sha256(out.encode()).hexdigest())
-    assert len(digests) == 1
-
-
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -249,6 +223,16 @@ def test_identities_stdout_does_not_depend_on_thread_count(monkeypatch, capsys):
         (["identities", "--funcs", "0", "--seed", "1"], 2, "n_funcs must be >= 1"),
         (["coeffs", "--fn", "kink1d", "--grid-level", "-1"], 2, "grid level m must be >= 0"),
         (["norms", "--fn", "bspline2", "--r", "nan"], 2, "r must be finite"),
+        (["identities", "--d", "2", "--seed", "-1"], 2, "seed must be >= 0"),
+        (["recover", "--fn", "kink1d", "--N", "4", "--seed", "-3"], 2, "seed must be >= 0"),
+        (["cubature", "--rule", "net", "--fn", "exp1", "--shifts", "2", "--seed", "-1"],
+         2, "seed must be >= 0"),
+        (["recover", "--fn", "kink1d", "--N", "4", "--seed", "1",
+          "--oversample", "nan"], 2, "oversample must be finite"),
+        (["recover", "--fn", "kink1d", "--N", "4", "--seed", "1",
+          "--oversample", "inf"], 2, "oversample must be finite"),
+        (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--kmax", "9",
+          "--grid-level", "3"], 3, "grid level m=3"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
