@@ -10,6 +10,7 @@ behaviour of the level terms is fitted and reported as a tail bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -325,15 +326,19 @@ def seq_norm_report(
     entry reaches level J the expansion is finite and the tail is 0."""
     params = spec.effective() if isinstance(spec, SeqNormSpec) else spec
     groups: dict = {}
-    top = -1
-    for (j, k), v in coeffs.entries.items():
-        jt = tuple(int(t) for t in j)
-        top = max(top, max(jt))
-        groups.setdefault(jt, []).append(abs(v))
-    level_terms = {
-        j: 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(block, params.p)
-        for j, block in groups.items()
-    }
+    for (j, _), v in coeffs.entries.items():
+        groups.setdefault(j, []).append(v)
+    # One array of |values|, level after level in first-appearance order,
+    # each level's values in entry order; a level's block is a slice of it.
+    absval = np.abs(np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=float,
+                                count=len(coeffs.entries)))
+    level_terms, top, start = {}, -1, 0
+    for j, vals in groups.items():
+        j = tuple(int(t) for t in j)
+        top = max(top, *j)
+        block = absval[start : start + len(vals)]
+        start += len(vals)
+        level_terms[j] = 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(block, params.p)
     exact = J is not None and top < J
     return _norm_report("cw-seq", params, top, level_terms, exact=exact, strict=strict)
 
@@ -419,6 +424,8 @@ def difference_seminorm(
     """
     if params is None:
         raise ConfigError("params required")
+    if f is None and tensor_factors is None:
+        raise ConfigError("f or tensor_factors required")
     if m <= params.r:
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
     if tensor_factors is None and d > 2:

@@ -204,13 +204,14 @@ def _cmd_coeffs(args) -> int:
     if cfg["mode"] == "gibbs":
         if member.d != 1:
             raise ConfigError("gibbs mode needs a univariate function")
-        level = int(cfg["grid_level"] or 12)
+        level = 12 if cfg["grid_level"] is None else int(cfg["grid_level"])
         rows = gibbs_demo(member, kmax, grid_level=level)
         lines.append("k,abs_sine_coef_k,abs_hpc_coef_k2")
         for k, jump, smooth in rows:
             lines.append(f"{k},{jump:.12e},{smooth:.12e}")
     elif cfg["mode"] == "decay":
-        level = int(cfg["grid_level"] or max(6, math.ceil(math.log2(4 * kmax))))
+        level = cfg["grid_level"]
+        level = max(6, math.ceil(math.log2(4 * kmax))) if level is None else int(level)
         f = GridFunction.from_callable(member, member.d, level, UNIT)
         rows = coefficient_decay_report(f, kmax)
         head = ",".join(f"k_{i+1}" for i in range(member.d))

@@ -19,6 +19,7 @@ to round-off, not just asymptotically.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -412,19 +413,77 @@ def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
     The closed-grid trapezoidal quadrature of f against c_kbar coincides
     with a type-I DCT, so the whole tensor costs O(M^d log M). Entry [kbar]
     approximates the integral of f times c_kbar; exact to round-off for
-    cosine polynomials with per-axis frequency below 2^m.
+    cosine polynomials with per-axis frequency below 2^m. The DCT-I runs
+    one axis at a time in axis order (see _dct1), so the values are those
+    of pocketfft's d-dimensional DCT-I.
     """
     if f.domain != UNIT:
         raise DomainError("hpc_analyze expects a unit-cube grid function")
-    import scipy.fft  # loaded on the first transform, so closed-form commands start without scipy
-
     h = 2.0**-f.m
-    coeff = scipy.fft.dctn(np.asarray(f.values, dtype=float), type=1) * (h / 2.0) ** f.d
+    coeff = f.values
+    for ax in range(f.d):
+        coeff = _dct1(coeff, ax)
+    coeff = coeff * (h / 2.0) ** f.d
     norm = np.ones(f.axis_size)
     norm[1:] = np.sqrt(2.0)
     for ax in range(f.d):
         coeff = coeff * _along(norm, ax, f.d)
     return coeff
+
+
+# Bytes of the even-extension buffer of _dct1: one box of lines stays in L2.
+_DCT_BATCH_BYTES = 256 * 1024
+
+
+def _dct1(x: np.ndarray, axis: int, n: int = None) -> np.ndarray:
+    """Unnormalized DCT-I, y_k = x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1}
+    x_j cos(pi j k / (n-1)), of every line of x along axis, each line
+    zero-padded to length n >= its length first (n defaults to it).
+
+    With x seen as (lead, axis, trail), lines go a box of lead and trail
+    indices at a time, about _DCT_BATCH_BYTES once extended. The box's
+    lines are written with their even extension [x, x[n-2:0:-1]] into one
+    buffer, and the real part of the buffer's real FFT is kept: the same
+    pocketfft plan and arithmetic as scipy.fft.dct(type=1), so the values
+    are bit-identical to it. The padding and its mirror image stay zero in
+    the buffer from box to box. Lines whose bits are all zero (+0.0 only)
+    are not transformed: their DCT-I is +0.0, which the output holds. A
+    box with no such line is moved by slices, any other by index.
+    """
+    x = np.asarray(x, dtype=float)
+    size = x.shape[axis]
+    n = size if n is None else n
+    lead, trail = x.shape[:axis], x.shape[axis + 1 :]
+    pre, post = math.prod(lead), math.prod(trail)
+    x3 = x.reshape(pre, size, post)
+    out = np.zeros(lead + (n,) + trail)
+    out3 = out.reshape(pre, n, post)
+    live = np.any(x3.view(np.uint64), axis=1)  # live[p, c]: line x3[p, :, c] has a bit set
+    if not live.any():
+        return out
+    ext = 2 * (n - 1)
+    top = min(size, n - 1)  # the extension ends with x[top-1:0:-1]; zeros come before it
+    batch = max(1, _DCT_BATCH_BYTES // (ext * x.itemsize))
+    height, width = max(1, batch // post), min(post, batch)
+    buf = np.zeros((min(batch, pre * post), ext))
+    spec = np.empty((buf.shape[0], n), dtype=complex)
+    for p in range(0, pre, height):
+        for c in range(0, post, width):
+            lines = live[p : p + height, c : c + width]
+            k = np.count_nonzero(lines)
+            if k == lines.size:  # the whole box, by slices
+                box, rows, order = np.s_[p : p + height, :, c : c + width], lines.shape, (0, 2, 1)
+            elif k:  # its live lines only, by index
+                i, j = np.nonzero(lines)
+                box, rows, order = (i + p, slice(None), j + c), (k,), (0, 1)
+            else:
+                continue
+            b, s = buf[:k], spec[:k]
+            b.reshape(rows + (ext,))[..., :size] = x3[box].transpose(order)
+            b[:, ext - top + 1 :] = b[:, top - 1 : 0 : -1]
+            np.fft.rfft(b, axis=-1, out=s)
+            out3[box] = s.real.reshape(rows + (n,)).transpose(order)
+    return out
 
 
 def hpc_analyze(f: GridFunction, K: IndexSet) -> CoefficientMap:
@@ -508,15 +567,14 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
 
     Sum_k z_k cos(pi k j / 2^m) equals an unnormalized DCT-I after halving
     the interior coefficients. The d-dimensional DCT-I is run one axis at
-    a time, and each axis is zero-padded to the grid only just before its
-    own transform, so the earlier axes skip the lines that would hold only
-    padding (FFT pruning). Those lines transform to exact zeros, and every
+    a time by _dct1, which zero-pads each axis to the grid only in its own
+    transform, so the earlier axes never see the lines that would hold
+    only padding (FFT pruning). _dct1 also skips every line that is
+    exactly +0.0, padded or not: such a line transforms to +0.0. Every
     other line is transformed as one DCT-I of the whole padded tensor
     would transform it, in the same axis order, so the values are
     identical to that transform.
     """
-    import scipy.fft
-
     d = coeff.ndim
     n = 2**m + 1
     work = np.asarray(coeff[(slice(0, n),) * d], dtype=float)
@@ -525,11 +583,7 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     for ax in range(d):
         work = work * _along(weight[: work.shape[ax]], ax, d)
     for ax in range(d):
-        if work.shape[ax] < n:
-            full = np.zeros(work.shape[:ax] + (n,) + work.shape[ax + 1 :])
-            full[_axis_index(ax, slice(0, work.shape[ax]))] = work
-            work = full
-        work = scipy.fft.dct(work, type=1, axis=ax, overwrite_x=True)
+        work = _dct1(work, ax, n)
     return GridFunction(UNIT, m, work)
 
 
@@ -537,10 +591,10 @@ def fourier_analyze_dense(g: GridFunction) -> np.ndarray:
     """Full tensor of torus Fourier coefficients, index k in FFT layout."""
     if g.domain != SYM:
         raise DomainError("fourier_analyze_dense expects a torus grid function")
-    import scipy.fft
-
     h = 2.0**-g.m
-    coeff = scipy.fft.fftn(np.asarray(g.values, dtype=complex))
+    coeff = np.array(g.values, dtype=complex)
+    for ax in range(g.d):  # in place, with no new array per axis
+        np.fft.fft(coeff, axis=ax, out=coeff)
     coeff *= h**g.d
     coeff *= 2.0 ** (-g.d / 2.0)
     # Node offset -1 per axis contributes the alternating sign (-1)^k.
@@ -554,19 +608,24 @@ def signed_fft_freqs(n: int) -> np.ndarray:
 
 
 def fourier_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
-    """Inverse of fourier_analyze_dense for a full FFT-layout tensor."""
+    """Inverse of fourier_analyze_dense for a full FFT-layout tensor.
+
+    The unnormalized inverse FFT runs in place one axis at a time, and the
+    1/n^d follows as one multiplication; n^d is a power of two, so that is
+    exact and the values equal those of a d-dimensional inverse FFT.
+    """
     d = coeff.ndim
     n = 2 ** (m + 1)
     if any(s != n for s in coeff.shape):
         raise ResolutionMismatchError(
             f"dense Fourier tensor must have {n} slots per axis"
         )
-    import scipy.fft
-
     h = 2.0**-m
-    work = np.array(coeff, dtype=complex)  # the one copy; coeff is not touched
-    _negate_odd(work)
-    vals = scipy.fft.ifftn(work, overwrite_x=True)
+    vals = np.array(coeff, dtype=complex)  # the one copy; coeff is not touched
+    _negate_odd(vals)
+    for ax in range(d):
+        np.fft.ifft(vals, axis=ax, norm="forward", out=vals)
+    vals *= 1.0 / vals.size
     vals /= h**d * 2.0 ** (-d / 2.0)
     return GridFunction(SYM, m, vals)
 

@@ -11,6 +11,7 @@ quadratic, so per-cell Simpson is exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -227,14 +228,12 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
     truncated Toeplitz solve converges geometrically in n_max; the fitted
     decay base yields the reported tail bound.
     """
-    import scipy.linalg  # loaded on the first solve, not with the module
-
     g = gram_sequence(eps)
     size = 2 * n_max + 1
     col = np.array([g.get(n, 0.0) for n in range(size)])
     rhs = np.zeros(size)
     rhs[n_max] = 1.0
-    a = scipy.linalg.solve_toeplitz((col, col), rhs)
+    a = _solve_toeplitz(col, rhs)
     ns = np.arange(-n_max, n_max + 1)
     window = (np.abs(ns) >= 2) & (np.abs(ns) <= n_max // 2) & (np.abs(a) > 0)
     slope, logc = np.polyfit(np.abs(ns[window]), np.log(np.abs(a[window])), 1)
@@ -248,6 +247,47 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
     return DualCoefficientSequence(
         eps=eps, n_max=n_max, coefficients=a, decay_base=base, tail_bound=tail
     )
+
+
+def _solve_toeplitz(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = rhs for the symmetric Toeplitz T with first column col,
+    by Levinson recursion (Golub-Van Loan, Matrix Computations, section 4.7).
+
+    The recursion, its operation order and its plain double arithmetic
+    are those of scipy.linalg.solve_toeplitz, so the solution is
+    bit-identical to it, in O(n^2) Python float operations.
+    """
+    a = np.concatenate((col[-1:0:-1], col)).tolist()  # a[n - 1 + i] = col[|i|]
+    b = rhs.tolist()
+    n = len(b)
+    x, g, h = [0.0] * n, [0.0] * n, [0.0] * n
+    x[0] = b[0] / a[n - 1]
+    if n > 1:
+        g[0] = a[n - 2] / a[n - 1]
+        h[0] = a[n] / a[n - 1]
+    for m in range(1, n):
+        x_num, x_den = -b[m], -a[n - 1]
+        for j in range(m):
+            x_num = x_num + a[n + m - j - 1] * x[j]
+            x_den = x_den + a[n + m - j - 1] * g[m - j - 1]
+        x[m] = x_num / x_den
+        for j in range(m):
+            x[j] = x[j] - x[m] * g[m - j - 1]
+        if m == n - 1:
+            break
+        g_num, h_num, g_den = -a[n - m - 2], -a[n + m], -a[n - 1]
+        for j in range(m):
+            g_num = g_num + a[n + j - m - 1] * g[j]
+            h_num = h_num + a[n + m - j - 1] * h[j]
+            g_den = g_den + a[n + j - m - 1] * h[m - j - 1]
+        g[m] = c1 = g_num / g_den
+        h[m] = c2 = h_num / x_den
+        for j in range((m + 1) // 2):
+            k = m - 1 - j
+            gj, gk, hj, hk = g[j], g[k], h[j], h[k]
+            g[j], g[k] = gj - c1 * hk, gk - c1 * hj
+            h[j], h[k] = hj - c2 * gk, hk - c2 * gj
+    return np.array(x)
 
 
 def dual_father_closed_form(n: int) -> float:
@@ -411,15 +451,16 @@ def cw_analyze(
         cw_analyze_1d(tensor_factors[i], J, box[i], kind, f_breaks[i], gauss_order, n_max)
         for i in range(d)
     ]
-    entries = {((), ()): 1.0}
+    # Keys in the order of nested loops over the tables, values the same
+    # products v * tv computed as one outer product per table.
+    keys, vals = [((), ())], np.ones(1)
     for t in tables:
-        entries = {
-            (j + (lk[0],), k + (lk[1],)): v * tv
-            for (j, k), v in entries.items()
-            for lk, tv in t.items()
-        }
+        keys = [(j + (l,), k + (kk,)) for j, k in keys for l, kk in t]
+        vals = np.multiply.outer(vals, np.fromiter(t.values(), float, len(t))).ravel()
     if prune > 0.0:
-        entries = {key: v for key, v in entries.items() if abs(v) > prune}
+        keep = np.abs(vals) > prune
+        keys, vals = list(itertools.compress(keys, keep)), vals[keep]
+    entries = dict(zip(keys, vals.tolist()))
     return CoefficientMap(basis=basis, d=d, entries=entries)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from halfcos.besov import (
     _lp,
+    _norm_report,
     BesovParams,
     DecompositionOfUnity,
     SeqNormSpec,
@@ -21,8 +22,11 @@ from halfcos.besov import (
     seq_norm_report,
     smooth_sigma,
 )
+from halfcos.corpus import get_member
 from halfcos.errors import ConfigError, DivergentTailError
 from halfcos.grids import CoefficientMap
+from halfcos.indexsets import plus_l1
+from halfcos.wavelets import cw_analyze
 
 INF = float("inf")
 
@@ -169,6 +173,48 @@ def test_seq_norm_homogeneity_and_empty():
     scaled = seq_norm(cw_map({key: 2.5 * v for key, v in entries.items()}), spec)
     assert scaled == pytest.approx(2.5 * base, rel=1e-14)
     assert seq_norm(cw_map({}), spec) == 0.0
+
+
+def _seq_norm_report_by_entry(coeffs, params, strict, J):
+    """The per-entry loop that seq_norm_report replaced: the oracle for
+    its grouped form."""
+    groups, top = {}, -1
+    for (j, k), v in coeffs.entries.items():
+        jt = tuple(int(t) for t in j)
+        top = max(top, max(jt))
+        groups.setdefault(jt, []).append(abs(v))
+    level_terms = {
+        j: 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(block, params.p)
+        for j, block in groups.items()
+    }
+    exact = J is not None and top < J
+    return _norm_report("cw-seq", params, top, level_terms, exact=exact, strict=strict)
+
+
+def _interleaved_levels_map():
+    # Entries of one level are not contiguous, and levels first appear out
+    # of sorted order, so grouping must keep both orders.
+    rng = np.random.default_rng(8)
+    keys = [((j1, j2), (k, k)) for k in range(3) for j1 in (2, -1, 0) for j2 in (1, -1)]
+    return cw_map({key: rng.standard_normal() for key in keys}, d=2)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+@pytest.mark.parametrize("q", [1.0, 2.0, INF])
+def test_seq_norm_report_equals_the_per_entry_loop(p, q):
+    maps = [(_interleaved_levels_map(), 3)]
+    for name, J in (("kink2", 3), ("bspline4_2", 3), ("exp1", 5)):
+        tf = get_member(name)
+        lam = cw_analyze(J=J, box=((0.0, 1.0),) * tf.d, kind="dual",
+                         tensor_factors=tf.factors, f_breaks=tf.factor_breaks or None)
+        maps.append((lam, J))
+    for lam, J in maps:
+        for r in (0.5, 1.5):
+            params = BesovParams(r, p, q)
+            got = seq_norm_report(lam, params, strict=False, J=J)
+            ref = _seq_norm_report_by_entry(lam, params, strict=False, J=J)
+            assert (got.value, got.tail_bound, got.J_max) == (ref.value, ref.tail_bound, ref.J_max)
+            assert list(got.level_terms.items()) == list(ref.level_terms.items())
 
 
 def test_seq_norm_q_monotone_and_triangle():
@@ -507,6 +553,11 @@ def test_difference_order_must_exceed_smoothness():
         )
     with pytest.raises(ConfigError):
         difference_seminorm(f=lambda x: x, m=2)
+
+
+def test_difference_needs_a_function():
+    with pytest.raises(ConfigError, match="f or tensor_factors required"):
+        difference_seminorm(params=BesovParams(1.0, 2.0, 2.0))
 
 
 def test_difference_generic_callable_needs_d_at_most_two():

@@ -233,6 +233,9 @@ def test_gnuplot_companion(tmp_path, capsys):
           "--oversample", "inf"], 2, "oversample must be finite"),
         (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--kmax", "9",
           "--grid-level", "3"], 3, "grid level m=3"),
+        (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--kmax", "9",
+          "--grid-level", "0"], 3, "grid level m=0"),
+        (["coeffs", "--fn", "kink1d", "--kmax", "4", "--grid-level", "0"], 3, "grid level m=0"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
@@ -266,27 +269,35 @@ def test_testfns_rejects_unknown_action(capsys):
     assert rc == 2
 
 
-_LAZY_SCIPY_CHECK = """
+_NO_SCIPY_CHECK = """
 import io, sys, contextlib
+import numpy as np
 from halfcos import cli
-from halfcos.grids import UNIT, GridFunction, hpc_analyze_dense
+from halfcos.grids import (SYM, UNIT, GridFunction, fourier_analyze_dense,
+                           fourier_synthesize_dense, hpc_analyze_dense, hpc_synthesize_dense)
+from halfcos.wavelets import dual_piecewise
 for argv in (["testfns"],
+             ["identities", "--d", "2", "--seed", "7", "--funcs", "10"],
+             ["coeffs", "--fn", "kink1d", "--kmax", "32"],
+             ["norms", "--fn", "bspline2", "--r", "1.5", "--p", "2", "--q", "2"],
              ["cubature", "--rule", "fibonacci", "--tent", "--fn", "kink2d", "--nmax", "13"],
-             ["approx", "--fn", "kink1d", "--kmax", "4096"]):
+             ["approx", "--fn", "kink1d", "--kmax", "4096"],
+             ["recover", "--fn", "bspline2", "--N", "8", "--seed", "11"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    loaded = {"scipy.fft", "scipy.linalg"} & set(sys.modules)
-    assert not loaded, (argv, loaded)
-hpc_analyze_dense(GridFunction(UNIT, 2, [1.0] * 5))
-assert "scipy.fft" in sys.modules
+hpc_synthesize_dense(hpc_analyze_dense(GridFunction(UNIT, 2, np.ones((5, 5)))), 2)
+fourier_synthesize_dense(fourier_analyze_dense(GridFunction(SYM, 2, np.ones((8, 8)))), 2)
+dual_piecewise(3, 1)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
 
 
-def test_closed_form_commands_do_not_load_scipy():
+def test_readme_commands_and_transforms_do_not_load_scipy():
     # A fresh interpreter: this test session has scipy loaded already.
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHECK], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHECK], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

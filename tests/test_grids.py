@@ -355,7 +355,75 @@ def test_pruned_synthesis_matches_one_dctn(d, m, extra):
         assert np.array_equal(got, _dctn_synthesis(coeff, m))
 
 
-@pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 2)])
+_DENSE_SHAPES = [(1, m) for m in range(12)] + [(2, m) for m in range(11)] + [
+    (3, m) for m in range(7)
+]
+
+
+def _same_bits(got, ref):
+    """Equal values and equal zero signs: the bytes of the two arrays."""
+    return np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
+
+
+def _with_zero_lines(values, rng):
+    """values with one whole line of +0.0 and one of -0.0 along each axis:
+    the +0.0 lines are skipped by the transforms, the -0.0 ones are not."""
+    values = values.copy()
+    for ax in range(values.ndim):
+        for zero in (0.0, -0.0):
+            index = [int(rng.integers(s)) for s in values.shape]
+            index[ax] = slice(None)
+            values[tuple(index)] = zero
+    return values
+
+
+@pytest.mark.parametrize("d, m", _DENSE_SHAPES)
+def test_dense_cosine_transforms_equal_scipy_dctn(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    n = 2**m + 1
+    h = 2.0**-m
+    g = GridFunction(UNIT, m, _with_zero_lines(rng.normal(size=(n,) * d), rng))
+    norm = np.ones(n)
+    norm[1:] = np.sqrt(2.0)
+    ref = scipy.fft.dctn(g.values, type=1) * (h / 2.0) ** d
+    for ax in range(d):
+        ref = ref * grids._along(norm, ax, d)
+    assert _same_bits(hpc_analyze_dense(g), ref)
+    ragged = tuple(max(1, n - 3 * ax - m % 3) for ax in range(d))
+    for shape in [(n,) * d, (max(1, n - 2),) * d, ragged, (n + 2,) * d]:
+        coeff = _with_zero_lines(rng.normal(size=shape), rng)
+        coeff[coeff < -1.0] = 0.0  # scattered exact zeros, as in the cosine blocks
+        assert _same_bits(hpc_synthesize_dense(coeff, m).values, _dctn_synthesis(coeff, m))
+
+
+def _cosine_sum_synthesis(coeff, m):
+    """sum_k coeff[k] c_k(x) on the level-m grid, term by term."""
+    x = grids._grid_axis(UNIT, m)
+    out = np.zeros((x.size,) * coeff.ndim)
+    for k in np.ndindex(*coeff.shape):
+        term = coeff[k]
+        for ax, ki in enumerate(k):
+            term = term * grids._along(hpc_basis_1d(ki, x), ax, coeff.ndim)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("d, m, size", [(1, 0, 2), (1, 4, 9), (1, 6, 65), (2, 3, 5), (3, 2, 3)])
+def test_dense_cosine_transforms_match_cosine_sums(d, m, size):
+    rng = np.random.default_rng(m + d)
+    coeff = rng.normal(size=(size,) * d)
+    coeff[(0,) * (d - 1)] = 0.0  # one exact-zero line
+    ref = _cosine_sum_synthesis(coeff, m)
+    g = hpc_synthesize_dense(coeff, m)
+    assert np.allclose(g.values, ref, rtol=0.0, atol=1e-13 * np.abs(coeff).sum())
+    # Analysis by trapezoid quadrature against each c_k: the DCT-I inverts
+    # the synthesis for frequencies below 2^m.
+    back = hpc_analyze_dense(g)[(slice(0, size),) * d]
+    keep = coeff[(slice(0, min(size, 2**m)),) * d]
+    assert np.allclose(back[(slice(0, keep.shape[0]),) * d], keep, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 2), (3, 5)])
 def test_fourier_dense_signs_match_the_sign_vector(d, m):
     rng = np.random.default_rng(d)
     n = 2 ** (m + 1)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy as sp
 
 from halfcos.errors import ConfigError
@@ -119,6 +120,18 @@ def test_dual_father_closed_form_agreement():
     seq = dual_coefficients(-1, n_max=40)
     for n in range(-20, 21):
         assert abs(seq.a(n) - dual_father_closed_form(n)) < 1e-9
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+@pytest.mark.parametrize("n_max", [10, 20, 40, 60])
+def test_dual_solve_equals_scipy_solve_toeplitz(eps, n_max):
+    g = gram_sequence(eps)
+    col = np.array([g.get(n, 0.0) for n in range(2 * n_max + 1)])
+    rhs = np.zeros(col.size)
+    rhs[n_max] = 1.0
+    ref = scipy.linalg.solve_toeplitz((col, col), rhs)
+    got = dual_coefficients(eps, n_max=n_max, tol=1.0).coefficients
+    assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
 
 
 def test_dual_decay_base():
