@@ -87,7 +87,6 @@ from .approx import (
 )
 from .corpus import (
     TestFunction,
-    corpus,
     get_member,
     band_family,
     h2_family,

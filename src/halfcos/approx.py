@@ -21,8 +21,8 @@ from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
-    _along,
     _check_aliasing,
+    _weigh,
     box_slabs,
     fourier_analyze_dense,
     fourier_synthesize_dense,
@@ -51,9 +51,7 @@ __all__ = [
 def _cross_mask(freqs, N: int) -> np.ndarray:
     """Mask of the hyperbolic cross prod (1 + |k_i|) <= N on the tensor
     spanned by the per-axis frequency vectors."""
-    prod = np.ones(tuple(len(k) for k in freqs))
-    for ax, k in enumerate(freqs):
-        prod = prod * _along(1.0 + np.abs(k), ax, len(freqs))
+    prod = _weigh(np.ones(tuple(len(k) for k in freqs)), [1.0 + np.abs(k) for k in freqs])
     return prod <= N
 
 

@@ -21,8 +21,8 @@ from .grids import (
     SYM,
     CoefficientMap,
     GridFunction,
-    _along,
     _grid_axis,
+    _weigh,
     fourier_analyze_dense,
     fourier_synthesize_dense,
     hpc_synthesize_dense,
@@ -175,13 +175,15 @@ class NormReport:
         return "norm_kind,r,p,q,J_max,value,tail_bound"
 
 
-def _lp(values, p: float) -> float:
+def _lp(values, p: float, mean: bool = False) -> float:
+    """ell_p norm of the values; with mean, their L_p norm under equal
+    weights of total mass 1, as on the torus grid."""
     a = np.abs(np.asarray(values, dtype=float))
     if a.size == 0:
         return 0.0
     if p == INF:
         return float(a.max())
-    return float(np.sum(a**p) ** (1.0 / p))
+    return float((np.mean(a**p) if mean else np.sum(a**p)) ** (1.0 / p))
 
 
 def _hpc_dense(coeffs: CoefficientMap) -> np.ndarray:
@@ -199,9 +201,7 @@ def hpc_block(
     """Weighted cosine sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid."""
     dense = _hpc_dense(f_coeffs)
     ks = np.arange(dense.shape[0], dtype=float)
-    for ax, j in enumerate(jbar):
-        dense = dense * _along(decomp.phi(int(j), ks), ax, f_coeffs.d)
-    return hpc_synthesize_dense(dense, grid_level)
+    return hpc_synthesize_dense(_weigh(dense, [decomp.phi(int(j), ks) for j in jbar]), grid_level)
 
 
 def _level_cap(kmax: int) -> int:
@@ -297,9 +297,7 @@ def hpc_besov_norm(
     for jbar in np.ndindex(*([J + 1] * d)):
         if any(axis_w[j] is None for j in jbar):
             continue
-        block = base
-        for ax, j in enumerate(jbar):
-            block = block * _along(axis_w[j], ax, d)
+        block = _weigh(base, [axis_w[j] for j in jbar])
         if not np.any(block):
             continue
         g = hpc_synthesize_dense(block, grid_level)
@@ -356,14 +354,6 @@ def holder_pairing_check(lam: CoefficientMap, mu: CoefficientMap, params: BesovP
     return lhs, rhs
 
 
-def _torus_weights(dense: np.ndarray, jbar, decomp: DecompositionOfUnity) -> np.ndarray:
-    """FFT-layout tensor times the even block weights psi_{j_i}, axis by axis."""
-    freqs = signed_fft_freqs(dense.shape[0]).astype(float)
-    for ax, j in enumerate(jbar):
-        dense = dense * _along(decomp.symmetric(int(j), freqs), ax, dense.ndim)
-    return dense
-
-
 def periodization_block_identity(
     f_coeffs: CoefficientMap,
     jbar,
@@ -381,7 +371,9 @@ def periodization_block_identity(
 
     g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs), grid_level)
     dense = fourier_analyze_dense(periodize(g_unit))
-    block_t = fourier_synthesize_dense(_torus_weights(dense, jbar, decomp), grid_level)
+    freqs = signed_fft_freqs(dense.shape[0]).astype(float)  # even block weights psi_j
+    weighted = _weigh(dense, [decomp.symmetric(int(j), freqs) for j in jbar])
+    block_t = fourier_synthesize_dense(weighted, grid_level)
 
     block_u = hpc_block(f_coeffs, jbar, decomp, grid_level)
     if p == INF:
@@ -389,17 +381,37 @@ def periodization_block_identity(
     return block_t.lp_norm(p) ** p, 2.0**d * block_u.lp_norm(p) ** p
 
 
-def rectangular_mean_1d(f, m: int, t: float, x: np.ndarray, gauss: int = 8):
-    """R_m(f,t,x) = int_{-1}^{1} |Delta^m_{h t} f(x)| dh by Gauss quadrature."""
+def _rectangular_mean(f, m: int, steps, axes, gauss: int) -> np.ndarray:
+    """int over [-1,1]^e of |Delta^m f(x)| dh by tensor Gauss quadrature on
+    the open mesh np.ix_(*axes), which f must broadcast. The difference
+    moves axis i by l h_i steps[i], l = 0..m, along each active axis, those
+    whose step is not None; with no active axis the result is |f|."""
     nodes, weights = np.polynomial.legendre.leggauss(gauss)
     signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
-    out = np.zeros_like(x)
-    for h, w in zip(nodes, weights):
-        acc = np.zeros_like(x)
-        for l in range(m + 1):
-            acc += signs[l] * np.asarray(f(x + l * h * t), dtype=float)
-        out += w * np.abs(acc)
-    return out
+    active = [i for i, t in enumerate(steps) if t is not None]
+    mesh, shape = np.ix_(*axes), tuple(len(x) for x in axes)
+    all_shifts = list(np.ndindex(*([m + 1] * len(active))))
+    acc = np.zeros(shape)
+    for combo in np.ndindex(*([gauss] * len(active))):
+        diff = np.zeros(shape)
+        for shifts in all_shifts:
+            coeff, moved = 1.0, list(mesh)
+            for i, ci, l in zip(active, combo, shifts):
+                coeff *= signs[l]
+                moved[i] = mesh[i] + l * nodes[ci] * steps[i]
+            diff += coeff * np.asarray(f(*moved), dtype=float)
+        wq = 1.0
+        for ci in combo:
+            wq *= weights[ci]
+        acc += wq * np.abs(diff)
+    return acc
+
+
+def rectangular_mean_1d(f, m: int, t: float, x: np.ndarray, gauss: int = 8):
+    """R_m(f,t,x) = int_{-1}^{1} |Delta^m_{h t} f(x)| dh by Gauss quadrature,
+    at points x of any shape."""
+    x = np.asarray(x, dtype=float)
+    return _rectangular_mean(f, m, (t,), (x.ravel(),), gauss).reshape(x.shape)
 
 
 def difference_seminorm(
@@ -419,8 +431,11 @@ def difference_seminorm(
     L_p norms use the normalized torus measure, so for reflection-symmetric
     periodizations the values match unit-cube norms of the underlying
     function. tensor_factors (univariate periodic callables) factorize the
-    computation exactly in any dimension; a generic callable f needs d <= 2
-    and uses tensor Gauss quadrature for the h-integral.
+    computation exactly in any dimension: each factor's rectangular mean is
+    taken once per level. A generic callable f needs d <= 2 and uses tensor
+    Gauss quadrature for the h-integral, once per jbar; it gets the grid
+    axes as an open mesh (np.ix_), as in GridFunction.from_callable, so it
+    must broadcast its arguments against each other.
     """
     if params is None:
         raise ConfigError("params required")
@@ -430,61 +445,22 @@ def difference_seminorm(
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
     if tensor_factors is None and d > 2:
         raise ConfigError(f"difference route for a generic callable needs d <= 2, got d={d}")
-    p, r = params.p, params.r
     x1 = _grid_axis(SYM, grid_level)
-
-    def grid_lp(values) -> float:
-        a = np.abs(np.asarray(values, dtype=float))
-        if p == INF:
-            return float(a.max())
-        return float(np.mean(a**p) ** (1.0 / p))
-
-    level_terms = {}
+    steps = [None] + [2.0**-j for j in range(1, J_max + 1)]  # level 0: no difference
+    grid_lp = lambda values: _lp(values, params.p, mean=True)
     if tensor_factors is not None:
         d = len(tensor_factors)
-        tables = []
-        for fi in tensor_factors:
-            col = {0: np.asarray(fi(x1), dtype=float)}
-            for j in range(1, J_max + 1):
-                col[j] = rectangular_mean_1d(fi, m, 2.0**-j, x1, gauss)
-            tables.append({j: grid_lp(v) for j, v in col.items()})
-        for jbar in np.ndindex(*([J_max + 1] * d)):
+        tables = [[grid_lp(_rectangular_mean(fi, m, (t,), (x1,), gauss)) for t in steps]
+                  for fi in tensor_factors]
+    level_terms = {}
+    for jbar in np.ndindex(*([J_max + 1] * d)):
+        if tensor_factors is not None:
             val = 1.0
             for i, j in enumerate(jbar):
                 val *= tables[i][j]
-            term = 2.0 ** (r * sum(jbar)) * val
-            if term > 0.0:
-                level_terms[tuple(int(t) for t in jbar)] = term
-    else:
-        axes = [x1] * d
-        nodes, weights = np.polynomial.legendre.leggauss(gauss)
-        signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
-        for jbar in np.ndindex(*([J_max + 1] * d)):
-            e = [i for i in range(d) if jbar[i] != 0]
-            if not e:
-                mesh = np.meshgrid(*axes, indexing="ij") if d > 1 else [axes[0]]
-                term = grid_lp(np.asarray(f(*mesh), dtype=float))
-                if term > 0.0:
-                    level_terms[tuple(int(t) for t in jbar)] = term
-                continue
-            acc = np.zeros((x1.size,) * d)
-            for combo in np.ndindex(*([gauss] * len(e))):
-                wq = 1.0
-                diff = np.zeros((x1.size,) * d)
-                for shifts in np.ndindex(*([m + 1] * len(e))):
-                    coeff = 1.0
-                    moved = list(axes)
-                    for pos, ci, l in zip(e, combo, shifts):
-                        coeff *= signs[l]
-                        moved[pos] = axes[pos] + l * nodes[ci] * 2.0 ** (-jbar[pos])
-                    mesh = (
-                        np.meshgrid(*moved, indexing="ij") if d > 1 else [moved[0]]
-                    )
-                    diff += coeff * np.asarray(f(*mesh), dtype=float)
-                for ci in combo:
-                    wq *= weights[ci]
-                acc += wq * np.abs(diff)
-            term = 2.0 ** (r * sum(jbar)) * grid_lp(acc)
-            if term > 0.0:
-                level_terms[tuple(int(t) for t in jbar)] = term
+        else:
+            val = grid_lp(_rectangular_mean(f, m, [steps[j] for j in jbar], [x1] * d, gauss))
+        term = 2.0 ** (params.r * sum(jbar)) * val
+        if term > 0.0:
+            level_terms[tuple(int(t) for t in jbar)] = term
     return _norm_report("diff", params, J_max, level_terms, exact=False, strict=False)

@@ -46,55 +46,10 @@ _NUMERIC_ERRORS = (
     TruncationError,
 )
 
-_DEFAULTS = {
-    "identities": {"d": 1, "funcs": 50, "seed": None},
-    "coeffs": {"fn": None, "mode": "decay", "kmax": 16, "grid_level": None},
-    "norms": {
-        "fn": None,
-        "r": 1.5,
-        "p": 2.0,
-        "q": 2.0,
-        "compare": "cw,diff,hpc",
-        "J": 6,
-        "m": 3,
-        "strict": False,
-    },
-    "cubature": {
-        "fn": None,
-        "rule": "fibonacci",
-        "alpha": 1,
-        "tent": False,
-        "nmin": 5,
-        "nmax": 13,
-        "shifts": 0,
-        "seed": None,
-        "log_exponent": 0.0,
-        "skip": 2,
-    },
-    "approx": {
-        "fn": None,
-        "N_list": "2,3,4,6,8,11,16,23,32,45,64,91,128",
-        "p": 2.0,
-        "kmax": 512,
-        "log_exponent": 0.0,
-        "skip": 1,
-    },
-    "recover": {
-        "fn": None,
-        "N": 8,
-        "oversample": 4.0,
-        "seed": None,
-        "grid_level": 10,
-        "weights": "uniform",
-    },
-    "testfns": {"action": "list"},
-}
 
-
-def _check_number(key: str, val, default):
-    """A config-file value for a numeric key must convert as the command
-    will convert it; the seed and the grid level have no numeric default."""
-    kind = int if key in ("seed", "grid_level") else type(default)
+def _check_number(key: str, val, kind, default):
+    """A config-file value for a key of numeric type must convert as its
+    flag converts it; None stays allowed where the default is None."""
     if kind in (int, float) and not (val is None and default is None):
         try:
             kind(val)
@@ -104,7 +59,9 @@ def _check_number(key: str, val, default):
 
 def _resolve(cmd: str, args: argparse.Namespace) -> dict:
     """defaults <- config file section <- explicit flags."""
-    cfg = dict(_DEFAULTS[cmd])
+    options = {flag.lstrip("-").replace("-", "_"): (default, kw)
+               for flag, default, kw in _COMMANDS[cmd][3]}
+    cfg = {key: default for key, (default, _) in options.items()}
     path = getattr(args, "config", None)
     if path:
         try:
@@ -117,18 +74,14 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"config key {key!r} unknown for {cmd!r}")
-            _check_number(key, val, cfg[key])
+            default, kw = options[key]
+            _check_number(key, val, kw.get("type"), default)
             cfg[key] = val
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
-
-
-def _config_line(cmd: str, cfg: dict) -> str:
-    parts = [f"{k}={cfg[k]}" for k in sorted(cfg)]
-    return f"# config: cmd={cmd} " + " ".join(parts)
 
 
 def _emit(text: str, out, gnuplot_script: str = None):
@@ -157,13 +110,11 @@ def _gnuplot(csv_path: str, xlabel: str, ylabel: str, logscale: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_fit(cmd: str, cfg: dict, fit, args, xlabel: str, ylabel: str) -> int:
-    """Write a rate table: the fit's rows, its slope and intercept, and a
-    log-log gnuplot script when --gnuplot is given."""
-    trailer = f"# slope = {fit.slope:.6f}\n# intercept = {fit.intercept:.6f}\n"
-    script = _gnuplot(args.out, xlabel, ylabel, logscale=True) if args.gnuplot else None
-    _emit(_config_line(cmd, cfg) + "\n" + fit.csv_rows() + trailer, args.out, script)
-    return 0
+def _fit_lines(fit) -> list:
+    """A rate table: the fit's rows, then its slope and intercept."""
+    return fit.csv_rows().splitlines() + [
+        f"# slope = {fit.slope:.6f}", f"# intercept = {fit.intercept:.6f}"
+    ]
 
 
 def _require_seed(cfg: dict):
@@ -183,24 +134,21 @@ def _member(cfg: dict):
         raise ConfigError(exc.args[0])
 
 
-def _cmd_identities(args) -> int:
-    cfg = _resolve("identities", args)
+def _cmd_identities(cfg: dict) -> list:
     _require_seed(cfg)
     res = identity_suite(int(cfg["d"]), cfg["seed"], n_funcs=int(cfg["funcs"]))
-    lines = [_config_line("identities", cfg), "identity,max_rel_residual"]
+    lines = ["identity,max_rel_residual"]
     for name in sorted(res):
         lines.append(f"{name},{res[name]:.6e}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return lines
 
 
-def _cmd_coeffs(args) -> int:
-    cfg = _resolve("coeffs", args)
+def _cmd_coeffs(cfg: dict) -> list:
     member = _member(cfg)
     kmax = int(cfg["kmax"])
     if kmax < 1:
         raise ConfigError(f"--kmax must be >= 1, got {kmax}")
-    lines = [_config_line("coeffs", cfg)]
+    lines = []
     if cfg["mode"] == "gibbs":
         if member.d != 1:
             raise ConfigError("gibbs mode needs a univariate function")
@@ -220,15 +168,10 @@ def _cmd_coeffs(args) -> int:
             lines.append(",".join(str(k) for k in kbar) + f",{w:.12e}")
     else:
         raise ConfigError(f"unknown coeffs mode {cfg['mode']!r}")
-    script = None
-    if args.gnuplot:
-        script = _gnuplot(args.out, "k", "weighted coefficient", logscale=False)
-    _emit("\n".join(lines) + "\n", args.out, script)
-    return 0
+    return lines
 
 
-def _cmd_norms(args) -> int:
-    cfg = _resolve("norms", args)
+def _cmd_norms(cfg: dict) -> list:
     member = _member(cfg)
     params = BesovParams(float(cfg["r"]), float(cfg["p"]), float(cfg["q"]))
     compare = tuple(t.strip() for t in str(cfg["compare"]).split(",") if t.strip())
@@ -243,7 +186,7 @@ def _cmd_norms(args) -> int:
         m_order=int(cfg["m"]),
         strict=bool(cfg["strict"]),
     )
-    lines = [_config_line("norms", cfg), NormReport.csv_header()]
+    lines = [NormReport.csv_header()]
     for kind in compare:
         lines.append(reports[kind].csv_row())
     if "hpc" in reports and reports["hpc"].value > 0.0:
@@ -251,12 +194,10 @@ def _cmd_norms(args) -> int:
             if kind in reports:
                 ratio = reports[kind].value / reports["hpc"].value
                 lines.append(f"# ratio {kind}/hpc = {ratio:.6g}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return lines
 
 
-def _cmd_cubature(args) -> int:
-    cfg = _resolve("cubature", args)
+def _cmd_cubature(cfg: dict) -> list:
     member = _member(cfg)
     shifts = int(cfg["shifts"])
     if shifts > 0:
@@ -282,11 +223,10 @@ def _cmd_cubature(args) -> int:
         log_exponent=float(cfg["log_exponent"]),
         skip_smallest=int(cfg["skip"]),
     )
-    return _emit_fit("cubature", cfg, fit, args, "n", "error")
+    return _fit_lines(fit)
 
 
-def _cmd_approx(args) -> int:
-    cfg = _resolve("approx", args)
+def _cmd_approx(cfg: dict) -> list:
     member = _member(cfg)
     try:
         n_list = [int(t) for t in str(cfg["N_list"]).split(",") if t.strip()]
@@ -300,11 +240,10 @@ def _cmd_approx(args) -> int:
         log_exponent=float(cfg["log_exponent"]),
         skip_smallest=int(cfg["skip"]),
     )
-    return _emit_fit("approx", cfg, fit, args, "dim", "projection error")
+    return _fit_lines(fit)
 
 
-def _cmd_recover(args) -> int:
-    cfg = _resolve("recover", args)
+def _cmd_recover(cfg: dict) -> list:
     member = _member(cfg)
     _require_seed(cfg)
     row = ls_error_experiment(
@@ -315,8 +254,7 @@ def _cmd_recover(args) -> int:
         grid_level=int(cfg["grid_level"]),
         weights=str(cfg["weights"]),
     )
-    lines = [
-        _config_line("recover", cfg),
+    return [
         "N,dim,samples,ls_error,projection_error,condition,normal_residual",
         (
             f"{row['N']},{row['dim']},{row['samples']},{row['ls_error']:.12e},"
@@ -324,19 +262,99 @@ def _cmd_recover(args) -> int:
             f"{row['normal_residual']:.6e}"
         ),
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_testfns(args) -> int:
-    cfg = _resolve("testfns", args)
+def _cmd_testfns(cfg: dict) -> list:
     if cfg["action"] != "list":
         raise ConfigError(f"unknown testfns action {cfg['action']!r}")
-    lines = [_config_line("testfns", cfg), "name,d,integral,tag"]
+    lines = ["name,d,integral,tag"]
     for name, tf in sorted(corpus().items()):
         lines.append(f"{name},{tf.d},{tf.integral:.12g},{tf.tag}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return lines
+
+
+_INT, _FLOAT = {"type": int}, {"type": float}
+_FLAG = {"action": "store_const", "const": True}
+
+# One table per subcommand: its help line; its handler, which maps the
+# resolved config to the CSV lines below the `# config:` line; the axis
+# labels and log scale of its --gnuplot script, None if it takes no
+# --gnuplot; and its options in flag order as (flag, default, argparse
+# keywords). The flag names the config key (--grid-level is grid_level).
+# The parser, the config-file checks and the `# config:` line all read the
+# table; --gnuplot is a flag only, never a config key.
+_COMMANDS = {
+    "identities": (
+        "residuals of the exact identities", _cmd_identities, None,
+        [("--d", 1, _INT), ("--funcs", 50, _INT), ("--seed", None, _INT)],
+    ),
+    "coeffs": (
+        "coefficient decay / jump comparison tables", _cmd_coeffs,
+        ("k", "weighted coefficient", False),
+        [
+            ("--fn", None, {}),
+            ("--mode", "decay", {"choices": ["decay", "gibbs"]}),
+            ("--kmax", 16, _INT),
+            ("--grid-level", None, _INT),
+        ],
+    ),
+    "norms": (
+        "smoothness norms along three routes", _cmd_norms, None,
+        [
+            ("--fn", None, {}),
+            ("--r", 1.5, _FLOAT),
+            ("--p", 2.0, _FLOAT),
+            ("--q", 2.0, _FLOAT),
+            ("--compare", "cw,diff,hpc", {}),
+            ("--J", 6, _INT),
+            ("--m", 3, {"type": int, "help": "difference order"}),
+            ("--strict", False, _FLAG),
+        ],
+    ),
+    "cubature": (
+        "equal-weight rule convergence table", _cmd_cubature,
+        ("n", "error", True),
+        [
+            ("--fn", None, {}),
+            ("--rule", "fibonacci", {"choices": ["fibonacci", "net"]}),
+            ("--alpha", 1, {"type": int, "choices": [1, 2]}),
+            ("--tent", False, _FLAG),
+            ("--nmin", 5, _INT),
+            ("--nmax", 13, _INT),
+            ("--shifts", 0, _INT),
+            ("--seed", None, _INT),
+            ("--log-exponent", 0.0, _FLOAT),
+            ("--skip", 2, _INT),
+        ],
+    ),
+    "approx": (
+        "hyperbolic cross projection error table", _cmd_approx,
+        ("dim", "projection error", True),
+        [
+            ("--fn", None, {}),
+            ("--N-list", "2,3,4,6,8,11,16,23,32,45,64,91,128", {}),
+            ("--p", 2.0, _FLOAT),
+            ("--kmax", 512, _INT),
+            ("--log-exponent", 0.0, _FLOAT),
+            ("--skip", 1, _INT),
+        ],
+    ),
+    "recover": (
+        "least-squares recovery vs projection", _cmd_recover, None,
+        [
+            ("--fn", None, {}),
+            ("--N", 8, _INT),
+            ("--oversample", 4.0, _FLOAT),
+            ("--seed", None, _INT),
+            ("--grid-level", 10, _INT),
+            ("--weights", "uniform", {"choices": ["uniform"]}),
+        ],
+    ),
+    "testfns": (
+        "list the test function corpus", _cmd_testfns, None,
+        [("action", "list", {"nargs": "?"})],
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,88 +363,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="half-period cosine analysis experiments",
     )
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
+    for cmd, (text, _, plot, options) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=text)
         p.add_argument("--config", help="JSON file with defaults; flags override")
         p.add_argument("--out", help="output CSV path (default stdout)")
-
-    p = sub.add_parser("identities", help="residuals of the exact identities")
-    common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--funcs", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_identities, gnuplot=False)
-
-    p = sub.add_parser("coeffs", help="coefficient decay / jump comparison tables")
-    common(p)
-    p.add_argument("--fn")
-    p.add_argument("--mode", choices=["decay", "gibbs"])
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--grid-level", dest="grid_level", type=int)
-    p.add_argument("--gnuplot", action="store_true")
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("norms", help="smoothness norms along three routes")
-    common(p)
-    p.add_argument("--fn")
-    p.add_argument("--r", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--compare")
-    p.add_argument("--J", type=int)
-    p.add_argument("--m", type=int, help="difference order")
-    p.add_argument("--strict", action="store_const", const=True)
-    p.set_defaults(func=_cmd_norms, gnuplot=False)
-
-    p = sub.add_parser("cubature", help="equal-weight rule convergence table")
-    common(p)
-    p.add_argument("--fn")
-    p.add_argument("--rule", choices=["fibonacci", "net"])
-    p.add_argument("--alpha", type=int, choices=[1, 2])
-    p.add_argument("--tent", action="store_const", const=True)
-    p.add_argument("--nmin", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--shifts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--log-exponent", dest="log_exponent", type=float)
-    p.add_argument("--skip", type=int)
-    p.add_argument("--gnuplot", action="store_true")
-    p.set_defaults(func=_cmd_cubature)
-
-    p = sub.add_parser("approx", help="hyperbolic cross projection error table")
-    common(p)
-    p.add_argument("--fn")
-    p.add_argument("--N-list", dest="N_list")
-    p.add_argument("--p", type=float)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--log-exponent", dest="log_exponent", type=float)
-    p.add_argument("--skip", type=int)
-    p.add_argument("--gnuplot", action="store_true")
-    p.set_defaults(func=_cmd_approx)
-
-    p = sub.add_parser("recover", help="least-squares recovery vs projection")
-    common(p)
-    p.add_argument("--fn")
-    p.add_argument("--N", type=int)
-    p.add_argument("--oversample", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--grid-level", dest="grid_level", type=int)
-    p.add_argument("--weights", choices=["uniform"])
-    p.set_defaults(func=_cmd_recover, gnuplot=False)
-
-    p = sub.add_parser("testfns", help="list the test function corpus")
-    common(p)
-    p.add_argument("action", nargs="?")
-    p.set_defaults(func=_cmd_testfns, gnuplot=False)
-
+        for flag, _, kw in options:
+            p.add_argument(flag, **kw)
+        if plot:
+            p.add_argument("--gnuplot", action="store_true")
     return top
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _, handler, plot, _ = _COMMANDS[args.cmd]
     try:
-        return args.func(args)
+        cfg = _resolve(args.cmd, args)
+        body = handler(cfg)  # first: a handler may normalize cfg, as the seed check does
+        head = f"# config: cmd={args.cmd} " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+        script = _gnuplot(args.out, *plot) if plot and args.gnuplot else None
+        _emit("\n".join([head] + body) + "\n", args.out, script)
+        return 0
     except ConfigError as exc:
         print(f"halfcos: config error: {exc}", file=sys.stderr)
         return 2

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, ConfigError
 from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
     _check_aliasing,
-    _grid_axis,
     box_slabs,
     hpc_analyze_dense,
     slab_keys,
@@ -49,9 +48,7 @@ KINK_A = 1.0 / math.pi  # irrational knot, avoids grid alignment
 
 
 def linear_coeff(k: int) -> float:
-    if k == 0:
-        return 0.5
-    return SQRT2 * ((-1.0) ** k - 1.0) / (math.pi * k) ** 2
+    return kink_coeff(0.0, k)  # x is the kink (x - a)_+ at a = 0
 
 
 def kink_coeff(a: float, k: int) -> float:
@@ -72,6 +69,11 @@ def smoothper_coeff(k: int) -> float:
     if k % 2 == 0:
         return 0.0
     return 2.0 * SQRT2 / (math.pi * (4.0 - k * k))
+
+
+def _check_kmax(kmax: int) -> None:
+    if kmax < 0:
+        raise ConfigError(f"coefficient box kmax must be >= 0, got {kmax}")
 
 
 @dataclass
@@ -116,6 +118,7 @@ class TestFunction:
 
     def hpc_map(self, kmax: int) -> CoefficientMap:
         """Closed-form coefficients on the full box |kbar|_inf <= kmax."""
+        _check_kmax(kmax)
         entries = {}
         for prefix, slab in box_slabs(self.coefficient_vectors(kmax)):
             keep = slab != 0.0
@@ -124,7 +127,8 @@ class TestFunction:
 
     def hpc_map_numeric(self, kmax: int, grid_level: int = None) -> CoefficientMap:
         """Coefficients by aliasing-checked dense transform on the box."""
-        m = grid_level or max(6, int(math.ceil(math.log2(4 * max(kmax, 1)))))
+        _check_kmax(kmax)
+        m = max(6, math.ceil(math.log2(4 * max(kmax, 1)))) if grid_level is None else grid_level
         g = GridFunction.from_callable(self, self.d, m, UNIT)
         box = hpc_analyze_dense(g)[(slice(0, kmax + 1),) * self.d]
         if box.shape != (kmax + 1,) * self.d:
@@ -149,12 +153,8 @@ class TestFunction:
         return abs(q - self.integral)
 
 
-def _hat(width: float, shift: float):
-    return lambda x: bspline_value(2, width * x - shift)
-
-
-def _n4(width: float, shift: float):
-    return lambda x: bspline_value(4, width * x - shift)
+def _spline(order: int, width: float, shift: float):
+    return lambda x: bspline_value(order, width * x - shift)
 
 
 def _combo(parts):
@@ -215,9 +215,9 @@ def corpus() -> dict:
                     coeff=lambda k: kink_coeff(KINK_A, k), breaks=(KINK_A,)))
         add(_tensor(f"smoothper{d}", d, sper, 1.0, "smooth periodic",
                     coeff=smoothper_coeff))
-        add(_tensor(f"bspline2_{d}", d, _hat(4.0, 1.0), 0.25,
+        add(_tensor(f"bspline2_{d}", d, _spline(2, 4.0, 1.0), 0.25,
                     "r~3/2 in L2 scale (hat)", breaks=_dyadic_breaks(4)))
-        add(_tensor(f"bspline4_{d}", d, _n4(8.0, 2.0), 0.125,
+        add(_tensor(f"bspline4_{d}", d, _spline(4, 8.0, 2.0), 0.125,
                     "r~7/2 in L2 scale (cubic spline)", breaks=_dyadic_breaks(8)))
     add(TestFunction(name="gibbs", d=1, factors=[lin], integral=0.5,
                      tag="step-like: f(0) != f(1)", factor_coeff=[linear_coeff],
@@ -272,10 +272,7 @@ def band_family(scale: int = 0) -> list:
 
     out = []
     for name, parts in specs:
-        callables = [
-            (c, _hat(w, k) if order == 2 else _n4(w, k))
-            for c, order, w, k in parts
-        ]
+        callables = [(c, _spline(order, w, k)) for c, order, w, k in parts]
         out.append(
             TestFunction(
                 name=f"{name}@s{scale}",
@@ -300,9 +297,8 @@ def gibbs_demo(f, k_max: int, grid_level: int = 12) -> list:
     for k = 1..k_max: the first column stays bounded away from zero for a
     step-like f (periodization jump), the second stays bounded."""
     _check_aliasing(grid_level, k_max)
-    x = _grid_axis(UNIT, grid_level)
-    vals = np.asarray(f(x), dtype=float)
-    g = GridFunction(UNIT, grid_level, vals)
+    g = GridFunction.from_callable(f, 1, grid_level, UNIT)
+    x, vals = g.axis_points(), g.values
     w = g.axis_weights()
     dense = hpc_analyze_dense(g)
     rows = []

@@ -238,9 +238,8 @@ def integrate(rule: CubatureRule, f) -> float:
     """Sum of w_j f(x_j); f must accept d coordinate arrays."""
     cols = [rule.nodes[:, i] for i in range(rule.d)]
     vals = np.asarray(f(*cols))
-    return complex(np.sum(rule.weights * vals)).real if np.iscomplexobj(
-        vals
-    ) else float(np.sum(rule.weights * vals))
+    total = np.sum(rule.weights * vals)
+    return complex(total).real if np.iscomplexobj(vals) else float(total)
 
 
 def shifted_mean_error(

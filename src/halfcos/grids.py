@@ -64,6 +64,16 @@ def _along(vec, ax: int, d: int) -> np.ndarray:
     return np.reshape(vec, (1,) * ax + (-1,) + (1,) * (d - ax - 1))
 
 
+def _weigh(t: np.ndarray, vectors) -> np.ndarray:
+    """t times vectors[ax] along each axis ax, one axis at a time in axis
+    order. The first product is a new array and the others run in place in
+    it, so t stays untouched and no other array of its size is made."""
+    out = t * _along(vectors[0], 0, t.ndim)
+    for ax, v in enumerate(vectors[1:], 1):
+        out *= _along(v, ax, t.ndim)
+    return out
+
+
 def _grid_axis(domain: str, m: int) -> np.ndarray:
     """Node coordinates of one axis of the level-m grid on the domain."""
     if domain == UNIT:
@@ -149,13 +159,11 @@ class GridFunction:
         return _grid_axis(self.domain, self.m)
 
     def axis_weights(self) -> np.ndarray:
-        h = 2.0**-self.m
-        if self.domain == UNIT:
-            w = np.full(2**self.m + 1, h)
+        w = np.full(self.axis_size, 2.0**-self.m)
+        if self.domain == UNIT:  # trapezoidal endpoints
             w[0] *= 0.5
             w[-1] *= 0.5
-            return w
-        return np.full(2 ** (self.m + 1), h)
+        return w
 
     @classmethod
     def from_callable(cls, f, d: int, m: int, domain: str = UNIT) -> "GridFunction":
@@ -426,9 +434,7 @@ def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
     coeff = coeff * (h / 2.0) ** f.d
     norm = np.ones(f.axis_size)
     norm[1:] = np.sqrt(2.0)
-    for ax in range(f.d):
-        coeff = coeff * _along(norm, ax, f.d)
-    return coeff
+    return _weigh(coeff, [norm] * f.d)
 
 
 # Bytes of the even-extension buffer of _dct1: one box of lines stays in L2.
@@ -502,63 +508,57 @@ def hpc_analyze(f: GridFunction, K: IndexSet) -> CoefficientMap:
     return CoefficientMap(basis="hpc", d=f.d, entries=entries)
 
 
-# Output bytes per block of hpc_synthesize: a block and its buffer fit in L2.
+# Output bytes per block of _synthesize_terms: a block and its buffer fit in L2.
 _SYNTH_BLOCK_BYTES = 512 * 1024
+
+
+def _synthesize_terms(items, row, n: int, d: int) -> np.ndarray:
+    """sum of v * (outer product of row(key_1), ..., row(key_d)) over the
+    (keys, v) of items, on the (n,)^d tensor grid.
+
+    row(key) is one 1-D row of n values, computed once per key. Terms are
+    added one at a time in items order, each outer product multiplied left
+    to right and then scaled by the real part of v. The sum runs in blocks
+    of leading-axis rows, each about _SYNTH_BLOCK_BYTES of the output, so a
+    block and its scratch buffer stay in cache through the term loop; each
+    grid value gets the same operations in the same order either way.
+    """
+    rows, terms = {}, []
+    for keys, v in items:
+        for key in keys:
+            if key not in rows:
+                rows[key] = row(key)
+        terms.append(([rows[key] for key in keys], np.real(v)))
+    out = np.zeros((n,) * d)
+    step = max(1, _SYNTH_BLOCK_BYTES // (out.itemsize * n ** (d - 1)))
+    for lo in range(0, n, step):
+        block = out[lo : lo + step]
+        buf = np.empty_like(block)
+        for factors, v in terms:
+            piece = factors[0][lo : lo + step]
+            for factor in factors[1:-1]:
+                piece = np.multiply.outer(piece, factor)
+            if d > 1:
+                piece = np.multiply.outer(piece, factors[-1], out=buf)
+            np.multiply(piece, v, out=buf)
+            block += buf
+    return out
 
 
 def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     """Evaluate the finite expansion sum of coeff * c_kbar on the closed grid.
 
-    Terms are added one at a time in key order, each the outer product of
-    1-D basis rows (computed once per frequency) times its coefficient.
-    This per-term sum is kept on purpose: scattering the coefficients into
-    a dense tensor and running one DCT-I would be faster, but it rounds
-    differently, and `halfcos identities` prints residuals at exactly that
-    round-off.
-
-    On a large grid the sum runs in blocks of consecutive rows of the
-    leading axis, each about _SYNTH_BLOCK_BYTES of the output: the whole
-    term loop finishes one block before the next starts, so the block and
-    its scratch buffer stay in cache. Every grid value still gets the same
-    products, the same scaling and the same additions in the same key
-    order, so the result is bit-identical to the unblocked sum; a grid
-    that fits in one block takes the unblocked path as it is.
+    _synthesize_terms adds the terms one at a time in key order, from one
+    basis row per frequency. This per-term sum is kept on purpose:
+    scattering the coefficients into a dense tensor and running one DCT-I
+    would be faster, but it rounds differently, and `halfcos identities`
+    prints residuals at exactly that round-off.
     """
     if coeffs.basis != "hpc":
         raise ValueError("expected half-period cosine coefficients")
-    d = coeffs.d
     x = _grid_axis(UNIT, m)
-    n = x.size
-    rows = {}
-    terms = []
-    for k, v in coeffs.items_sorted():
-        for ki in k:
-            if ki not in rows:
-                rows[ki] = hpc_basis_1d(ki, x)
-        terms.append(([rows[ki] for ki in k], np.real(v)))
-    out = np.zeros((n,) * d)
-    step = max(1, _SYNTH_BLOCK_BYTES // (out.itemsize * n ** (d - 1)))
-    if step >= n:
-        _synthesize_block(out, terms, None)
-    else:
-        for lo in range(0, n, step):
-            _synthesize_block(out[lo : lo + step], terms, slice(lo, lo + step))
-    return GridFunction(UNIT, m, out)
-
-
-def _synthesize_block(out: np.ndarray, terms, lead) -> None:
-    """out += v * (outer product of the rows), term by term in list order,
-    the rows multiplied left to right; lead, unless None, slices the
-    leading-axis row to the rows that out holds."""
-    buf = np.empty_like(out)
-    for rows, v in terms:
-        piece = rows[0] if lead is None else rows[0][lead]
-        for row in rows[1:-1]:
-            piece = np.multiply.outer(piece, row)
-        if len(rows) > 1:
-            piece = np.multiply.outer(piece, rows[-1], out=buf)
-        np.multiply(piece, v, out=buf)
-        out += buf
+    row = lambda k: hpc_basis_1d(k, x)
+    return GridFunction(UNIT, m, _synthesize_terms(coeffs.items_sorted(), row, x.size, coeffs.d))
 
 
 def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
@@ -580,8 +580,7 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     work = np.asarray(coeff[(slice(0, n),) * d], dtype=float)
     weight = np.full(n, np.sqrt(2.0) * 0.5)  # c_k normalization times the halving
     weight[[0, -1]] = 1.0, np.sqrt(2.0)
-    for ax in range(d):
-        work = work * _along(weight[: work.shape[ax]], ax, d)
+    work = _weigh(work, [weight[:size] for size in work.shape])
     for ax in range(d):
         work = _dct1(work, ax, n)
     return GridFunction(UNIT, m, work)

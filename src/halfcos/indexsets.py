@@ -140,11 +140,7 @@ def cross_cardinality_check(N_list, d: int):
 
 def _axis_support(j: int, decomp) -> list:
     """Integers k >= 0 with phi_j(k) != 0 for one decomposition level."""
-    if j == 0:
-        hi = 2
-    else:
-        hi = 2 ** (j + 1)
-    lo = 0 if j == 0 else 2 ** (j - 1)
+    lo, hi = (0, 2) if j == 0 else (2 ** (j - 1), 2 ** (j + 1))
     return [k for k in range(lo, hi + 1) if decomp.phi(j, float(k)) != 0.0]
 
 

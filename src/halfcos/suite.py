@@ -24,7 +24,7 @@ from .besov import (
     periodization_block_identity,
     seq_norm_report,
 )
-from .corpus import band_family, get_member
+from .corpus import _check_kmax, band_family, get_member
 from .errors import ConfigError
 from .cubature import fibonacci_rule, digital_net, integrate, tent_transform_rule
 from .approx import error_transfer_check
@@ -163,7 +163,8 @@ def norm_comparison(
         raise ConfigError(f"truncation level J must be >= 0, got {J}")
     if member.d > 2 and "cw" in compare:
         raise ConfigError("wavelet route implemented for d <= 2")
-    kmax = kmax or 2 ** (J + 1)
+    kmax = 2 ** (J + 1) if kmax is None else kmax
+    _check_kmax(kmax)
     out = {}
     if "hpc" in compare:
         if member.factor_coeff is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .grids import UNIT, CoefficientMap, GridFunction, _along, _grid_axis
+from .grids import UNIT, CoefficientMap, GridFunction, _grid_axis, _synthesize_terms
 
 __all__ = [
     "PiecewiseLinear",
@@ -468,29 +468,16 @@ def cw_synthesize(
     coeffs: CoefficientMap, m: int, using: str = "primal", n_max: int = 40
 ) -> GridFunction:
     """Evaluate sum of coeff * psi_{jbar,kbar} (or dual wavelets) on the
-    closed unit-cube grid at level m."""
-    d = coeffs.d
+    closed unit-cube grid at level m, term by term in key order with one
+    cached row per (level, shift), as hpc_synthesize sums its terms."""
     x = _grid_axis(UNIT, m)
-    out = np.zeros((x.size,) * d)
-    cache: dict = {}
 
-    def axis_vals(l, k):
-        key = (l, k)
-        if key not in cache:
-            if using == "primal":
-                cache[key] = psi_eval(l, k, x)
-            else:
-                cache[key] = dual_piecewise(l, k, n_max)(x)
-        return cache[key]
+    def row(key):
+        l, k = key
+        return psi_eval(l, k, x) if using == "primal" else dual_piecewise(l, k, n_max)(x)
 
-    for (j, k), v in coeffs.items_sorted():
-        piece = float(np.real(v))
-        acc = None
-        for ax in range(d):
-            t = _along(axis_vals(int(j[ax]), int(k[ax])), ax, d)
-            acc = t if acc is None else acc * t
-        out += piece * acc
-    return GridFunction(UNIT, m, out)
+    items = ((tuple(zip(map(int, j), map(int, k))), v) for (j, k), v in coeffs.items_sorted())
+    return GridFunction(UNIT, m, _synthesize_terms(items, row, x.size, coeffs.d))
 
 
 def biorthogonality_residual_1d(levels, shifts, n_max: int = 40) -> float:

@@ -18,11 +18,12 @@ from halfcos.besov import (
     hpc_block,
     periodization_block_identity,
     phi0_eval,
+    rectangular_mean_1d,
     seq_norm,
     seq_norm_report,
     smooth_sigma,
 )
-from halfcos.corpus import get_member
+from halfcos.corpus import band_family, get_member
 from halfcos.errors import ConfigError, DivergentTailError
 from halfcos.grids import CoefficientMap
 from halfcos.indexsets import plus_l1
@@ -516,6 +517,116 @@ def test_difference_tensor_equals_generic_2d():
     assert set(a.level_terms) == set(b.level_terms)
     for key in a.level_terms:
         assert a.level_terms[key] == pytest.approx(b.level_terms[key], rel=1e-11)
+
+
+# The two former difference routes, kept as the reference of the one kernel:
+# rectangular means of each tensor factor, and the nested Gauss/shift loop
+# over full meshgrids for a generic callable.
+
+
+def _former_rectangular_mean_1d(f, m, t, x, gauss):
+    nodes, weights = np.polynomial.legendre.leggauss(gauss)
+    signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
+    out = np.zeros_like(x)
+    for h, w in zip(nodes, weights):
+        acc = np.zeros_like(x)
+        for l in range(m + 1):
+            acc += signs[l] * np.asarray(f(x + l * h * t), dtype=float)
+        out += w * np.abs(acc)
+    return out
+
+
+def _former_difference_terms(f, tensor_factors, r, p, m, J_max, grid_level, d, gauss):
+    x1 = -1.0 + np.arange(2 ** (grid_level + 1)) * 2.0**-grid_level
+
+    def grid_lp(values):
+        a = np.abs(np.asarray(values, dtype=float))
+        return float(a.max()) if p == INF else float(np.mean(a**p) ** (1.0 / p))
+
+    terms = {}
+    if tensor_factors is not None:
+        tables = []
+        for fi in tensor_factors:
+            col = {0: np.asarray(fi(x1), dtype=float)}
+            for j in range(1, J_max + 1):
+                col[j] = _former_rectangular_mean_1d(fi, m, 2.0**-j, x1, gauss)
+            tables.append({j: grid_lp(v) for j, v in col.items()})
+        for jbar in np.ndindex(*([J_max + 1] * len(tensor_factors))):
+            val = 1.0
+            for i, j in enumerate(jbar):
+                val *= tables[i][j]
+            if 2.0 ** (r * sum(jbar)) * val > 0.0:
+                terms[jbar] = 2.0 ** (r * sum(jbar)) * val
+        return terms
+    axes = [x1] * d
+    nodes, weights = np.polynomial.legendre.leggauss(gauss)
+    signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
+    for jbar in np.ndindex(*([J_max + 1] * d)):
+        e = [i for i in range(d) if jbar[i] != 0]
+        if not e:
+            mesh = np.meshgrid(*axes, indexing="ij") if d > 1 else [axes[0]]
+            term = grid_lp(np.asarray(f(*mesh), dtype=float))
+            if term > 0.0:
+                terms[jbar] = term
+            continue
+        acc = np.zeros((x1.size,) * d)
+        for combo in np.ndindex(*([gauss] * len(e))):
+            wq = 1.0
+            diff = np.zeros((x1.size,) * d)
+            for shifts in np.ndindex(*([m + 1] * len(e))):
+                coeff = 1.0
+                moved = list(axes)
+                for pos, ci, l in zip(e, combo, shifts):
+                    coeff *= signs[l]
+                    moved[pos] = axes[pos] + l * nodes[ci] * 2.0 ** (-jbar[pos])
+                mesh = np.meshgrid(*moved, indexing="ij") if d > 1 else [moved[0]]
+                diff += coeff * np.asarray(f(*mesh), dtype=float)
+            for ci in combo:
+                wq *= weights[ci]
+            acc += wq * np.abs(diff)
+        term = 2.0 ** (r * sum(jbar)) * grid_lp(acc)
+        if term > 0.0:
+            terms[jbar] = term
+    return terms
+
+
+_BAND = {tf.name: tf for s in (0, 2) for tf in band_family(s)}
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, INF])
+@pytest.mark.parametrize("name", ["hat8_3@s0", "n4w16_6@s0", "dip@s2", "n4_plus_fine@s2",
+                                  "kink2", "bspline4_2"])
+def test_difference_tables_equal_the_former_rectangular_means(name, p):
+    tf = _BAND[name] if "@" in name else get_member(name)
+    args = dict(m=3, J_max=5, grid_level=7, gauss=8)
+    rep = difference_seminorm(params=BesovParams(1.5, p, 2.0), tensor_factors=tf.factors, **args)
+    ref = _former_difference_terms(None, tf.factors, 1.5, p, d=tf.d, **args)
+    assert rep.level_terms == ref
+
+
+_GENERIC = {
+    "kink1": get_member("kink1"),
+    "exp1": get_member("exp1"),
+    "kink2": get_member("kink2"),
+    "bspline2_2": get_member("bspline2_2"),
+    "cos_x_plus_2y": lambda x, y: np.cos(np.pi * (x + 2.0 * y)),
+}
+
+
+@pytest.mark.parametrize("p", [2.0, INF])
+@pytest.mark.parametrize("name", sorted(_GENERIC))
+def test_difference_generic_route_equals_the_former_meshgrid_loop(name, p):
+    f = _GENERIC[name]
+    d = 1 if name.endswith("1") else 2
+    args = dict(m=2, J_max=3 if d == 1 else 2, grid_level=6 if d == 1 else 4, gauss=4)
+    rep = difference_seminorm(f, params=BesovParams(1.0, p, 2.0), d=d, **args)
+    assert rep.level_terms == _former_difference_terms(f, None, 1.0, p, d=d, **args)
+
+
+def test_rectangular_mean_1d_keeps_the_shape_of_x():
+    x = np.linspace(-1.0, 1.0, 12)
+    got = rectangular_mean_1d(np.sin, 3, 0.25, x.reshape(3, 4), gauss=6)
+    assert np.array_equal(got, _former_rectangular_mean_1d(np.sin, 3, 0.25, x, 6).reshape(3, 4))
 
 
 def _route_report(route, params):

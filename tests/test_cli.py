@@ -3,6 +3,7 @@ and the documented exit codes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -54,6 +55,10 @@ def test_config_header_reflects_resolution(tmp_path, capsys):
     rc, out, _ = run(capsys, ["identities", "--config", str(cfgfile),
                               "--seed", "5", "--d", "1"])
     assert rc == 0 and "d=1" in out.split("\n")[0]
+    # the header shows the config as the command used it: the seed as an int
+    cfgfile.write_text(json.dumps({"funcs": 2, "seed": 5.0}))
+    rc, out, _ = run(capsys, ["identities", "--config", str(cfgfile)])
+    assert rc == 0 and out.split("\n")[0].endswith(" seed=5")
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -301,3 +306,49 @@ def test_readme_commands_and_transforms_do_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHECK], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Flags of each subcommand in parser order, as listed before the option table.
+_FORMER_FLAGS = {
+    "identities": ["--config", "--out", "--d", "--funcs", "--seed"],
+    "coeffs": ["--config", "--out", "--fn", "--mode", "--kmax", "--grid-level", "--gnuplot"],
+    "norms": ["--config", "--out", "--fn", "--r", "--p", "--q", "--compare", "--J", "--m",
+              "--strict"],
+    "cubature": ["--config", "--out", "--fn", "--rule", "--alpha", "--tent", "--nmin", "--nmax",
+                 "--shifts", "--seed", "--log-exponent", "--skip", "--gnuplot"],
+    "approx": ["--config", "--out", "--fn", "--N-list", "--p", "--kmax", "--log-exponent",
+               "--skip", "--gnuplot"],
+    "recover": ["--config", "--out", "--fn", "--N", "--oversample", "--seed", "--grid-level",
+                "--weights"],
+    "testfns": ["--config", "--out"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_FORMER_FLAGS))
+def test_help_lists_exactly_the_former_flags(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--help"])
+    text = capsys.readouterr().out
+    assert exc.value.code == 0
+    options = text.split("options:\n")[1]
+    assert re.findall(r"^  (-[-\w]+)", options, flags=re.M) == ["-h"] + _FORMER_FLAGS[cmd]
+    words = " ".join(options.split())
+    assert "--config CONFIG JSON file with defaults; flags override" in words
+    assert "--out OUT output CSV path (default stdout)" in words
+    assert ("--m M difference order" in words) == (cmd == "norms")
+    assert ("positional arguments:\n  action" in text) == (cmd == "testfns")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--fn", "kink1", "--mode", "sine"],
+        ["cubature", "--fn", "kink2", "--rule", "lattice"],
+        ["cubature", "--fn", "exp1", "--rule", "net", "--alpha", "3"],
+        ["recover", "--fn", "kink1", "--N", "4", "--seed", "1", "--weights", "christoffel"],
+    ],
+)
+def test_bad_choices_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err

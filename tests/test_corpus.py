@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from halfcos.errors import AliasingError
+from halfcos.errors import AliasingError, ConfigError
 from halfcos.grids import UNIT, GridFunction, hpc_analyze_dense
 from halfcos.corpus import (
     KINK_A,
@@ -81,6 +81,8 @@ def test_closed_map_matches_the_box_walk(name, kmax):
         if v != 0.0:
             ref[kbar] = v
     assert list(tf.hpc_map(kmax).entries.items()) == list(ref.items())
+    with pytest.raises(ConfigError, match="kmax must be >= 0"):
+        tf.hpc_map(-1)
 
 
 def test_numeric_map_matches_the_box_walk():
@@ -94,6 +96,10 @@ def test_numeric_map_matches_the_box_walk():
     assert list(tf.hpc_map_numeric(8, grid_level=6).entries.items()) == list(ref.items())
     with pytest.raises(AliasingError):
         tf.hpc_map_numeric(40, grid_level=5)
+    with pytest.raises(AliasingError, match="m=0"):  # level 0 is sampled, not replaced
+        tf.hpc_map_numeric(8, grid_level=0)
+    with pytest.raises(ConfigError, match="kmax must be >= 0"):
+        tf.hpc_map_numeric(-1)
 
 
 def test_numeric_map_without_closed_form():

@@ -86,6 +86,11 @@ def test_norm_comparison_subset_and_guard():
         norm_comparison(get_member("exp3"), BesovParams(1.0, 2.0, 2.0))
     with pytest.raises(ConfigError, match="J must be >= 0"):
         norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), J=-1)
+    with pytest.raises(ConfigError, match="kmax must be >= 0"):
+        norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), kmax=-1)
+    # kmax=0 keeps the constant term alone; it is not replaced by 2^(J+1)
+    only = norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), ("hpc",), kmax=0)
+    assert set(only["hpc"].level_terms) == {(0,)}
 
 
 def test_norm_comparison_finite_expansion_is_not_divergent():

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 import sympy as sp
 
+from halfcos import grids
+from halfcos.corpus import get_member
 from halfcos.errors import ConfigError
 from halfcos.grids import CoefficientMap, GridFunction, UNIT
 from halfcos.wavelets import (
@@ -226,6 +228,40 @@ def test_dual_analysis_primal_synthesis_reconstructs_spline():
     rec = cw_synthesize(lam, 6, using="primal")
     ref = GridFunction.from_callable(f, 1, 6, UNIT)
     assert np.max(np.abs(rec.values - ref.values)) < 1e-12
+
+
+def _former_cw_synthesis(coeffs, m, using, n_max=40):
+    """The former synthesis loop: full-grid broadcast products, term by term."""
+    d = coeffs.d
+    x = np.arange(2**m + 1) * 2.0**-m
+    out = np.zeros((x.size,) * d)
+    cache = {}
+    for (j, k), v in coeffs.items_sorted():
+        acc = None
+        for ax in range(d):
+            key = (int(j[ax]), int(k[ax]))
+            if key not in cache:
+                primal = using == "primal"
+                cache[key] = psi_eval(*key, x) if primal else dual_piecewise(*key, n_max)(x)
+            t = cache[key].reshape((1,) * ax + (-1,) + (1,) * (d - ax - 1))
+            acc = t if acc is None else acc * t
+        out += float(np.real(v)) * acc
+    return out
+
+
+# (1, 17) spans three blocks of the shared term loop, the last of one row;
+# (2, 9) spans five; the others fit in one.
+@pytest.mark.parametrize("using", ["primal", "dual"])
+@pytest.mark.parametrize("kind", ["primal", "dual"])
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 5), (1, 17), (2, 9)])
+def test_cw_synthesis_equals_the_former_per_term_loop(d, m, kind, using):
+    tf = get_member(f"kink{d}")
+    lam = cw_analyze(J=3 - d, box=((0.0, 1.0),) * d, kind=kind, tensor_factors=tf.factors,
+                     f_breaks=tf.factor_breaks)
+    got = cw_synthesize(lam, m, using=using).values
+    assert np.array_equal(got, _former_cw_synthesis(lam, m, using))
+    if m >= 9:
+        assert 8 * (2**m + 1) ** d > 2 * grids._SYNTH_BLOCK_BYTES
 
 
 def test_lambda_scale_invariance():
