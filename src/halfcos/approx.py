@@ -91,27 +91,32 @@ def _torus_projection(g: GridFunction, N: int) -> GridFunction:
     return fourier_synthesize_dense(np.where(_cross_mask(freqs, N), dense, 0.0), g.m)
 
 
+def _transfer(f: GridFunction, N: int, p: float):
+    """Both sides of error_transfer_check, and the periodization g of f
+    with its torus cross projection, for evenization_check to reuse."""
+    lhs = (f - project_dense(f, N)[0]).lp_norm(p)
+    g = periodize(f)
+    proj = _torus_projection(g, N)
+    rhs = (g - proj).lp_norm(p)
+    if p != math.inf:
+        rhs *= 2.0 ** (-f.d / p)
+    return lhs, rhs, g, proj
+
+
 def error_transfer_check(f: GridFunction, N: int, p: float):
     """Left: ||f - (cross projection of f)||_{L_p} on the unit cube.
     Right: the same quantity computed entirely on the torus: periodize the
     samples, project onto the signed cross by FFT masking, and take the
     normalized-measure L_p error. Equal to round-off on matched grids."""
-    lhs = (f - project_dense(f, N)[0]).lp_norm(p)
-    g = periodize(f)
-    rhs = (g - _torus_projection(g, N)).lp_norm(p)
-    if p != math.inf:
-        rhs *= 2.0 ** (-f.d / p)
-    return lhs, rhs
+    return _transfer(f, N, p)[:2]
 
 
 def evenization_check(f: GridFunction, N: int):
     """L_2 errors of three routes that must agree for reflection-even data:
     the unit-cube cross projection, the torus cross projection of the
     periodization, and the explicitly evenized torus projection."""
-    lhs, rhs = error_transfer_check(f, N, 2.0)
-    g = periodize(f)
-    proj_even = evenize(_torus_projection(g, N))
-    third = 2.0 ** (-f.d / 2.0) * (g - proj_even).lp_norm(2.0)
+    lhs, rhs, g, proj = _transfer(f, N, 2.0)
+    third = 2.0 ** (-f.d / 2.0) * (g - evenize(proj)).lp_norm(2.0)
     return lhs, rhs, third
 
 

@@ -21,6 +21,7 @@ from .grids import (
     SYM,
     CoefficientMap,
     GridFunction,
+    _gauss_legendre,
     _grid_axis,
     _weigh,
     fourier_analyze_dense,
@@ -381,37 +382,73 @@ def periodization_block_identity(
     return block_t.lp_norm(p) ** p, 2.0**d * block_u.lp_norm(p) ** p
 
 
-def _rectangular_mean(f, m: int, steps, axes, gauss: int) -> np.ndarray:
-    """int over [-1,1]^e of |Delta^m f(x)| dh by tensor Gauss quadrature on
-    the open mesh np.ix_(*axes), which f must broadcast. The difference
-    moves axis i by l h_i steps[i], l = 0..m, along each active axis, those
-    whose step is not None; with no active axis the result is |f|."""
-    nodes, weights = np.polynomial.legendre.leggauss(gauss)
+def _rectangular_mean(f, m: int, levels, axes, gauss: int):
+    """Yield, for each tuple of steps in levels, the integral over [-1,1]^e
+    of |Delta^m f(x)| dh by tensor Gauss quadrature on the open mesh
+    np.ix_(*axes), which f must broadcast. The difference moves axis i by
+    l h_i steps[i], l = 0..m, along each active axis, those whose step is
+    not None; with no active axis the result is |f|.
+
+    Each evaluation of f is keyed by its per-axis shifts, so equal shifts
+    give the same values. f(x) is kept for the whole call, and so is, until
+    the next level, every evaluation that level uses: over the dyadic steps
+    2^-j of one axis, f(x) is evaluated once and the l = 2 shift at level j
+    is the l = 1 shift at level j - 1 (2 h 2^-j equals h 2^-(j-1) exactly in
+    floating point). The sums run as if every evaluation were made afresh.
+    """
+    nodes, weights = _gauss_legendre(gauss)
     signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
-    active = [i for i, t in enumerate(steps) if t is not None]
     mesh, shape = np.ix_(*axes), tuple(len(x) for x in axes)
-    all_shifts = list(np.ndindex(*([m + 1] * len(active))))
-    acc = np.zeros(shape)
-    for combo in np.ndindex(*([gauss] * len(active))):
-        diff = np.zeros(shape)
-        for shifts in all_shifts:
-            coeff, moved = 1.0, list(mesh)
-            for i, ci, l in zip(active, combo, shifts):
-                coeff *= signs[l]
-                moved[i] = mesh[i] + l * nodes[ci] * steps[i]
-            diff += coeff * np.asarray(f(*moved), dtype=float)
-        wq = 1.0
-        for ci in combo:
-            wq *= weights[ci]
-        acc += wq * np.abs(diff)
-    return acc
+    # x + 0.0 is x unless x holds -0.0: only then is a +0.0 shift kept apart
+    # from no shift (None), which also stands for -0.0, as x + -0.0 is x.
+    signed = any(np.any(np.signbit(a) & (a == 0.0)) for a in mesh)
+    zero = (None,) * len(axes)
+
+    def plan(steps):
+        """(Gauss weight, [(sign product, shift key)]) per node combination."""
+        active = [i for i, t in enumerate(steps) if t is not None]
+        terms = []
+        for combo in np.ndindex(*([gauss] * len(active))):
+            shifts = []
+            for ls in np.ndindex(*([m + 1] * len(active))):
+                coeff, key = 1.0, list(zero)
+                for i, ci, l in zip(active, combo, ls):
+                    coeff *= signs[l]
+                    off = l * nodes[ci] * steps[i]
+                    if off != 0.0 or signed and not np.signbit(off):
+                        key[i] = off
+                shifts.append((coeff, tuple(key)))
+            wq = 1.0
+            for ci in combo:
+                wq *= weights[ci]
+            terms.append((wq, shifts))
+        return terms
+
+    plans = [plan(steps) for steps in levels]
+    kept = {}
+    for terms, after in zip(plans, plans[1:] + [[]]):
+        following = {key for _, shifts in after for _, key in shifts}
+        acc = np.zeros(shape)
+        for wq, shifts in terms:
+            diff = np.zeros(shape)
+            for coeff, key in shifts:
+                vals = kept.pop(key, None)
+                if vals is None:
+                    moved = [a if k is None else a + k for a, k in zip(mesh, key)]
+                    vals = np.asarray(f(*moved), dtype=float)
+                if key == zero or key in following:
+                    kept[key] = vals
+                diff += coeff * vals
+            acc += wq * np.abs(diff)
+        yield acc
 
 
 def rectangular_mean_1d(f, m: int, t: float, x: np.ndarray, gauss: int = 8):
     """R_m(f,t,x) = int_{-1}^{1} |Delta^m_{h t} f(x)| dh by Gauss quadrature,
     at points x of any shape."""
     x = np.asarray(x, dtype=float)
-    return _rectangular_mean(f, m, (t,), (x.ravel(),), gauss).reshape(x.shape)
+    (mean,) = _rectangular_mean(f, m, [(t,)], (x.ravel(),), gauss)
+    return mean.reshape(x.shape)
 
 
 def difference_seminorm(
@@ -431,8 +468,10 @@ def difference_seminorm(
     L_p norms use the normalized torus measure, so for reflection-symmetric
     periodizations the values match unit-cube norms of the underlying
     function. tensor_factors (univariate periodic callables) factorize the
-    computation exactly in any dimension: each factor's rectangular mean is
-    taken once per level. A generic callable f needs d <= 2 and uses tensor
+    computation exactly in any dimension: the rectangular means are taken
+    once per distinct factor; f(x) and dilated shifts shared across levels
+    (the l = 2 shift at level j is the l = 1 shift at level j - 1) are
+    evaluated once. A generic callable f needs d <= 2 and uses tensor
     Gauss quadrature for the h-integral, once per jbar; it gets the grid
     axes as an open mesh (np.ix_), as in GridFunction.from_callable, so it
     must broadcast its arguments against each other.
@@ -450,8 +489,12 @@ def difference_seminorm(
     grid_lp = lambda values: _lp(values, params.p, mean=True)
     if tensor_factors is not None:
         d = len(tensor_factors)
-        tables = [[grid_lp(_rectangular_mean(fi, m, (t,), (x1,), gauss)) for t in steps]
-                  for fi in tensor_factors]
+        built = {}  # id of a factor -> its table over the levels
+        for fi in tensor_factors:
+            if id(fi) not in built:
+                means = _rectangular_mean(fi, m, [(t,) for t in steps], (x1,), gauss)
+                built[id(fi)] = [grid_lp(v) for v in means]
+        tables = [built[id(fi)] for fi in tensor_factors]
     level_terms = {}
     for jbar in np.ndindex(*([J_max + 1] * d)):
         if tensor_factors is not None:
@@ -459,7 +502,8 @@ def difference_seminorm(
             for i, j in enumerate(jbar):
                 val *= tables[i][j]
         else:
-            val = grid_lp(_rectangular_mean(f, m, [steps[j] for j in jbar], [x1] * d, gauss))
+            (mean,) = _rectangular_mean(f, m, [[steps[j] for j in jbar]], [x1] * d, gauss)
+            val = grid_lp(mean)
         term = 2.0 ** (params.r * sum(jbar)) * val
         if term > 0.0:
             level_terms[tuple(int(t) for t in jbar)] = term

@@ -200,6 +200,8 @@ def _cmd_norms(cfg: dict) -> list:
 def _cmd_cubature(cfg: dict) -> list:
     member = _member(cfg)
     shifts = int(cfg["shifts"])
+    if shifts < 0:
+        raise ConfigError(f"--shifts must be >= 0 (0: no shift), got {shifts}")
     if shifts > 0:
         _require_seed(cfg)
     rule_kind = cfg["rule"]

@@ -252,6 +252,8 @@ def shifted_mean_error(
 def _shift_average(rule, f, exact: float, shifts: int, seed: int, tented: bool) -> float:
     """Mean absolute error over `shifts` random modular shifts drawn from
     default_rng(seed); with tented, each shifted rule is tent-transformed."""
+    if shifts < 1:
+        raise ConfigError(f"shifts must be >= 1 to average over shifts, got {shifts}")
     rng = np.random.default_rng(seed)
     errs = []
     for _ in range(shifts):
@@ -332,6 +334,8 @@ def convergence_experiment(
     log_exponent divides errors by (log2 n)^exponent before fitting. The
     smallest points are excluded from the fit to suppress preasymptotics.
     """
+    if shifts < 0:
+        raise ConfigError(f"shifts must be >= 0 (0: no shift), got {shifts}")
     ns, errors = [], []
     for idx in n_indices:
         rule = rule_for_n(idx)

@@ -19,6 +19,7 @@ to round-off, not just asymptotically.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -81,6 +82,15 @@ def _grid_axis(domain: str, m: int) -> np.ndarray:
     if domain == SYM:
         return -1.0 + np.arange(2 ** (m + 1)) * 2.0**-m
     raise DomainError(f"unknown domain {domain!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _axis_index(ax: int, index) -> tuple:
@@ -528,17 +538,19 @@ def _synthesize_terms(items, row, n: int, d: int) -> np.ndarray:
         for key in keys:
             if key not in rows:
                 rows[key] = row(key)
-        terms.append(([rows[key] for key in keys], np.real(v)))
+        terms.append((keys[0], [rows[key] for key in keys[1:]], np.real(v)))
     out = np.zeros((n,) * d)
     step = max(1, _SYNTH_BLOCK_BYTES // (out.itemsize * n ** (d - 1)))
     for lo in range(0, n, step):
         block = out[lo : lo + step]
         buf = np.empty_like(block)
-        for factors, v in terms:
-            piece = factors[0][lo : lo + step]
-            for factor in factors[1:-1]:
+        # the leading-axis rows of this block, sliced once per key
+        lead = rows if step >= n else {key: r[lo : lo + step] for key, r in rows.items()}
+        for key, factors, v in terms:
+            piece = lead[key]
+            for factor in factors[:-1]:
                 piece = np.multiply.outer(piece, factor)
-            if d > 1:
+            if factors:
                 piece = np.multiply.outer(piece, factors[-1], out=buf)
             np.multiply(piece, v, out=buf)
             block += buf

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .grids import UNIT, CoefficientMap, GridFunction, _grid_axis, _synthesize_terms
+from .grids import (
+    UNIT,
+    CoefficientMap,
+    GridFunction,
+    _gauss_legendre,
+    _grid_axis,
+    _synthesize_terms,
+)
 
 __all__ = [
     "PiecewiseLinear",
@@ -108,13 +115,32 @@ def father() -> PiecewiseLinear:
     return PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
 
 
+def _cox_de_boor(order: int, x: np.ndarray) -> np.ndarray:
+    """N_order(x) by N_k(y) = (y N_{k-1}(y) + (k - y) N_{k-1}(y - 1)) / (k - 1),
+    with each N_k at each y = x - 1 - ... - 1 computed once, not once per
+    branch of the recursion tree that reaches it."""
+    ys = [x]
+    for _ in range(order - 1):
+        ys.append(ys[-1] - 1.0)
+    vals = [np.where((y >= 0.0) & (y < 1.0), 1.0, 0.0) for y in ys]
+    for k in range(2, order + 1):
+        vals = [(y * a + (k - y) * b) / (k - 1) for y, a, b in zip(ys, vals, vals[1:])]
+    return vals[0]
+
+
 def bspline_value(order: int, x) -> np.ndarray:
-    """Cardinal B-spline N_order on [0, order] by Cox-de Boor recursion."""
+    """Cardinal B-spline N_order on [0, order] by Cox-de Boor recursion.
+
+    For order >= 2 the recursion runs only where 0 < x < order (and at
+    NaN). Elsewhere the value is +0.0, which is what the recursion gives at
+    finite x: off the support each step adds two zeros, one of them +0.0."""
     x = np.asarray(x, dtype=float)
     if order == 1:
-        return np.where((x >= 0.0) & (x < 1.0), 1.0, 0.0)
-    m = order
-    return (x * bspline_value(m - 1, x) + (m - x) * bspline_value(m - 1, x - 1.0)) / (m - 1)
+        return _cox_de_boor(1, x)
+    inside = ~((x <= 0.0) | (x >= order))
+    out = np.zeros(x.shape)
+    out[inside] = _cox_de_boor(order, x[inside])
+    return out[()]
 
 
 def mother_from_qcoeffs() -> PiecewiseLinear:
@@ -352,7 +378,7 @@ class _LevelAxis:
         grid = h * np.arange(self.first, self.first + self.size)
         cuts = np.unique(np.concatenate(([lo, hi], grid, np.asarray(f_breaks, dtype=float))))
         a, b = cuts[(cuts >= lo) & (cuts < hi)], cuts[(cuts > lo) & (cuts <= hi)]
-        xg, wg = np.polynomial.legendre.leggauss(order)
+        xg, wg = _gauss_legendre(order)
         self.nodes = (a[:, None] + 0.5 * (b - a)[:, None] * (xg + 1.0)).ravel()
         self.weights = (0.5 * (b - a)[:, None] * wg).ravel()
         cell = np.repeat(np.floor(0.5 * (a + b) / h), order)
@@ -447,10 +473,15 @@ def cw_analyze(
         entries = _analyze(f, J, box, kind, f_breaks, gauss_order, n_max, prune)
         return CoefficientMap(basis=basis, d=d, entries=entries)
 
-    tables = [
-        cw_analyze_1d(tensor_factors[i], J, box[i], kind, f_breaks[i], gauss_order, n_max)
-        for i in range(d)
-    ]
+    # One table per distinct (factor object, box, breaks): the 2-D corpus
+    # members repeat one factor on both axes.
+    built, tables = {}, []
+    for i in range(d):
+        fi, b, fb = tensor_factors[i], box[i], f_breaks[i]
+        key = (id(fi), np.asarray(b, dtype=float).tobytes(), np.asarray(fb, dtype=float).tobytes())
+        if key not in built:
+            built[key] = cw_analyze_1d(fi, J, b, kind, fb, gauss_order, n_max)
+        tables.append(built[key])
     # Keys in the order of nested loops over the tables, values the same
     # products v * tv computed as one outer product per table.
     keys, vals = [((), ())], np.ones(1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from halfcos import approx
 from halfcos.approx import (
     _design_matrix,
     error_transfer_check,
@@ -19,7 +20,15 @@ from halfcos.approx import (
 )
 from halfcos.corpus import get_member
 from halfcos.errors import AliasingError, ConditionError, ConfigError
-from halfcos.grids import UNIT, CoefficientMap, GridFunction, hpc_basis_1d, hpc_synthesize
+from halfcos.grids import (
+    UNIT,
+    CoefficientMap,
+    GridFunction,
+    evenize,
+    hpc_basis_1d,
+    hpc_synthesize,
+    periodize,
+)
 from halfcos.indexsets import hyperbolic_cross
 
 INF = float("inf")
@@ -89,6 +98,22 @@ def test_evenization_routes_agree():
     a, b, c = evenization_check(g, 5)
     assert a == pytest.approx(b, rel=1e-13)
     assert b == pytest.approx(c, rel=1e-13)
+
+
+@pytest.mark.parametrize("name, d", [("kink1", 1), ("kink2", 2)])
+def test_evenization_check_transforms_once_and_equals_the_former_route(monkeypatch, name, d):
+    g = GridFunction.from_callable(get_member(name), d, 6, UNIT)
+    # the former route: error_transfer_check, then a second periodization
+    # and torus projection for the evenized third value
+    lhs, rhs = error_transfer_check(g, 5, 2.0)
+    pg = periodize(g)
+    third = 2.0 ** (-d / 2.0) * (pg - evenize(approx._torus_projection(pg, 5))).lp_norm(2.0)
+    calls = []
+    for fn in ("fourier_analyze_dense", "fourier_synthesize_dense"):
+        real = getattr(approx, fn)
+        monkeypatch.setattr(approx, fn, lambda *a, _f=real, _n=fn: calls.append(_n) or _f(*a))
+    assert evenization_check(g, 5) == (lhs, rhs, third)
+    assert sorted(calls) == ["fourier_analyze_dense", "fourier_synthesize_dense"]
 
 
 def test_ls_recovers_span_members_exactly():

@@ -593,15 +593,69 @@ def _former_difference_terms(f, tensor_factors, r, p, m, J_max, grid_level, d, g
 _BAND = {tf.name: tf for s in (0, 2) for tf in band_family(s)}
 
 
+_SMALL = dict(m=3, J_max=5, grid_level=7, gauss=8)
+_WORKLOAD = dict(m=3, J_max=8, grid_level=11, gauss=8)  # the band members of norms
+
+
 @pytest.mark.parametrize("p", [2.0, 1.5, INF])
-@pytest.mark.parametrize("name", ["hat8_3@s0", "n4w16_6@s0", "dip@s2", "n4_plus_fine@s2",
-                                  "kink2", "bspline4_2"])
-def test_difference_tables_equal_the_former_rectangular_means(name, p):
+@pytest.mark.parametrize(
+    "name, args",
+    [pytest.param(name, _SMALL, id=name)
+     for name in ("hat8_3@s0", "n4w16_6@s0", "dip@s2", "n4_plus_fine@s2", "kink2", "bspline4_2")]
+    + [pytest.param(name, _WORKLOAD, id=f"{name}-J8")
+       for name in ("hat8_3@s0", "n4_plus_fine@s2")],
+)
+def test_difference_tables_equal_the_former_rectangular_means(name, args, p):
     tf = _BAND[name] if "@" in name else get_member(name)
-    args = dict(m=3, J_max=5, grid_level=7, gauss=8)
     rep = difference_seminorm(params=BesovParams(1.5, p, 2.0), tensor_factors=tf.factors, **args)
     ref = _former_difference_terms(None, tf.factors, 1.5, p, d=tf.d, **args)
     assert rep.level_terms == ref
+
+
+class _Counting:
+    """A factor that counts its evaluations."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def test_difference_route_evaluates_a_factor_137_times_at_level_8():
+    # f(x) once; per level 8 nodes at l = 1 and 3, and at level 1 also l = 2,
+    # which later levels take from the l = 1 shifts of the level before:
+    # 1 + 24 + 7 * 16 = 137 evaluations in place of 1 + 8 * 32 = 257.
+    f = _Counting(_BAND["hat8_3@s0"].factors[0])
+    args = dict(m=3, J_max=8, grid_level=6, gauss=8)
+    rep = difference_seminorm(params=BesovParams(1.5, 2.0, 2.0), tensor_factors=[f], **args)
+    assert f.calls == 137
+    assert rep.level_terms == _former_difference_terms(None, [f], 1.5, 2.0, d=1, **args)
+
+
+def test_difference_route_builds_one_table_per_distinct_factor():
+    args = dict(m=3, J_max=8, grid_level=6, gauss=8)
+    params = BesovParams(1.5, 2.0, 2.0)
+    f = _Counting(_BAND["hat8_3@s0"].factors[0])
+    g = _Counting(_BAND["n4w8_2@s0"].factors[0])
+    rep = difference_seminorm(params=params, tensor_factors=[f, f], **args)
+    assert f.calls == 137
+    assert rep.level_terms == _former_difference_terms(None, [f, f], 1.5, 2.0, d=2, **args)
+    f.calls = 0
+    rep = difference_seminorm(params=params, tensor_factors=[f, g], **args)
+    assert f.calls == g.calls == 137
+    assert rep.level_terms == _former_difference_terms(None, [f, g], 1.5, 2.0, d=2, **args)
+
+
+def test_rectangular_mean_keeps_negative_zero_apart():
+    # x + 0.0 turns -0.0 into +0.0; a zero shift may stand for no shift only
+    # where x holds no -0.0, so a sign-sensitive f still sees both
+    f = lambda x: np.where(np.signbit(x), 1.0, 0.0) + x
+    x = np.array([-0.0, 0.0, 0.25, -0.5])
+    for gauss in (3, 4):
+        got = rectangular_mean_1d(f, 2, 0.5, x, gauss=gauss)
+        assert np.array_equal(got, _former_rectangular_mean_1d(f, 2, 0.5, x, gauss))
 
 
 _GENERIC = {

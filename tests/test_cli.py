@@ -241,6 +241,8 @@ def test_gnuplot_companion(tmp_path, capsys):
         (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--kmax", "9",
           "--grid-level", "0"], 3, "grid level m=0"),
         (["coeffs", "--fn", "kink1d", "--kmax", "4", "--grid-level", "0"], 3, "grid level m=0"),
+        (["cubature", "--rule", "net", "--fn", "exp1", "--shifts", "-2"], 2,
+         "--shifts must be >= 0"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):

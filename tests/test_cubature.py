@@ -204,6 +204,20 @@ def test_random_shift_and_mean_error_are_seeded():
     assert e1 == e2 and e1 > 0.0
 
 
+def test_shift_counts_below_the_minimum_raise():
+    rule = fibonacci_rule(8)
+    f = lambda x, y: np.exp(x + y)
+    exact = (math.e - 1.0) ** 2
+    for shifts in (0, -2):
+        with pytest.raises(ConfigError, match="shifts must be >= 1"):
+            shifted_mean_error(rule, f, exact, shifts=shifts)
+    with pytest.raises(ConfigError, match="shifts must be >= 0"):
+        convergence_experiment(fibonacci_rule, f, exact, range(5, 9), shifts=-2)
+    # shifts=0 still means no shift
+    fit = convergence_experiment(fibonacci_rule, f, exact, range(5, 9), shifts=0)
+    assert fit.errors == [abs(integrate(fibonacci_rule(i), f) - exact) for i in range(5, 9)]
+
+
 def test_rate_fit_recovers_exact_rectangle_rate():
     # left rectangle rule on f(x) = x errs by exactly 1/(2n): slope -1
     fit = convergence_experiment(

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import sympy as sp
 
-from halfcos import grids
+from halfcos import grids, wavelets
 from halfcos.corpus import get_member
 from halfcos.errors import ConfigError
 from halfcos.grids import CoefficientMap, GridFunction, UNIT
@@ -93,6 +93,50 @@ def test_bspline_values():
     assert np.allclose(bspline_value(2, x), [0.0, 1.0, 0.0, 0.0, 0.0])
     n4 = bspline_value(4, x)
     assert np.allclose(n4, [0.0, 1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0, 0.0])
+
+
+def _former_bspline_value(order, x):
+    """The former Cox-de Boor recursion over every point, kept as the
+    reference of the support-restricted evaluation."""
+    x = np.asarray(x, dtype=float)
+    if order == 1:
+        return np.where((x >= 0.0) & (x < 1.0), 1.0, 0.0)
+    m = order
+    lower = _former_bspline_value
+    return (x * lower(m - 1, x) + (m - x) * lower(m - 1, x - 1.0)) / (m - 1)
+
+
+def _spline_arguments():
+    """Knots with their neighbours, both zeros, and width * x - shift for the
+    corpus widths and shifts on a torus grid moved by difference shifts."""
+    knots = np.arange(-3.0, 9.0)
+    near = np.concatenate([np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+    x = -1.0 + np.arange(2**8) * 2.0**-7
+    nodes = np.polynomial.legendre.leggauss(8)[0]
+    moved = [x + l * h * 2.0**-j for l in range(4) for h in nodes[::3] for j in (1, 4, 8)]
+    corpus = [w * 2**s * y - k for w in (4.0, 8.0, 16.0) for s in (0, 1, 2)
+              for k in (1, 2, 3, 6) for y in moved[::5]]
+    return np.concatenate([knots, near, [0.0, -0.0], *corpus])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_bspline_support_evaluation_equals_the_former_recursion(order):
+    u = _spline_arguments()
+    got, ref = bspline_value(order, u), _former_bspline_value(order, u)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    off = (u < 0.0) | (u >= order) | ((u == 0.0) & (order > 1))  # N_1(0) = 1
+    assert np.all(got[off] == 0.0) and not np.any(np.signbit(got[off]))
+    for v in (-1.5, -0.0, 0.0, 0.5, 1.0, order - 0.25, float(order), order + 2.0):
+        a, b = bspline_value(order, v), _former_bspline_value(order, v)
+        assert np.shape(a) == () and a == b and np.signbit(a) == np.signbit(b)
+    nan = [np.nan]
+    got, ref = bspline_value(order, nan), _former_bspline_value(order, nan)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+def test_bspline_is_zero_at_infinity():
+    # the recursion itself gives nan there (inf * 0.0); the support test gives 0
+    assert np.array_equal(bspline_value(4, [-np.inf, np.inf]), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("eps", [-1, 0])
@@ -215,6 +259,42 @@ def test_tensor_route_matches_generic_2d():
     keys = set(tens.entries) | set(gen.entries)
     worst = max(abs(tens.get(key) - gen.get(key)) for key in keys)
     assert worst < 1e-12
+
+
+def _former_cw_tensor(factors, J, box, breaks, kind="dual"):
+    """The former tensor route: one 1-D table per axis, products in the
+    order of nested loops over the tables."""
+    tables = [cw_analyze_1d(f, J, b, kind, fb) for f, b, fb in zip(factors, box, breaks)]
+    entries = {((), ()): 1.0}
+    for t in tables:
+        entries = {(j + (l,), k + (kk,)): v * tv for (j, k), v in entries.items()
+                   for (l, kk), tv in t.items()}
+    return entries
+
+
+_HAT = lambda x: np.maximum(0.0, 1.0 - np.abs(4.0 * x - 2.0))
+_LIN = lambda x: np.asarray(x, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "factors, box, breaks, tables",
+    [
+        ([_HAT, _HAT], ((0.0, 1.0),) * 2, [(0.25, 0.5, 0.75)] * 2, 1),
+        ([_HAT, _LIN], ((0.0, 1.0),) * 2, [(0.25, 0.5, 0.75), ()], 2),
+        ([_HAT, _HAT], ((0.0, 1.0), (0.0, 0.5)), [(0.25, 0.5, 0.75)] * 2, 2),
+        ([_HAT, _HAT], ((0.0, 1.0),) * 2, [(0.25, 0.5, 0.75), (0.5,)], 2),
+    ],
+    ids=["same", "two_factors", "two_boxes", "two_breaks"],
+)
+def test_cw_tensor_route_builds_one_table_per_distinct_factor(monkeypatch, factors, box,
+                                                              breaks, tables):
+    ref = _former_cw_tensor(factors, 3, box, breaks)
+    calls = []
+    real = wavelets.cw_analyze_1d
+    monkeypatch.setattr(wavelets, "cw_analyze_1d", lambda *a: calls.append(a) or real(*a))
+    got = cw_analyze(J=3, box=box, kind="dual", tensor_factors=factors, f_breaks=breaks)
+    assert len(calls) == tables
+    assert list(got.entries) == list(ref) and got.entries == ref
 
 
 def test_dual_analysis_primal_synthesis_reconstructs_spline():
