@@ -15,7 +15,7 @@ from .errors import (
     ResolutionMismatchError,
     TruncationError,
 )
-from .indexsets import IndexSet, hyperbolic_cross, dyadic_support, plus_l1
+from .indexsets import IndexSet, hyperbolic_cross, plus_l1
 from .grids import (
     UNIT,
     SYM,
@@ -23,14 +23,11 @@ from .grids import (
     CoefficientMap,
     tent,
     rho,
-    tau,
     periodize,
     restrict,
-    evenize,
     hpc_basis_1d,
     cos_basis,
     exp_basis,
-    hpc_analyze,
     hpc_analyze_dense,
     hpc_synthesize,
     hpc_synthesize_dense,
@@ -73,13 +70,10 @@ from .cubature import (
     tent_transform_rule,
     random_shift,
     integrate,
-    shifted_mean_error,
     convergence_experiment,
 )
 from .approx import (
-    hpc_project,
     error_transfer_check,
-    evenization_check,
     ls_recover,
     ls_error_experiment,
     exact_projection_error,

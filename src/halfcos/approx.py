@@ -1,6 +1,6 @@
 """Hyperbolic-cross projection in the half-period cosine basis, the exact
 transfer of its error to the periodic problem under tent composition, and
-weighted least-squares recovery from point samples.
+least-squares recovery from point samples.
 
 All projections are computed by aliasing-checked dense transforms; the
 transfer identity is tested on matched grids where it holds to round-off
@@ -17,7 +17,6 @@ import numpy as np
 from .cubature import fit_rate
 from .errors import ConditionError, ConfigError
 from .grids import (
-    SYM,
     UNIT,
     CoefficientMap,
     GridFunction,
@@ -31,16 +30,13 @@ from .grids import (
     hpc_synthesize,
     hpc_synthesize_dense,
     periodize,
-    evenize,
     signed_fft_freqs,
 )
 from .indexsets import IndexSet, hyperbolic_cross
 
 __all__ = [
-    "hpc_project",
     "project_dense",
     "error_transfer_check",
-    "evenization_check",
     "ls_recover",
     "ls_error_experiment",
     "projection_error_rate",
@@ -55,33 +51,13 @@ def _cross_mask(freqs, N: int) -> np.ndarray:
     return prod <= N
 
 
-def _cross_projection(dense: np.ndarray, N: int, m: int):
-    freqs = [np.arange(size, dtype=float) for size in dense.shape]
-    dense = np.where(_cross_mask(freqs, N), dense, 0.0)
-    return hpc_synthesize_dense(dense, m), dense
-
-
 def project_dense(f: GridFunction, N: int):
     """Dense-transform projection onto the cross of order N; returns the
     approximant on f's grid and the retained dense coefficient tensor."""
-    return _cross_projection(hpc_analyze_dense(f), N, f.m)
-
-
-def hpc_project(f: GridFunction, N: int):
-    """Projection onto span{c_kbar : prod (1+k_i) <= N}.
-
-    Returns (approximant GridFunction, CoefficientMap on the cross).
-    Raises AliasingError when the grid is too coarse for the cross, whose
-    largest frequency is N - 1.
-    """
-    K = hyperbolic_cross(N, f.d, signed=False)
-    _check_aliasing(f.m, N - 1)
     dense = hpc_analyze_dense(f)
-    coeffs = CoefficientMap(
-        basis="hpc", d=f.d, entries={tuple(k): dense[tuple(k)] for k in K.as_array()}
-    )
-    approx, _ = _cross_projection(dense, N, f.m)
-    return approx, coeffs
+    freqs = [np.arange(size, dtype=float) for size in dense.shape]
+    dense = np.where(_cross_mask(freqs, N), dense, 0.0)
+    return hpc_synthesize_dense(dense, f.m), dense
 
 
 def _torus_projection(g: GridFunction, N: int) -> GridFunction:
@@ -91,33 +67,17 @@ def _torus_projection(g: GridFunction, N: int) -> GridFunction:
     return fourier_synthesize_dense(np.where(_cross_mask(freqs, N), dense, 0.0), g.m)
 
 
-def _transfer(f: GridFunction, N: int, p: float):
-    """Both sides of error_transfer_check, and the periodization g of f
-    with its torus cross projection, for evenization_check to reuse."""
-    lhs = (f - project_dense(f, N)[0]).lp_norm(p)
-    g = periodize(f)
-    proj = _torus_projection(g, N)
-    rhs = (g - proj).lp_norm(p)
-    if p != math.inf:
-        rhs *= 2.0 ** (-f.d / p)
-    return lhs, rhs, g, proj
-
-
 def error_transfer_check(f: GridFunction, N: int, p: float):
     """Left: ||f - (cross projection of f)||_{L_p} on the unit cube.
     Right: the same quantity computed entirely on the torus: periodize the
     samples, project onto the signed cross by FFT masking, and take the
     normalized-measure L_p error. Equal to round-off on matched grids."""
-    return _transfer(f, N, p)[:2]
-
-
-def evenization_check(f: GridFunction, N: int):
-    """L_2 errors of three routes that must agree for reflection-even data:
-    the unit-cube cross projection, the torus cross projection of the
-    periodization, and the explicitly evenized torus projection."""
-    lhs, rhs, g, proj = _transfer(f, N, 2.0)
-    third = 2.0 ** (-f.d / 2.0) * (g - evenize(proj)).lp_norm(2.0)
-    return lhs, rhs, third
+    lhs = (f - project_dense(f, N)[0]).lp_norm(p)
+    g = periodize(f)
+    rhs = (g - _torus_projection(g, N)).lp_norm(p)
+    if p != math.inf:
+        rhs *= 2.0 ** (-f.d / p)
+    return lhs, rhs
 
 
 def _design_matrix(points: np.ndarray, K: IndexSet) -> np.ndarray:
@@ -135,37 +95,30 @@ def _design_matrix(points: np.ndarray, K: IndexSet) -> np.ndarray:
     return cols
 
 
-def ls_recover(
-    points: np.ndarray,
-    values: np.ndarray,
-    K: IndexSet,
-    weights: np.ndarray = None,
-    cond_threshold: float = 1e8,
-):
-    """Weighted least-squares fit of cosine coefficients on the index set.
+# Largest design condition number ls_recover accepts.
+_COND_LIMIT = 1e8
 
-    Solves min sum w_i |values_i - sum_k c_k c_kbar(x_i)|^2 by orthogonal
+
+def ls_recover(points: np.ndarray, values: np.ndarray, K: IndexSet):
+    """Least-squares fit of cosine coefficients on the index set.
+
+    Solves min sum_i |values_i - sum_k c_k c_kbar(x_i)|^2 by orthogonal
     factorization. Returns (CoefficientMap, info dict with condition number
     and the max normal-equation residual). A design matrix with condition
-    above the threshold raises instead of silently regularizing.
+    above _COND_LIMIT raises instead of silently regularizing.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
     A = _design_matrix(points, K)
     if len(values) < A.shape[1]:
         raise ConditionError(f"underdetermined design: {len(values)} samples, {A.shape[1]} unknowns")
-    sqw = np.ones(len(values)) if weights is None else np.sqrt(
-        np.asarray(weights, dtype=float)
-    )
-    Aw = A * sqw[:, None]
-    bw = values * sqw
-    coef, _, rank, svals = np.linalg.lstsq(Aw, bw, rcond=None)
+    coef, _, rank, svals = np.linalg.lstsq(A, values, rcond=None)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if cond > cond_threshold or rank < A.shape[1]:
+    if cond > _COND_LIMIT or rank < A.shape[1]:
         raise ConditionError(
-            f"design matrix condition {cond:.3e} exceeds {cond_threshold:.1e}"
+            f"design matrix condition {cond:.3e} exceeds {_COND_LIMIT:.1e}"
         )
-    normal_resid = float(np.max(np.abs(Aw.T @ (Aw @ coef - bw))))
+    normal_resid = float(np.max(np.abs(A.T @ (A @ coef - values))))
     entries = {
         tuple(int(t) for t in kbar): float(c)
         for kbar, c in zip(K.as_array(), coef)

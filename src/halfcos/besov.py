@@ -42,10 +42,10 @@ __all__ = [
     "hpc_block",
     "hpc_besov_norm",
     "seq_norm",
+    "seq_norm_report",
     "holder_pairing_check",
     "periodization_block_identity",
     "difference_seminorm",
-    "rectangular_mean_1d",
 ]
 
 INF = math.inf
@@ -91,13 +91,6 @@ class DecompositionOfUnity:
     def symmetric(self, j: int, x):
         """psi_j(x) = phi_j(|x|); the even weights used on the torus."""
         return self.phi(j, np.abs(np.asarray(x, dtype=float)))
-
-    def partition_sum(self, J: int, x):
-        """sum_{j<=J} phi_j = phi_0(2^{-J} x) exactly, by telescoping."""
-        acc = self.phi(0, x)
-        for j in range(1, J + 1):
-            acc = acc + self.phi(j, x)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -206,13 +199,9 @@ def hpc_block(
 
 
 def _level_cap(kmax: int) -> int:
+    """Level cap J with every frequency up to kmax below 2^{J-1}: the
+    levels beyond J are exactly zero for such coefficients."""
     return int(math.floor(math.log2(max(kmax, 1)))) + 2
-
-
-def default_level_cap(f_coeffs: CoefficientMap) -> int:
-    """Smallest J with every retained frequency < 2^{J-1}: levels beyond J
-    are exactly zero for this coefficient set."""
-    return _level_cap(max((abs(int(t)) for k in f_coeffs.entries for t in k), default=0))
 
 
 def _tail_from_level_sums(level_sums: dict, q: float):
@@ -441,14 +430,6 @@ def _rectangular_mean(f, m: int, levels, axes, gauss: int):
                 diff += coeff * vals
             acc += wq * np.abs(diff)
         yield acc
-
-
-def rectangular_mean_1d(f, m: int, t: float, x: np.ndarray, gauss: int = 8):
-    """R_m(f,t,x) = int_{-1}^{1} |Delta^m_{h t} f(x)| dh by Gauss quadrature,
-    at points x of any shape."""
-    x = np.asarray(x, dtype=float)
-    (mean,) = _rectangular_mean(f, m, [(t,)], (x.ravel(),), gauss)
-    return mean.reshape(x.shape)
 
 
 def difference_seminorm(

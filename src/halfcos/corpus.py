@@ -24,7 +24,6 @@ from .grids import (
     CoefficientMap,
     GridFunction,
     _check_aliasing,
-    _gauss_legendre,
     box_slabs,
     hpc_analyze_dense,
     slab_keys,
@@ -42,6 +41,7 @@ __all__ = [
     "exp_coeff",
     "smoothper_coeff",
     "gibbs_demo",
+    "KINK_A",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -102,14 +102,6 @@ class TestFunction:
             out = t if out is None else out * t
         return out
 
-    def hpc_coefficient(self, kbar) -> float:
-        if self.factor_coeff is None:
-            raise ValueError(f"{self.name} has no closed-form coefficients")
-        val = 1.0
-        for c, k in zip(self.factor_coeff, kbar):
-            val *= c(int(k))
-        return val
-
     def coefficient_vectors(self, kmax: int) -> list:
         """Per-axis closed-form coefficients c_i(0), ..., c_i(kmax)."""
         if self.factor_coeff is None:
@@ -137,21 +129,6 @@ class TestFunction:
         keep = np.abs(box) > 1e-15
         entries = dict(zip(slab_keys((), keep), box[keep].tolist()))
         return CoefficientMap(basis="hpc", d=self.d, entries=entries)
-
-    def self_check(self, panels: int = 64, order: int = 10) -> float:
-        """|declared integral - product of per-axis panel-Gauss quadratures|,
-        with panels split at the declared breakpoints."""
-        xg, wg = _gauss_legendre(order)
-        q = 1.0
-        for i, fi in enumerate(self.factors):
-            breaks = self.factor_breaks[i] if i < len(self.factor_breaks) else ()
-            cuts = np.union1d(np.linspace(0.0, 1.0, panels + 1), np.asarray(breaks))
-            cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
-            a, b = cuts[:-1], cuts[1:]
-            half = 0.5 * (b - a)
-            nodes = a[:, None] + half[:, None] * (xg[None, :] + 1.0)
-            q *= float(np.sum(half[:, None] * wg[None, :] * fi(nodes)))
-        return abs(q - self.integral)
 
 
 def _spline(order: int, width: float, shift: float):

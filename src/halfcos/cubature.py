@@ -28,7 +28,6 @@ __all__ = [
     "tent_transform_rule",
     "integrate",
     "random_shift",
-    "shifted_mean_error",
     "convergence_experiment",
     "fit_rate",
 ]
@@ -52,10 +51,6 @@ class CubatureRule:
     @property
     def d(self) -> int:
         return self.nodes.shape[1]
-
-    def to_csv(self) -> str:
-        rows = [",".join(f"{c!r}" for c in row) for row in self.nodes]
-        return "\n".join(rows) + "\n"
 
 
 def fibonacci_number(n: int) -> int:
@@ -242,28 +237,6 @@ def integrate(rule: CubatureRule, f) -> float:
     return complex(total).real if np.iscomplexobj(vals) else float(total)
 
 
-def shifted_mean_error(
-    rule: CubatureRule, f, exact: float, shifts: int = 16, seed: int = 0
-) -> float:
-    """Mean absolute error over seeded random modular shifts of the rule."""
-    return _shift_average(rule, f, exact, shifts, seed, tented=False)
-
-
-def _shift_average(rule, f, exact: float, shifts: int, seed: int, tented: bool) -> float:
-    """Mean absolute error over `shifts` random modular shifts drawn from
-    default_rng(seed); with tented, each shifted rule is tent-transformed."""
-    if shifts < 1:
-        raise ConfigError(f"shifts must be >= 1 to average over shifts, got {shifts}")
-    rng = np.random.default_rng(seed)
-    errs = []
-    for _ in range(shifts):
-        used = random_shift(rule, rng)
-        if tented:
-            used = tent_transform_rule(used)
-        errs.append(abs(integrate(used, f) - exact))
-    return float(np.mean(errs))
-
-
 @dataclass
 class RateFit:
     ns: list
@@ -329,10 +302,11 @@ def convergence_experiment(
     """Error table and least-squares slope of log2(err) against log2(n).
 
     rule_for_n maps an index to a CubatureRule; transform='tent' wraps each
-    rule; shifts > 0 averages absolute errors over seeded random shifts
-    (shift first, then tent, matching the shifted variant). A positive
-    log_exponent divides errors by (log2 n)^exponent before fitting. The
-    smallest points are excluded from the fit to suppress preasymptotics.
+    rule; shifts > 0 averages the absolute errors of that many random
+    shifts of each rule, drawn from a fresh default_rng(seed) per rule
+    (shift first, then tent). A positive log_exponent divides errors by
+    (log2 n)^exponent before fitting. The smallest points are excluded from
+    the fit to suppress preasymptotics.
     """
     if shifts < 0:
         raise ConfigError(f"shifts must be >= 0 (0: no shift), got {shifts}")
@@ -340,7 +314,14 @@ def convergence_experiment(
     for idx in n_indices:
         rule = rule_for_n(idx)
         if shifts > 0:
-            err = _shift_average(rule, f, exact, shifts, seed, tented=transform == "tent")
+            rng = np.random.default_rng(seed)
+            errs = []
+            for _ in range(shifts):
+                used = random_shift(rule, rng)
+                if transform == "tent":
+                    used = tent_transform_rule(used)
+                errs.append(abs(integrate(used, f) - exact))
+            err = float(np.mean(errs))
         else:
             used = tent_transform_rule(rule) if transform == "tent" else rule
             err = abs(integrate(used, f) - exact)

@@ -1,5 +1,16 @@
 """Exceptions shared across the package."""
 
+__all__ = [
+    "HalfcosError",
+    "DomainError",
+    "ResolutionMismatchError",
+    "AliasingError",
+    "TruncationError",
+    "ConditionError",
+    "DivergentTailError",
+    "ConfigError",
+]
+
 
 class HalfcosError(Exception):
     """Base class for all package errors."""

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AliasingError, ConfigError, DomainError, ResolutionMismatchError
-from .indexsets import IndexSet
 
 
 __all__ = [
@@ -37,14 +35,11 @@ __all__ = [
     "CoefficientMap",
     "tent",
     "rho",
-    "tau",
     "periodize",
     "restrict",
-    "evenize",
     "hpc_basis_1d",
     "cos_basis",
     "exp_basis",
-    "hpc_analyze",
     "hpc_analyze_dense",
     "hpc_synthesize",
     "hpc_synthesize_dense",
@@ -124,11 +119,6 @@ def rho(x):
     """2-periodic even reflection, min{x mod 2, (-x) mod 2}; equals |x| on [-1,1]."""
     x = np.asarray(x, dtype=float)
     return np.minimum(np.mod(x, 2.0), np.mod(-x, 2.0))
-
-
-def tau(x):
-    """Affine chart t -> 2t - 1 from [0,1] onto [-1,1]."""
-    return 2.0 * np.asarray(x, dtype=float) - 1.0
 
 
 @dataclass
@@ -231,45 +221,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def to_bytes(self) -> bytes:
-        """16-byte header (d, M, domain tag, value kind) + LE float64 payload."""
-        kind = 1 if np.iscomplexobj(self.values) else 0
-        tag = 0 if self.domain == UNIT else 1
-        header = struct.pack("<4I", self.d, self.axis_size, tag, kind)
-        dtype = "<c16" if kind else "<f8"
-        return header + np.ascontiguousarray(self.values).astype(dtype).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "GridFunction":
-        """Inverse of to_bytes. A malformed blob raises DomainError (bad
-        domain tag or value kind) or ResolutionMismatchError (bad sizes)."""
-        if len(blob) < 16:
-            raise ResolutionMismatchError(
-                f"grid blob has {len(blob)} bytes, fewer than its 16-byte header"
-            )
-        d, M, tag, kind = struct.unpack("<4I", blob[:16])
-        if tag not in (0, 1) or kind not in (0, 1):
-            raise DomainError(
-                f"grid blob has domain tag {tag} and value kind {kind}; each must be 0 or 1"
-            )
-        domain = UNIT if tag == 0 else SYM
-        n = M - 1 if domain == UNIT else M  # 2^m on the cube, 2^(m+1) on the torus
-        m = n.bit_length() - 1 if domain == UNIT else n.bit_length() - 2
-        if n < 1 or n & (n - 1) or m < 0:
-            raise ResolutionMismatchError(f"grid blob axis size {M} is not a {domain} grid size")
-        dtype = np.dtype("<c16" if kind else "<f8")
-        payload = len(blob) - 16
-        # M >= 2, so d beyond the payload's bit length cannot fit; checked first
-        # so that a garbage d never builds a huge M**d or shape tuple.
-        if d > payload.bit_length() or payload != M**d * dtype.itemsize:
-            raise ResolutionMismatchError(
-                f"grid blob payload has {payload} bytes; d={d} with {M} points per axis"
-                f" needs {M}^{d} values of {dtype.itemsize} bytes"
-            )
-        vals = np.frombuffer(blob, dtype=dtype, offset=16).reshape((M,) * d)
-        return cls(domain=domain, m=m, values=vals.copy())
-
-
 def periodize(f: GridFunction) -> GridFunction:
     """Reflection periodization P: f -> f o rho restricted to [-1,1]^d.
 
@@ -297,23 +248,6 @@ def restrict(g: GridFunction) -> GridFunction:
     for ax in range(g.d):
         vals = np.take(vals, idx, axis=ax)
     return GridFunction(UNIT, g.m, vals)
-
-
-def evenize(f: GridFunction) -> GridFunction:
-    """Average of f over all componentwise reflections, exactly on indices:
-    x_i -> 1 - x_i on the unit cube, x_i -> -x_i on the torus."""
-    if f.domain == UNIT:
-        flip = lambda v, ax: np.flip(v, axis=ax)
-    else:
-        flip = lambda v, ax: np.roll(np.flip(v, axis=ax), 1, axis=ax)
-    out = np.zeros_like(np.asarray(f.values))
-    for mask in range(2**f.d):
-        v = f.values
-        for ax in range(f.d):
-            if (mask >> ax) & 1:
-                v = flip(v, ax)
-        out = out + v
-    return GridFunction(f.domain, f.m, out / 2**f.d)
 
 
 def hpc_basis_1d(k: int, x):
@@ -371,50 +305,8 @@ class CoefficientMap:
     def items_sorted(self):
         return sorted(self.entries.items())
 
-    def support(self):
-        return [k for k, _ in self.items_sorted()]
-
     def __len__(self):
         return len(self.entries)
-
-    def scaled(self, alpha) -> "CoefficientMap":
-        return CoefficientMap(
-            self.basis, self.d, {k: alpha * v for k, v in self.entries.items()}
-        )
-
-    def to_csv(self) -> str:
-        """Frequency bases: rows k_1,...,k_d,re,im. Wavelet bases:
-        rows j_1,...,j_d,k_1,...,k_d,value."""
-        rows = []
-        if self.basis in ("cw-primal", "cw-dual"):
-            head = ",".join(
-                [f"j_{i+1}" for i in range(self.d)] + [f"k_{i+1}" for i in range(self.d)]
-            ) + ",value"
-            rows.append(head)
-            for (j, k), v in self.items_sorted():
-                rows.append(",".join(str(x) for x in j + k) + f",{float(np.real(v))!r}")
-        else:
-            head = ",".join(f"k_{i+1}" for i in range(self.d)) + ",re,im"
-            rows.append(head)
-            for k, v in self.items_sorted():
-                v = complex(v)
-                rows.append(",".join(str(x) for x in k) + f",{v.real!r},{v.imag!r}")
-        return "\n".join(rows) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, basis: str, d: int) -> "CoefficientMap":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        entries = {}
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if basis in ("cw-primal", "cw-dual"):
-                j = tuple(int(x) for x in parts[:d])
-                k = tuple(int(x) for x in parts[d : 2 * d])
-                entries[(j, k)] = float(parts[2 * d])
-            else:
-                k = tuple(int(x) for x in parts[:d])
-                entries[k] = complex(float(parts[d]), float(parts[d + 1]))
-        return cls(basis=basis, d=d, entries=entries)
 
 
 def _check_aliasing(m: int, kmax: int):
@@ -436,7 +328,7 @@ def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
     of pocketfft's d-dimensional DCT-I.
     """
     if f.domain != UNIT:
-        raise DomainError("hpc_analyze expects a unit-cube grid function")
+        raise DomainError("hpc_analyze_dense expects a unit-cube grid function")
     h = 2.0**-f.m
     coeff = f.values
     for ax in range(f.d):
@@ -500,22 +392,6 @@ def _dct1(x: np.ndarray, axis: int, n: int = None) -> np.ndarray:
             np.fft.rfft(b, axis=-1, out=s)
             out3[box] = s.real.reshape(rows + (n,)).transpose(order)
     return out
-
-
-def hpc_analyze(f: GridFunction, K: IndexSet) -> CoefficientMap:
-    """Half-period cosine coefficients <f, c_kbar> for kbar in K.
-
-    Raises AliasingError when the grid resolution violates the margin rule
-    2^m >= 4 max_i k_i instead of silently degrading.
-    """
-    arr = K.as_array()
-    kmax = int(arr.max()) if arr.size else 0
-    if arr.size and arr.min() < 0:
-        raise ValueError("half-period cosine frequencies must be nonnegative")
-    _check_aliasing(f.m, kmax)
-    dense = hpc_analyze_dense(f)
-    entries = {tuple(k): dense[tuple(k)] for k in arr}
-    return CoefficientMap(basis="hpc", d=f.d, entries=entries)
 
 
 # Output bytes per block of _synthesize_terms: a block and its buffer fit in L2.

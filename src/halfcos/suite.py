@@ -17,14 +17,13 @@ import numpy as np
 from .besov import (
     BesovParams,
     DecompositionOfUnity,
-    NormReport,
     SeqNormSpec,
     difference_seminorm,
     hpc_besov_norm,
     periodization_block_identity,
     seq_norm_report,
 )
-from .corpus import _check_kmax, band_family, get_member
+from .corpus import _check_kmax, band_family
 from .errors import ConfigError
 from .cubature import fibonacci_rule, digital_net, integrate, tent_transform_rule
 from .approx import error_transfer_check

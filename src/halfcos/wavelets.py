@@ -12,7 +12,6 @@ quadratic, so per-cell Simpson is exact.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "DualCoefficientSequence",
     "mother",
     "father",
-    "mother_from_qcoeffs",
     "bspline_value",
     "psi_eval",
     "psi_piecewise",
@@ -45,9 +43,11 @@ __all__ = [
     "cw_analyze",
     "cw_synthesize",
     "gram_sequence",
+    "biorthogonality_residual_1d",
 ]
 
 SQRT3 = math.sqrt(3.0)
+_GAUSS_ORDER = 8  # Gauss-Legendre nodes per analysis panel
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ class PiecewiseLinear:
     @property
     def support(self):
         return (self.breakpoints[0], self.breakpoints[-1])
-
-    def integral(self) -> float:
-        b = np.asarray(self.breakpoints)
-        v = np.asarray(self.values)
-        return float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(b)))
 
     def moment(self, s: int) -> float:
         """Exact integral of x^s f(x) for s <= 2 (Simpson per cell)."""
@@ -143,21 +138,6 @@ def bspline_value(order: int, x) -> np.ndarray:
     return out[()]
 
 
-def mother_from_qcoeffs() -> PiecewiseLinear:
-    """Assemble the mother wavelet as sum_l q_l N_2(2x - l) with
-    q_l = (-1)^l / 2 * sum_i C(2,i) N_4(l - i + 1)."""
-    q = []
-    for l in range(5):
-        s = sum(math.comb(2, i) * float(bspline_value(4, l - i + 1)) for i in range(3))
-        q.append((-1.0) ** l / 2.0 * s)
-    bp = np.arange(7) / 2.0
-    hat = father()
-    vals = np.zeros(7)
-    for l, ql in enumerate(q):
-        vals += ql * hat(2.0 * bp - l)
-    return PiecewiseLinear(tuple(bp), tuple(vals))
-
-
 def psi_support(l: int, k: int):
     """Support interval of the level-l, shift-k wavelet."""
     if l < -1:
@@ -216,35 +196,6 @@ class DualCoefficientSequence:
         if abs(n) > self.n_max:
             return 0.0
         return float(self.coefficients[n + self.n_max])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eps": self.eps,
-                "n_max": self.n_max,
-                "decay_base": self.decay_base,
-                "tail_bound": self.tail_bound,
-                "coefficients": [
-                    [int(n - self.n_max), float(c)]
-                    for n, c in enumerate(self.coefficients)
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DualCoefficientSequence":
-        obj = json.loads(text)
-        n_max = int(obj["n_max"])
-        coeff = np.zeros(2 * n_max + 1)
-        for n, c in obj["coefficients"]:
-            coeff[int(n) + n_max] = float(c)
-        return cls(
-            eps=int(obj["eps"]),
-            n_max=n_max,
-            coefficients=coeff,
-            decay_base=float(obj["decay_base"]),
-            tail_bound=float(obj["tail_bound"]),
-        )
 
 
 def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoefficientSequence:
@@ -364,7 +315,7 @@ class _LevelAxis:
     with stride 2 (1 at level -1).
     """
 
-    def __init__(self, l: int, box, f_breaks, gen: PiecewiseLinear, order: int):
+    def __init__(self, l: int, box, f_breaks, gen: PiecewiseLinear):
         lo, hi = box
         if not -math.inf < lo <= hi < math.inf:
             raise ConfigError(f"analysis box {box} is not a finite interval")
@@ -378,10 +329,10 @@ class _LevelAxis:
         grid = h * np.arange(self.first, self.first + self.size)
         cuts = np.unique(np.concatenate(([lo, hi], grid, np.asarray(f_breaks, dtype=float))))
         a, b = cuts[(cuts >= lo) & (cuts < hi)], cuts[(cuts > lo) & (cuts <= hi)]
-        xg, wg = _gauss_legendre(order)
+        xg, wg = _gauss_legendre(_GAUSS_ORDER)
         self.nodes = (a[:, None] + 0.5 * (b - a)[:, None] * (xg + 1.0)).ravel()
         self.weights = (0.5 * (b - a)[:, None] * wg).ravel()
-        cell = np.repeat(np.floor(0.5 * (a + b) / h), order)
+        cell = np.repeat(np.floor(0.5 * (a + b) / h), _GAUSS_ORDER)
         self.frac = self.nodes / h - cell
         self.cells, self.starts = np.unique(cell.astype(int) - self.first, return_index=True)
 
@@ -407,12 +358,12 @@ class _LevelAxis:
         return np.moveaxis(out, 0, axis)
 
 
-def _analyze(f, J: int, box, kind: str, f_breaks, gauss_order: int, n_max: int, prune: float) -> dict:
+def _analyze(f, J: int, box, kind: str, f_breaks, n_max: int, prune: float) -> dict:
     """(jbar, kbar) -> 2^{|jbar_+|} <f, w_{jbar,kbar}> over |jbar|_inf <= J
     for the primal or dual tensor wavelets, keeping magnitudes above prune."""
     gens = [psi_piecewise(eps, 0) if kind == "primal" else dual_piecewise(eps, 0, n_max)
             for eps in range(-1, min(J, 0) + 1)]
-    axes = [[_LevelAxis(l, b, fb, gens[min(l, 0) + 1], gauss_order) for l in range(-1, J + 1)]
+    axes = [[_LevelAxis(l, b, fb, gens[min(l, 0) + 1]) for l in range(-1, J + 1)]
             for b, fb in zip(box, f_breaks)]
     entries = {}
     for idx in np.ndindex(*(len(a) for a in axes)):
@@ -428,9 +379,7 @@ def _analyze(f, J: int, box, kind: str, f_breaks, gauss_order: int, n_max: int, 
     return entries
 
 
-def cw_analyze_1d(
-    f, J: int, box, kind: str = "primal", f_breaks=(), gauss_order: int = 8, n_max: int = 40
-) -> dict:
+def cw_analyze_1d(f, J: int, box, kind: str = "primal", f_breaks=(), n_max: int = 40) -> dict:
     """Univariate coefficient table (l, k) -> 2^{l_+} <f, psi_{l,k}>.
 
     f is a vectorized callable supported in box. Panels are split at all
@@ -438,7 +387,7 @@ def cw_analyze_1d(
     quadrature is exact whenever f is piecewise polynomial of moderate
     degree.
     """
-    entries = _analyze(f, J, (box,), kind, (f_breaks,), gauss_order, n_max, 0.0)
+    entries = _analyze(f, J, (box,), kind, (f_breaks,), n_max, 0.0)
     return {(j[0], k[0]): v for (j, k), v in entries.items()}
 
 
@@ -449,7 +398,6 @@ def cw_analyze(
     kind: str = "primal",
     tensor_factors=None,
     f_breaks=None,
-    gauss_order: int = 8,
     n_max: int = 40,
     prune: float = 0.0,
 ) -> CoefficientMap:
@@ -467,20 +415,23 @@ def cw_analyze(
         f_breaks = (f_breaks,)
     if f_breaks is None or len(f_breaks) == 0:
         f_breaks = ((),) * d
+    if len(box) != d or len(f_breaks) != d:
+        raise ConfigError(
+            f"{d} axes need as many boxes and f_breaks entries; got {len(box)} and {len(f_breaks)}"
+        )
     if tensor_factors is None:
         if d > 2:
-            raise ValueError("generic callables are supported for d <= 2; use tensor_factors")
-        entries = _analyze(f, J, box, kind, f_breaks, gauss_order, n_max, prune)
+            raise ConfigError("generic callables are supported for d <= 2; use tensor_factors")
+        entries = _analyze(f, J, box, kind, f_breaks, n_max, prune)
         return CoefficientMap(basis=basis, d=d, entries=entries)
 
     # One table per distinct (factor object, box, breaks): the 2-D corpus
     # members repeat one factor on both axes.
     built, tables = {}, []
-    for i in range(d):
-        fi, b, fb = tensor_factors[i], box[i], f_breaks[i]
+    for fi, b, fb in zip(tensor_factors, box, f_breaks):
         key = (id(fi), np.asarray(b, dtype=float).tobytes(), np.asarray(fb, dtype=float).tobytes())
         if key not in built:
-            built[key] = cw_analyze_1d(fi, J, b, kind, fb, gauss_order, n_max)
+            built[key] = cw_analyze_1d(fi, J, b, kind, fb, n_max)
         tables.append(built[key])
     # Keys in the order of nested loops over the tables, values the same
     # products v * tv computed as one outer product per table.

@@ -6,13 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from halfcos import approx
 from halfcos.approx import (
     _design_matrix,
     error_transfer_check,
-    evenization_check,
     exact_projection_error,
-    hpc_project,
     ls_error_experiment,
     ls_recover,
     project_dense,
@@ -24,12 +21,11 @@ from halfcos.grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
-    evenize,
     hpc_basis_1d,
     hpc_synthesize,
-    periodize,
 )
 from halfcos.indexsets import hyperbolic_cross
+from closed_forms import evenization_check, hpc_coefficient
 
 INF = float("inf")
 
@@ -41,10 +37,10 @@ def poly_on_grid(entries, d, m):
 
 def test_projection_reproduces_span_members():
     f, cf = poly_on_grid({(0,): 0.4, (1,): -0.3, (3,): 0.2}, 1, 6)
-    approx, coeffs = hpc_project(f, N=4)
+    approx, dense = project_dense(f, N=4)
     assert (f - approx).lp_norm(INF) < 1e-13
     for key, v in cf.entries.items():
-        assert coeffs.get(key) == pytest.approx(v, abs=1e-13)
+        assert dense[key] == pytest.approx(v, abs=1e-13)
 
 
 def test_projection_is_idempotent():
@@ -100,22 +96,6 @@ def test_evenization_routes_agree():
     assert b == pytest.approx(c, rel=1e-13)
 
 
-@pytest.mark.parametrize("name, d", [("kink1", 1), ("kink2", 2)])
-def test_evenization_check_transforms_once_and_equals_the_former_route(monkeypatch, name, d):
-    g = GridFunction.from_callable(get_member(name), d, 6, UNIT)
-    # the former route: error_transfer_check, then a second periodization
-    # and torus projection for the evenized third value
-    lhs, rhs = error_transfer_check(g, 5, 2.0)
-    pg = periodize(g)
-    third = 2.0 ** (-d / 2.0) * (pg - evenize(approx._torus_projection(pg, 5))).lp_norm(2.0)
-    calls = []
-    for fn in ("fourier_analyze_dense", "fourier_synthesize_dense"):
-        real = getattr(approx, fn)
-        monkeypatch.setattr(approx, fn, lambda *a, _f=real, _n=fn: calls.append(_n) or _f(*a))
-    assert evenization_check(g, 5) == (lhs, rhs, third)
-    assert sorted(calls) == ["fourier_analyze_dense", "fourier_synthesize_dense"]
-
-
 def test_ls_recovers_span_members_exactly():
     entries = {(0, 0): 0.5, (1, 0): -0.2, (0, 2): 0.3, (1, 1): 0.1}
     cf = CoefficientMap("hpc", 2, entries)
@@ -145,17 +125,6 @@ def test_ls_zero_data_gives_zero_coefficients():
     pts = np.linspace(0.05, 0.95, 40).reshape(-1, 1)
     got, _ = ls_recover(pts, np.zeros(40), K)
     assert all(abs(v) < 1e-14 for v in got.entries.values())
-
-
-def test_ls_equal_weights_match_unweighted():
-    K = hyperbolic_cross(4, 1, signed=False)
-    rng = np.random.default_rng(7)
-    pts = rng.random((30, 1))
-    vals = np.sin(3.0 * pts[:, 0])
-    a, _ = ls_recover(pts, vals, K)
-    b, _ = ls_recover(pts, vals, K, weights=np.ones(30))
-    for key in a.entries:
-        assert a.entries[key] == b.entries[key]
 
 
 def test_ls_degenerate_designs_raise():
@@ -207,7 +176,7 @@ def box_walk_tail(member, N, kmax):
         for k in kbar:
             prod *= 1.0 + k
         if prod > N:
-            total += member.hpc_coefficient(kbar) ** 2
+            total += hpc_coefficient(member, kbar) ** 2
     return math.sqrt(total)
 
 

@@ -8,17 +8,16 @@ import pytest
 from halfcos.besov import (
     _lp,
     _norm_report,
+    _rectangular_mean,
     BesovParams,
     DecompositionOfUnity,
     SeqNormSpec,
-    default_level_cap,
     difference_seminorm,
     holder_pairing_check,
     hpc_besov_norm,
     hpc_block,
     periodization_block_identity,
     phi0_eval,
-    rectangular_mean_1d,
     seq_norm,
     seq_norm_report,
     smooth_sigma,
@@ -28,6 +27,7 @@ from halfcos.errors import ConfigError, DivergentTailError
 from halfcos.grids import CoefficientMap
 from halfcos.indexsets import plus_l1
 from halfcos.wavelets import cw_analyze
+from closed_forms import partition_sum
 
 INF = float("inf")
 
@@ -75,10 +75,10 @@ def test_level_peaks_and_telescoping():
     assert np.all(dec.phi(-1, np.arange(5.0)) == 0.0)
     x = np.linspace(-40.0, 40.0, 401)
     for J in (0, 2, 4):
-        got = dec.partition_sum(J, x)
+        got = partition_sum(dec, J, x)
         assert np.max(np.abs(got - phi0_eval(2.0**-J * x))) < 1e-15
     inside = np.abs(x) <= 2.0**4
-    assert np.all(dec.partition_sum(4, x)[inside] == 1.0)
+    assert np.all(partition_sum(dec, 4, x)[inside] == 1.0)
 
 
 def test_symmetric_weights_are_even():
@@ -356,7 +356,7 @@ def test_block_norm_matches_hand_weighted_quadrature():
     dec = DecompositionOfUnity()
     total = 0.0
     terms = {}
-    for j in range(default_level_cap(hpc_map(entries)) + 1):
+    for j in range(6):  # up to the level cap 5: frequency 9 < 2^4
         vals = np.zeros_like(x)
         for (k,), c in entries.items():
             base = np.sqrt(2.0) * np.cos(np.pi * k * x) if k else np.ones_like(x)
@@ -379,8 +379,7 @@ def test_block_norm_homogeneity_and_level_cap():
         hpc_map({k: -3.0 * v for k, v in entries.items()}), params, grid_level=8
     ).value
     assert scaled == pytest.approx(3.0 * base, rel=1e-13)
-    cap = default_level_cap(hpc_map(entries))
-    assert cap == 5  # highest frequency 12 < 2^4
+    cap = 5  # highest frequency 12 < 2^4
     wide = hpc_besov_norm(hpc_map(entries), params, J_max=cap + 4, grid_level=8)
     assert wide.value == pytest.approx(base, rel=1e-14)
     assert wide.tail_bound == 0.0
@@ -654,7 +653,7 @@ def test_rectangular_mean_keeps_negative_zero_apart():
     f = lambda x: np.where(np.signbit(x), 1.0, 0.0) + x
     x = np.array([-0.0, 0.0, 0.25, -0.5])
     for gauss in (3, 4):
-        got = rectangular_mean_1d(f, 2, 0.5, x, gauss=gauss)
+        (got,) = _rectangular_mean(f, 2, [(0.5,)], (x,), gauss)
         assert np.array_equal(got, _former_rectangular_mean_1d(f, 2, 0.5, x, gauss))
 
 
@@ -677,10 +676,10 @@ def test_difference_generic_route_equals_the_former_meshgrid_loop(name, p):
     assert rep.level_terms == _former_difference_terms(f, None, 1.0, p, d=d, **args)
 
 
-def test_rectangular_mean_1d_keeps_the_shape_of_x():
+def test_rectangular_mean_equals_the_former_one_level_loop():
     x = np.linspace(-1.0, 1.0, 12)
-    got = rectangular_mean_1d(np.sin, 3, 0.25, x.reshape(3, 4), gauss=6)
-    assert np.array_equal(got, _former_rectangular_mean_1d(np.sin, 3, 0.25, x, 6).reshape(3, 4))
+    (got,) = _rectangular_mean(np.sin, 3, [(0.25,)], (x,), 6)
+    assert np.array_equal(got, _former_rectangular_mean_1d(np.sin, 3, 0.25, x, 6))
 
 
 def _route_report(route, params):

@@ -17,7 +17,6 @@ from halfcos.cubature import (
     integrate,
     random_shift,
     rank1_lattice,
-    shifted_mean_error,
     tent_transform_rule,
 )
 from halfcos.errors import ConfigError
@@ -190,6 +189,13 @@ def test_random_shift_is_the_modular_sum():
         assert np.array_equal(got, want)
 
 
+def _shifted_mean_error(rule, f, exact, shifts, seed):
+    """Mean absolute error over `shifts` random shifts from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    errs = [abs(integrate(random_shift(rule, rng), f) - exact) for _ in range(shifts)]
+    return float(np.mean(errs))
+
+
 def test_random_shift_and_mean_error_are_seeded():
     rule = fibonacci_rule(8)
     a = random_shift(rule, np.random.default_rng(5))
@@ -199,18 +205,14 @@ def test_random_shift_and_mean_error_are_seeded():
     assert a.weights is rule.weights
     f = lambda x, y: np.exp(x + y)
     exact = (math.e - 1.0) ** 2
-    e1 = shifted_mean_error(rule, f, exact, shifts=4, seed=9)
-    e2 = shifted_mean_error(rule, f, exact, shifts=4, seed=9)
+    e1 = _shifted_mean_error(rule, f, exact, shifts=4, seed=9)
+    e2 = _shifted_mean_error(rule, f, exact, shifts=4, seed=9)
     assert e1 == e2 and e1 > 0.0
 
 
 def test_shift_counts_below_the_minimum_raise():
-    rule = fibonacci_rule(8)
     f = lambda x, y: np.exp(x + y)
     exact = (math.e - 1.0) ** 2
-    for shifts in (0, -2):
-        with pytest.raises(ConfigError, match="shifts must be >= 1"):
-            shifted_mean_error(rule, f, exact, shifts=shifts)
     with pytest.raises(ConfigError, match="shifts must be >= 0"):
         convergence_experiment(fibonacci_rule, f, exact, range(5, 9), shifts=-2)
     # shifts=0 still means no shift
@@ -289,7 +291,7 @@ def test_shifted_experiment_averages_as_shifted_mean_error():
     )
     for i, err, err_tent in zip(range(5, 10), plain.errors, tented.errors):
         rule = fibonacci_rule(i)
-        assert err == shifted_mean_error(rule, f, exact, shifts=3, seed=4)
+        assert err == _shifted_mean_error(rule, f, exact, shifts=3, seed=4)
         rng = np.random.default_rng(4)
         errs = [abs(integrate(tent_transform_rule(random_shift(rule, rng)), f) - exact)
                 for _ in range(3)]

@@ -1,6 +1,9 @@
-"""Every name a module exports exists: a deletion cannot leave an export behind."""
+"""Every name a module exports exists, and every name the package imports
+from a module is exported by it: a deletion cannot leave an export behind."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -21,3 +24,14 @@ def test_corpus_submodule_is_not_shadowed_by_a_function():
     import halfcos.corpus as c
 
     assert c.get_member("kink1").name == "kink1"
+
+
+def test_every_package_import_is_exported_by_its_submodule():
+    tree = ast.parse(inspect.getsource(halfcos))
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"halfcos.{node.module}")
+            exported = getattr(module, "__all__", ())
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert not missing, f"halfcos/__init__.py imports names outside their module's __all__: {missing}"

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfcos.besov import DecompositionOfUnity
-from halfcos.indexsets import (
-    IndexSet,
-    abs_index,
-    cross_cardinality_check,
-    dyadic_support,
-    hyperbolic_cross,
-    l1_norm,
-    nonneg_part,
-    plus_l1,
-)
+from halfcos.indexsets import IndexSet, hyperbolic_cross, plus_l1
+from closed_forms import cross_cardinality_check
 
 
 def brute_cross(N, d, signed):
@@ -31,9 +23,6 @@ def brute_cross(N, d, signed):
 
 
 def test_small_helpers():
-    assert nonneg_part((-3, 0, 2)) == (0, 0, 2)
-    assert abs_index((-3, 0, 2)) == (3, 0, 2)
-    assert l1_norm((-3, 0, 2)) == 5
     assert plus_l1((-1, 0, 2)) == 2
 
 
@@ -51,7 +40,7 @@ def test_signed_cross_cardinality_d2():
 def test_unsigned_is_abs_image_of_signed():
     signed = hyperbolic_cross(6, 2, signed=True)
     unsigned = hyperbolic_cross(6, 2, signed=False)
-    assert set(unsigned.members) == {abs_index(k) for k in signed.members}
+    assert set(unsigned.members) == {tuple(abs(x) for x in k) for k in signed.members}
 
 
 @pytest.mark.parametrize("N,d,signed", [(6, 1, True), (9, 2, True), (12, 2, False), (8, 3, False)])
@@ -94,18 +83,13 @@ def test_cross_symmetry_and_membership(N, d):
 
 def test_dyadic_support_levels():
     decomp = DecompositionOfUnity()
-    assert set(k for (k,) in dyadic_support((0,), decomp)) == {0, 1}
+    ks = np.arange(20.0)
+    assert set(np.flatnonzero(decomp.phi(0, ks))) == {0, 1}
     # phi_2 vanishes at 2 and at 8 exactly (plateau edges)
-    assert set(k for (k,) in dyadic_support((2,), decomp)) == set(range(3, 8))
-    got = dyadic_support((0, 2), decomp)
-    assert got.d == 2
-    assert len(got) == 2 * 5
-
-
-def test_index_set_text_round_trip():
-    K = hyperbolic_cross(5, 2, signed=True)
-    back = IndexSet.from_text(K.to_text())
-    assert back == K
+    assert set(np.flatnonzero(decomp.phi(2, ks))) == set(range(3, 8))
+    # phi_(0,2)(k) = phi_0(k_1) phi_2(k_2) is nonzero on the 2 x 5 product
+    block = np.multiply.outer(decomp.phi(0, ks), decomp.phi(2, ks))
+    assert set(zip(*np.nonzero(block))) == {(a, b) for a in (0, 1) for b in range(3, 8)}
 
 
 def test_index_set_dedup_and_order():

@@ -12,7 +12,6 @@ from halfcos.corpus import get_member
 from halfcos.errors import ConfigError
 from halfcos.grids import CoefficientMap, GridFunction, UNIT
 from halfcos.wavelets import (
-    DualCoefficientSequence,
     PiecewiseLinear,
     _shift_range,
     biorthogonality_residual_1d,
@@ -26,12 +25,12 @@ from halfcos.wavelets import (
     father,
     gram_sequence,
     mother,
-    mother_from_qcoeffs,
     product_integral,
     psi_eval,
     psi_piecewise,
     psi_support,
 )
+from closed_forms import mother_from_qcoeffs
 
 R = sp.Rational
 
@@ -184,14 +183,6 @@ def test_dual_decay_base():
     seq = dual_coefficients(-1, n_max=40)
     assert abs(seq.decay_base - (2.0 + math.sqrt(3.0))) < 1e-6
     assert seq.tail_bound < 1e-10
-
-
-def test_dual_sequence_json_round_trip():
-    seq = dual_coefficients(0, n_max=30, tol=1e-8)
-    back = DualCoefficientSequence.from_json(seq.to_json())
-    assert back.eps == seq.eps and back.n_max == seq.n_max
-    assert np.array_equal(back.coefficients, seq.coefficients)
-    assert back.decay_base == seq.decay_base
 
 
 def test_psi_eval_levels():
@@ -462,3 +453,18 @@ def test_dual_piecewise_is_the_dual_sequence_expansion(l, k):
 def test_analysis_rejects_a_box_that_is_not_an_interval(box):
     with pytest.raises(ConfigError, match="not a finite interval"):
         cw_analyze_1d(np.cos, 2, box)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(tensor_factors=[np.cos, np.cos]), "2 axes need as many boxes .* got 1 and 2"),
+        (dict(tensor_factors=[np.cos, np.cos], box=((0.0, 1.0),) * 2, f_breaks=[()]),
+         "2 axes need as many boxes .* got 2 and 1"),
+        (dict(f=lambda x, y, z: x * y * z, box=((0.0, 1.0),) * 3), "d <= 2"),
+    ],
+    ids=["factors-longer-than-box", "factors-longer-than-breaks", "generic-d3"],
+)
+def test_analysis_rejects_mismatched_axes(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        cw_analyze(J=2, **kwargs)
