@@ -49,9 +49,7 @@ from .wavelets import (
 )
 from .besov import (
     BesovParams,
-    SeqNormSpec,
     NormReport,
-    DecompositionOfUnity,
     hpc_besov_norm,
     hpc_block,
     seq_norm,

@@ -14,6 +14,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .corpus import _check_kmax
 from .cubature import fit_rate
 from .errors import ConditionError, ConfigError
 from .grids import (
@@ -21,6 +22,7 @@ from .grids import (
     CoefficientMap,
     GridFunction,
     _check_aliasing,
+    _check_grid_size,
     _weigh,
     box_slabs,
     fourier_analyze_dense,
@@ -141,6 +143,7 @@ def ls_error_experiment(
     names the sampling weights; only 'uniform' is implemented."""
     if N < 1:
         raise ConfigError(f"cross order N must be >= 1, got {N}")
+    _check_grid_size(grid_level, member.d, UNIT, f"--grid-level {grid_level}")
     if weights != "uniform":
         raise ConfigError(
             f"weights={weights!r}: only 'uniform' sampling weights are implemented"
@@ -219,6 +222,7 @@ def projection_error_rate(
     bad = [N for N in N_list if N < 1]
     if bad:
         raise ConfigError(f"cross order N must be >= 1, got {bad[0]}")
+    _check_kmax(kmax)
     dims, errors = [], []
     for N in N_list:
         K = hyperbolic_cross(N, member.d, signed=False)

@@ -1,4 +1,4 @@
-"""Dyadic decompositions of unity, frequency-block building blocks, and the
+"""The dyadic decomposition of unity, frequency-block building blocks, and the
 three (quasi-)norms used throughout: the cosine-block norm on the unit cube,
 the weighted sequence norm over wavelet indices, and a difference-based
 seminorm oracle.
@@ -35,9 +35,8 @@ from .indexsets import plus_l1
 __all__ = [
     "smooth_sigma",
     "phi0_eval",
-    "DecompositionOfUnity",
+    "phi",
     "BesovParams",
-    "SeqNormSpec",
     "NormReport",
     "hpc_block",
     "hpc_besov_norm",
@@ -49,48 +48,40 @@ __all__ = [
 ]
 
 INF = math.inf
+_GAUSS_ORDER = 8  # Gauss-Legendre nodes per axis of the difference route's h-integral
 
 
-def smooth_sigma(t, power: int = 1):
-    """exp(-1/t^power) for t > 0, zero otherwise; C^inf on R."""
+def smooth_sigma(t):
+    """exp(-1/t) for t > 0, zero otherwise; C^inf on R."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0.0
     with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos] ** power)
+        out[pos] = np.exp(-1.0 / t[pos])
     return out
 
 
-def phi0_eval(x, power: int = 1):
+def phi0_eval(x):
     """Even C^inf cutoff: 1 on [-1,1], 0 outside (-2,2), monotone between."""
     ax = np.abs(np.asarray(x, dtype=float))
-    up = smooth_sigma(2.0 - ax, power)
-    down = smooth_sigma(ax - 1.0, power)
+    up = smooth_sigma(2.0 - ax)
+    down = smooth_sigma(ax - 1.0)
     total = up + down
     return np.where(total > 0.0, up / np.where(total > 0.0, total, 1.0), 0.0)
 
 
-class DecompositionOfUnity:
-    """phi_0 plateau cutoff and its telescoped dyadic levels
-    phi_j(x) = phi_0(2^{-j} x) - phi_0(2^{-j+1} x) for j >= 1."""
-
-    def __init__(self, power: int = 1):
-        self.power = power
-
-    def phi0(self, x):
-        return phi0_eval(x, self.power)
-
-    def phi(self, j: int, x):
-        x = np.asarray(x, dtype=float)
-        if j == 0:
-            return self.phi0(x)
-        if j < 0:
-            return np.zeros_like(x)
-        return self.phi0(2.0**-j * x) - self.phi0(2.0 ** (-j + 1) * x)
-
-    def symmetric(self, j: int, x):
-        """psi_j(x) = phi_j(|x|); the even weights used on the torus."""
-        return self.phi(j, np.abs(np.asarray(x, dtype=float)))
+def phi(j: int, x):
+    """Level j of the dyadic decomposition of unity: phi_0 = phi0_eval and
+    phi_j(x) = phi_0(2^{-j} x) - phi_0(2^{-j+1} x) for j >= 1, zero for
+    j < 0. Even bit for bit, as phi0_eval takes |x| first and scaling by a
+    power of two commutes exactly with abs; so it also gives the weights of
+    the signed frequencies on the torus."""
+    x = np.asarray(x, dtype=float)
+    if j == 0:
+        return phi0_eval(x)
+    if j < 0:
+        return np.zeros_like(x)
+    return phi0_eval(2.0**-j * x) - phi0_eval(2.0 ** (-j + 1) * x)
 
 
 @dataclass(frozen=True)
@@ -127,24 +118,17 @@ class BesovParams:
 
         return BesovParams(r=-self.r + self.sigma_p, p=conj(self.p), q=conj(self.q))
 
+    def dual(self) -> "BesovParams":
+        """(r' + 1, p', q'): the weights of the dual side of the Holder pairing."""
+        c = self.conjugate()
+        return BesovParams(r=c.r + 1.0, p=c.p, q=c.q)
+
     def in_cw_regime(self) -> bool:
         """Parameter window in which wavelet coefficients characterize the norm."""
         return 1.0 / self.p - 2.0 < self.r < min(1.0 / self.p + 1.0, 2.0)
 
     def in_hpc_regime(self) -> bool:
         return self.sigma_p < self.r < min(1.0 + 1.0 / self.p, 2.0)
-
-
-@dataclass(frozen=True)
-class SeqNormSpec:
-    params: BesovParams
-    shift: str = "standard"  # or "dual": conjugate parameters with r'+1
-
-    def effective(self) -> BesovParams:
-        if self.shift == "standard":
-            return self.params
-        c = self.params.conjugate()
-        return BesovParams(r=c.r + 1.0, p=c.p, q=c.q)
 
 
 @dataclass
@@ -189,13 +173,11 @@ def _hpc_dense(coeffs: CoefficientMap) -> np.ndarray:
     return out
 
 
-def hpc_block(
-    f_coeffs: CoefficientMap, jbar, decomp: DecompositionOfUnity, grid_level: int
-) -> GridFunction:
+def hpc_block(f_coeffs: CoefficientMap, jbar, grid_level: int) -> GridFunction:
     """Weighted cosine sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid."""
     dense = _hpc_dense(f_coeffs)
     ks = np.arange(dense.shape[0], dtype=float)
-    return hpc_synthesize_dense(_weigh(dense, [decomp.phi(int(j), ks) for j in jbar]), grid_level)
+    return hpc_synthesize_dense(_weigh(dense, [phi(int(j), ks) for j in jbar]), grid_level)
 
 
 def _level_cap(kmax: int) -> int:
@@ -256,7 +238,6 @@ def hpc_besov_norm(
     params: BesovParams,
     J_max=None,
     grid_level=None,
-    decomp: DecompositionOfUnity = None,
     strict: bool = True,
 ) -> NormReport:
     """Truncated quasi-norm  (sum_jbar 2^{r q |jbar|_1} ||f_jbar||_{L_p}^q)^{1/q}
@@ -267,7 +248,6 @@ def hpc_besov_norm(
     fitted geometrically; a non-decaying fit raises unless strict=False, in
     which case the value is the bare truncation and the tail bound is inf.
     """
-    decomp = decomp or DecompositionOfUnity()
     d = f_coeffs.d
     base = _hpc_dense(f_coeffs)
     kmax = base.shape[0] - 1
@@ -280,7 +260,7 @@ def hpc_besov_norm(
     ks = np.arange(kmax + 1, dtype=float)
     axis_w = []
     for j in range(J + 1):
-        w = decomp.phi(j, ks)
+        w = phi(j, ks)
         axis_w.append(w if np.any(w != 0.0) else None)
 
     level_terms = {}
@@ -297,14 +277,14 @@ def hpc_besov_norm(
     return _norm_report("hpc", params, J, level_terms, exact=J >= exact_cap, strict=strict)
 
 
-def seq_norm(coeffs: CoefficientMap, spec) -> float:
+def seq_norm(coeffs: CoefficientMap, params: BesovParams) -> float:
     """Weighted ell_q(ell_p) norm of wavelet coefficients: level jbar carries
     2^{(sum_i max(j_i,0)) (r - 1/p)}; shift sums inside, level sum outside."""
-    return seq_norm_report(coeffs, spec, strict=False).value
+    return seq_norm_report(coeffs, params, strict=False).value
 
 
 def seq_norm_report(
-    coeffs: CoefficientMap, spec, strict: bool = True, J: int = None
+    coeffs: CoefficientMap, params: BesovParams, strict: bool = True, J: int = None
 ) -> NormReport:
     """seq_norm packaged with per-|jbar_+|_1 level sums and the same
     geometric tail extrapolation used for the cosine-block norm.
@@ -312,7 +292,6 @@ def seq_norm_report(
     J, when given, is the top level per axis that the coefficients were
     requested up to; requested levels with no entry are exact zeros. If no
     entry reaches level J the expansion is finite and the tail is 0."""
-    params = spec.effective() if isinstance(spec, SeqNormSpec) else spec
     groups: dict = {}
     for (j, _), v in coeffs.entries.items():
         groups.setdefault(j, []).append(v)
@@ -338,73 +317,62 @@ def holder_pairing_check(lam: CoefficientMap, mu: CoefficientMap, params: BesovP
         w = mu.entries.get(key)
         if w is not None:
             lhs += abs(v) * abs(w)
-    rhs = seq_norm(lam, SeqNormSpec(params, "standard")) * seq_norm(
-        mu, SeqNormSpec(params, "dual")
-    )
-    return lhs, rhs
+    return lhs, seq_norm(lam, params) * seq_norm(mu, params.dual())
 
 
-def periodization_block_identity(
-    f_coeffs: CoefficientMap,
-    jbar,
-    p: float,
-    grid_level: int = 7,
-    decomp: DecompositionOfUnity = None,
-):
+def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_level: int = 7):
     """Left: ||block of the periodization||^p over the torus, via sampling,
     FFT analysis, symmetric weights and FFT synthesis. Right:
     2^d ||cosine block||^p over the unit cube, via weighted DCT synthesis.
     The pipelines share no transform code; equality is the periodization
     principle for blocks. p = inf compares sup values (no 2^d factor)."""
-    decomp = decomp or DecompositionOfUnity()
     d = f_coeffs.d
 
     g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs), grid_level)
     dense = fourier_analyze_dense(periodize(g_unit))
-    freqs = signed_fft_freqs(dense.shape[0]).astype(float)  # even block weights psi_j
-    weighted = _weigh(dense, [decomp.symmetric(int(j), freqs) for j in jbar])
+    freqs = signed_fft_freqs(dense.shape[0]).astype(float)  # phi_j is even: phi_j(|k|)
+    weighted = _weigh(dense, [phi(int(j), freqs) for j in jbar])
     block_t = fourier_synthesize_dense(weighted, grid_level)
 
-    block_u = hpc_block(f_coeffs, jbar, decomp, grid_level)
+    block_u = hpc_block(f_coeffs, jbar, grid_level)
     if p == INF:
         return block_t.lp_norm(INF), block_u.lp_norm(INF)
     return block_t.lp_norm(p) ** p, 2.0**d * block_u.lp_norm(p) ** p
 
 
-def _rectangular_mean(f, m: int, levels, axes, gauss: int):
+def _rectangular_mean(f, m: int, levels, axes):
     """Yield, for each tuple of steps in levels, the integral over [-1,1]^e
-    of |Delta^m f(x)| dh by tensor Gauss quadrature on the open mesh
-    np.ix_(*axes), which f must broadcast. The difference moves axis i by
-    l h_i steps[i], l = 0..m, along each active axis, those whose step is
-    not None; with no active axis the result is |f|.
+    of |Delta^m f(x)| dh by tensor Gauss quadrature of _GAUSS_ORDER nodes
+    per axis on the open mesh np.ix_(*axes), which f must broadcast. The
+    difference moves axis i by l h_i steps[i], l = 0..m, along each active
+    axis, those whose step is not None; with no active axis the result is
+    |f|.
 
     Each evaluation of f is keyed by its per-axis shifts, so equal shifts
-    give the same values. f(x) is kept for the whole call, and so is, until
-    the next level, every evaluation that level uses: over the dyadic steps
-    2^-j of one axis, f(x) is evaluated once and the l = 2 shift at level j
-    is the l = 1 shift at level j - 1 (2 h 2^-j equals h 2^-(j-1) exactly in
-    floating point). The sums run as if every evaluation were made afresh.
+    give the same values; a zero shift counts as no shift (None). f(x) is
+    kept for the whole call, and so is, until the next level, every
+    evaluation that level uses: over the dyadic steps 2^-j of one axis,
+    f(x) is evaluated once and the l = 2 shift at level j is the l = 1
+    shift at level j - 1 (2 h 2^-j equals h 2^-(j-1) exactly in floating
+    point). The sums run as if every evaluation were made afresh.
     """
-    nodes, weights = _gauss_legendre(gauss)
+    nodes, weights = _gauss_legendre(_GAUSS_ORDER)
     signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
     mesh, shape = np.ix_(*axes), tuple(len(x) for x in axes)
-    # x + 0.0 is x unless x holds -0.0: only then is a +0.0 shift kept apart
-    # from no shift (None), which also stands for -0.0, as x + -0.0 is x.
-    signed = any(np.any(np.signbit(a) & (a == 0.0)) for a in mesh)
     zero = (None,) * len(axes)
 
     def plan(steps):
         """(Gauss weight, [(sign product, shift key)]) per node combination."""
         active = [i for i, t in enumerate(steps) if t is not None]
         terms = []
-        for combo in np.ndindex(*([gauss] * len(active))):
+        for combo in np.ndindex(*([_GAUSS_ORDER] * len(active))):
             shifts = []
             for ls in np.ndindex(*([m + 1] * len(active))):
                 coeff, key = 1.0, list(zero)
                 for i, ci, l in zip(active, combo, ls):
                     coeff *= signs[l]
                     off = l * nodes[ci] * steps[i]
-                    if off != 0.0 or signed and not np.signbit(off):
+                    if off != 0.0:
                         key[i] = off
                 shifts.append((coeff, tuple(key)))
             wq = 1.0
@@ -440,7 +408,6 @@ def difference_seminorm(
     grid_level: int = 7,
     d: int = 1,
     tensor_factors=None,
-    gauss: int = 8,
 ) -> NormReport:
     """Truncated (sum_jbar 2^{r q |jbar|_1} ||R^{e(jbar)}_m(f,2^{-jbar},.)||_p^q)^{1/q}
     for a continuous periodic f on the torus, with the difference applied
@@ -452,10 +419,11 @@ def difference_seminorm(
     computation exactly in any dimension: the rectangular means are taken
     once per distinct factor; f(x) and dilated shifts shared across levels
     (the l = 2 shift at level j is the l = 1 shift at level j - 1) are
-    evaluated once. A generic callable f needs d <= 2 and uses tensor
-    Gauss quadrature for the h-integral, once per jbar; it gets the grid
-    axes as an open mesh (np.ix_), as in GridFunction.from_callable, so it
-    must broadcast its arguments against each other.
+    evaluated once. The h-integrals use tensor Gauss quadrature of
+    _GAUSS_ORDER nodes per axis. A generic callable f needs d <= 2 and is
+    integrated once per jbar; it gets the grid axes as an open mesh
+    (np.ix_), as in GridFunction.from_callable, so it must broadcast its
+    arguments against each other.
     """
     if params is None:
         raise ConfigError("params required")
@@ -473,7 +441,7 @@ def difference_seminorm(
         built = {}  # id of a factor -> its table over the levels
         for fi in tensor_factors:
             if id(fi) not in built:
-                means = _rectangular_mean(fi, m, [(t,) for t in steps], (x1,), gauss)
+                means = _rectangular_mean(fi, m, [(t,) for t in steps], (x1,))
                 built[id(fi)] = [grid_lp(v) for v in means]
         tables = [built[id(fi)] for fi in tensor_factors]
     level_terms = {}
@@ -483,7 +451,7 @@ def difference_seminorm(
             for i, j in enumerate(jbar):
                 val *= tables[i][j]
         else:
-            (mean,) = _rectangular_mean(f, m, [[steps[j] for j in jbar]], [x1] * d, gauss)
+            (mean,) = _rectangular_mean(f, m, [[steps[j] for j in jbar]], [x1] * d)
             val = grid_lp(mean)
         term = 2.0 ** (params.r * sum(jbar)) * val
         if term > 0.0:

@@ -34,7 +34,7 @@ from .errors import (
     ResolutionMismatchError,
     TruncationError,
 )
-from .grids import GridFunction, UNIT, coefficient_decay_report
+from .grids import GridFunction, UNIT, _check_grid_size, coefficient_decay_report
 from .suite import identity_suite, norm_comparison
 
 _NUMERIC_ERRORS = (
@@ -159,7 +159,9 @@ def _cmd_coeffs(cfg: dict) -> list:
             lines.append(f"{k},{jump:.12e},{smooth:.12e}")
     elif cfg["mode"] == "decay":
         level = cfg["grid_level"]
+        source = f"--kmax {kmax}" if level is None else f"--grid-level {level}"
         level = max(6, math.ceil(math.log2(4 * kmax))) if level is None else int(level)
+        _check_grid_size(level, member.d, UNIT, source)
         f = GridFunction.from_callable(member, member.d, level, UNIT)
         rows = coefficient_decay_report(f, kmax)
         head = ",".join(f"k_{i+1}" for i in range(member.d))

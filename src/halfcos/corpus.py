@@ -24,6 +24,7 @@ from .grids import (
     CoefficientMap,
     GridFunction,
     _check_aliasing,
+    _check_grid_size,
     box_slabs,
     hpc_analyze_dense,
     slab_keys,
@@ -93,7 +94,6 @@ class TestFunction:
     tag: str
     factor_coeff: list = None
     factor_breaks: list = field(default_factory=list)
-    factor_integrals: list = None
 
     def __call__(self, *axes):
         out = None
@@ -274,6 +274,7 @@ def gibbs_demo(f, k_max: int, grid_level: int = 12) -> list:
     """Rows (k, |periodic sine coefficient| * k, |cosine coefficient| * k^2)
     for k = 1..k_max: the first column stays bounded away from zero for a
     step-like f (periodization jump), the second stays bounded."""
+    _check_grid_size(grid_level, 1, UNIT, f"--grid-level {grid_level}")
     _check_aliasing(grid_level, k_max)
     g = GridFunction.from_callable(f, 1, grid_level, UNIT)
     x, vals = g.axis_points(), g.values

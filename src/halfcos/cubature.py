@@ -11,7 +11,7 @@ non-periodic integrands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,8 +245,6 @@ class RateFit:
     intercept: float
     residual: float
     log_exponent: float = 0.0
-    skipped: int = 2
-    rows: list = field(default_factory=list, repr=False)
 
     def csv_rows(self) -> str:
         lines = ["n,error,log2n,log2err"]
@@ -284,7 +282,6 @@ def fit_rate(ns, errors, log_exponent: float, skip_smallest: int) -> RateFit:
         intercept=float(intercept),
         residual=resid,
         log_exponent=log_exponent,
-        skipped=skip_smallest,
     )
 
 

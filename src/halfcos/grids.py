@@ -206,20 +206,11 @@ class GridFunction:
             a = a ** float(p)
         return float(GridFunction(self.domain, self.m, a).integrate()) ** (1.0 / float(p))
 
-    def __add__(self, other):
-        if (self.domain, self.m) != (other.domain, other.m):
-            raise ResolutionMismatchError("grids do not match")
-        return GridFunction(self.domain, self.m, self.values + other.values)
-
     def __sub__(self, other):
         if (self.domain, self.m) != (other.domain, other.m):
             raise ResolutionMismatchError("grids do not match")
         return GridFunction(self.domain, self.m, self.values - other.values)
 
-    def __mul__(self, scalar):
-        return GridFunction(self.domain, self.m, self.values * scalar)
-
-    __rmul__ = __mul__
 
 def periodize(f: GridFunction) -> GridFunction:
     """Reflection periodization P: f -> f o rho restricted to [-1,1]^d.
@@ -305,8 +296,22 @@ class CoefficientMap:
     def items_sorted(self):
         return sorted(self.entries.items())
 
-    def __len__(self):
-        return len(self.entries)
+
+# Most points a dense grid may hold: 2^24 doubles are 128 MB.
+_MAX_GRID_POINTS = 2**24
+
+
+def _check_grid_size(m: int, d: int, domain: str, source: str):
+    """Raise ConfigError, naming source (the setting that chose the size),
+    when the level-m grid on the domain in d dimensions has more than
+    _MAX_GRID_POINTS points. The count is made on Python ints, and levels
+    or dimensions past 24 are refused before 2^m is formed, so the check
+    allocates nothing."""
+    if m > 24 or d > 24 or (2 ** (m + 1) if domain == SYM else 2**m + 1) ** d > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"{source} asks for a level-{m} grid in d={d}, over the limit of "
+            f"{_MAX_GRID_POINTS} = 2^24 grid points"
+        )
 
 
 def _check_aliasing(m: int, kmax: int):

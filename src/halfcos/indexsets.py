@@ -26,15 +26,10 @@ def plus_l1(k: tuple) -> int:
 @dataclass(frozen=True)
 class IndexSet:
     """Finite ordered collection of multi-indices of a fixed dimension.
-
-    kind is 'hyperbolic-cross' or 'explicit'. Members are stored sorted
-    lexicographically and deduplicated.
-    """
+    Members are stored sorted lexicographically and deduplicated."""
 
     d: int
-    kind: str
     members: tuple = field(default_factory=tuple)
-    N: int = 0
 
     def __post_init__(self):
         if self.d < 1:
@@ -86,4 +81,4 @@ def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
     if N < 1 or d < 1:
         raise ValueError("need N >= 1 and d >= 1")
     members = tuple(_enumerate_cross(d, N, signed))
-    return IndexSet(d=d, kind="hyperbolic-cross", members=members, N=N)
+    return IndexSet(d=d, members=members)

@@ -16,21 +16,21 @@ import numpy as np
 
 from .besov import (
     BesovParams,
-    DecompositionOfUnity,
-    SeqNormSpec,
     difference_seminorm,
     hpc_besov_norm,
     periodization_block_identity,
     seq_norm_report,
 )
-from .corpus import _check_kmax, band_family
+from .corpus import band_family
 from .errors import ConfigError
 from .cubature import fibonacci_rule, digital_net, integrate, tent_transform_rule
 from .approx import error_transfer_check
 from .grids import (
     SYM,
+    UNIT,
     CoefficientMap,
     GridFunction,
+    _check_grid_size,
     _grid_axis,
     cos_basis,
     exp_basis,
@@ -48,12 +48,13 @@ __all__ = [
 ]
 
 
-def random_cosine_polynomial(
-    d: int, rng, kmax: int = 8, terms: int = 10
-) -> CoefficientMap:
+def random_cosine_polynomial(d: int, rng) -> CoefficientMap:
+    """A constant term plus ten terms at random frequencies in {0..8}^d,
+    all with standard normal coefficients (a repeated frequency keeps the
+    last one)."""
     entries = {(0,) * d: rng.normal()}
-    for _ in range(terms):
-        k = tuple(int(t) for t in rng.integers(0, kmax + 1, size=d))
+    for _ in range(10):
+        k = tuple(int(t) for t in rng.integers(0, 9, size=d))
         entries[k] = rng.normal()
     return CoefficientMap(basis="hpc", d=d, entries=entries)
 
@@ -68,6 +69,7 @@ def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
         raise ConfigError(f"dimension d must be >= 1, got {d}")
     if n_funcs < 1:
         raise ConfigError(f"n_funcs must be >= 1, got {n_funcs}: no function would be checked")
+    _check_grid_size(m, d, SYM, f"--d {d}")  # the periodized grid, the largest
     rng = np.random.default_rng(seed)
     res = {
         "cosine-reflection": 0.0,
@@ -78,7 +80,6 @@ def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
         "block-identity": 0.0,
     }
     mesh = np.ix_(*[_grid_axis(SYM, m)] * d)  # open mesh: the bases broadcast 1-D factors
-    decomp = DecompositionOfUnity()
     rule = fibonacci_rule(7) if d == 2 else digital_net(6, d)
 
     for _ in range(n_funcs):
@@ -137,7 +138,7 @@ def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
         )
 
         jbar = tuple(int(t) for t in rng.integers(0, 4, size=d))
-        bl, br = periodization_block_identity(cf, jbar, 2.0, grid_level=m, decomp=decomp)
+        bl, br = periodization_block_identity(cf, jbar, 2.0, grid_level=m)
         res["block-identity"] = max(
             res["block-identity"], abs(bl - br) / max(bl, br, fscale**2)
         )
@@ -150,9 +151,7 @@ def norm_comparison(
     compare=("cw", "diff", "hpc"),
     J: int = 6,
     m_order: int = 3,
-    kmax=None,
     strict: bool = True,
-    prune: float = 1e-13,
 ) -> dict:
     """The three norm routes for one corpus member, truncated consistently:
     cosine blocks up to level J (coefficient box kmax = 2^{J+1}), wavelet
@@ -162,8 +161,8 @@ def norm_comparison(
         raise ConfigError(f"truncation level J must be >= 0, got {J}")
     if member.d > 2 and "cw" in compare:
         raise ConfigError("wavelet route implemented for d <= 2")
-    kmax = 2 ** (J + 1) if kmax is None else kmax
-    _check_kmax(kmax)
+    _check_grid_size(J + 3, member.d, UNIT, f"--J {J}")  # the grid of the cosine blocks
+    kmax = 2 ** (J + 1)
     out = {}
     if "hpc" in compare:
         if member.factor_coeff is not None:
@@ -178,9 +177,9 @@ def norm_comparison(
             kind="dual",
             tensor_factors=member.factors,
             f_breaks=member.factor_breaks or None,
-            prune=prune,
+            prune=1e-13,
         )
-        out["cw"] = seq_norm_report(lam, SeqNormSpec(params), strict=strict, J=J)
+        out["cw"] = seq_norm_report(lam, params, strict=strict, J=J)
     if "diff" in compare:
         out["diff"] = difference_seminorm(
             params=params,
@@ -197,7 +196,6 @@ def ratio_table(
     params: BesovParams,
     scales=(0, 1, 2),
     J: int = 6,
-    m_order: int = 3,
     compare=("cw", "diff", "hpc"),
     strict: bool = False,
 ) -> list:
@@ -206,9 +204,7 @@ def ratio_table(
     rows = []
     for s in scales:
         for member in band_family(s):
-            reports = norm_comparison(
-                member, params, compare=compare, J=J, m_order=m_order, strict=strict
-            )
+            reports = norm_comparison(member, params, compare=compare, J=J, strict=strict)
             row = {"scale": s, "name": member.name}
             for kind, rep in reports.items():
                 row[kind] = rep.value

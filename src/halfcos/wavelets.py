@@ -203,8 +203,13 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
 
     The Gram sequence g is banded and symmetric positive definite, so the
     truncated Toeplitz solve converges geometrically in n_max; the fitted
-    decay base yields the reported tail bound.
+    decay base yields the reported tail bound, fitted over 2 <= |n| <=
+    n_max // 2; that window needs two values of |n|, so n_max >= 6.
     """
+    if n_max < 6:
+        raise ConfigError(
+            f"n_max must be >= 6 for the tail fit over 2 <= |n| <= n_max // 2, got {n_max}"
+        )
     g = gram_sequence(eps)
     size = 2 * n_max + 1
     col = np.array([g.get(n, 0.0) for n in range(size)])

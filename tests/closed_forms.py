@@ -13,6 +13,7 @@ import numpy as np
 
 from halfcos import approx
 from halfcos.approx import error_transfer_check
+from halfcos.besov import phi
 from halfcos.grids import UNIT, GridFunction, _gauss_legendre, periodize
 from halfcos.indexsets import hyperbolic_cross
 from halfcos.wavelets import PiecewiseLinear, bspline_value, father
@@ -53,11 +54,11 @@ def cross_cardinality_check(N_list, d: int):
     return rows
 
 
-def partition_sum(decomp, J: int, x):
+def partition_sum(J: int, x):
     """sum_{j<=J} phi_j, which telescopes to phi_0(2^{-J} x)."""
-    acc = decomp.phi(0, x)
+    acc = phi(0, x)
     for j in range(1, J + 1):
-        acc = acc + decomp.phi(j, x)
+        acc = acc + phi(j, x)
     return acc
 
 

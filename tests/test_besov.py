@@ -10,13 +10,12 @@ from halfcos.besov import (
     _norm_report,
     _rectangular_mean,
     BesovParams,
-    DecompositionOfUnity,
-    SeqNormSpec,
     difference_seminorm,
     holder_pairing_check,
     hpc_besov_norm,
     hpc_block,
     periodization_block_identity,
+    phi,
     phi0_eval,
     seq_norm,
     seq_norm_report,
@@ -24,7 +23,7 @@ from halfcos.besov import (
 )
 from halfcos.corpus import band_family, get_member
 from halfcos.errors import ConfigError, DivergentTailError
-from halfcos.grids import CoefficientMap
+from halfcos.grids import SYM, UNIT, CoefficientMap, _grid_axis, signed_fft_freqs
 from halfcos.indexsets import plus_l1
 from halfcos.wavelets import cw_analyze
 from closed_forms import partition_sum
@@ -47,45 +46,46 @@ def test_smooth_sigma_values():
     assert smooth_sigma(-1.0) == 0.0
     assert smooth_sigma(0.0) == 0.0
     assert smooth_sigma(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert smooth_sigma(0.5, power=2) == pytest.approx(math.exp(-4.0), rel=1e-15)
 
 
-@pytest.mark.parametrize("power", [1, 2])
-def test_phi0_plateau_and_support(power):
+def test_phi0_plateau_and_support():
     x = np.array([-3.0, -2.0, -1.0, -0.4, 0.0, 0.7, 1.0, 2.0, 5.0])
-    v = phi0_eval(x, power)
+    v = phi0_eval(x)
     on = np.abs(x) <= 1.0
     off = np.abs(x) >= 2.0
     assert np.all(v[on] == 1.0)
     assert np.all(v[off] == 0.0)
-    mid = phi0_eval(np.linspace(1.2, 1.8, 31), power)
+    mid = phi0_eval(np.linspace(1.2, 1.8, 31))
     assert np.all((0.0 < mid) & (mid < 1.0))
     assert np.all(np.diff(mid) < 0.0)
-    assert np.all(np.diff(phi0_eval(np.linspace(1.0, 2.0, 101), power)) <= 0.0)
+    assert np.all(np.diff(phi0_eval(np.linspace(1.0, 2.0, 101))) <= 0.0)
     # even cutoff: exp(-1/(2-1.5)) balances exp(-1/(1.5-1)) exactly
-    assert phi0_eval(1.5, power) == pytest.approx(0.5, abs=1e-15)
+    assert phi0_eval(1.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_level_peaks_and_telescoping():
-    dec = DecompositionOfUnity()
     for j in range(1, 6):
-        assert dec.phi(j, float(2**j)) == 1.0
-        assert dec.phi(j, float(2 ** (j - 1))) == 0.0
-        assert dec.phi(j, float(2 ** (j + 1))) == 0.0
-    assert np.all(dec.phi(-1, np.arange(5.0)) == 0.0)
+        assert phi(j, float(2**j)) == 1.0
+        assert phi(j, float(2 ** (j - 1))) == 0.0
+        assert phi(j, float(2 ** (j + 1))) == 0.0
+    assert np.all(phi(-1, np.arange(5.0)) == 0.0)
     x = np.linspace(-40.0, 40.0, 401)
     for J in (0, 2, 4):
-        got = partition_sum(dec, J, x)
+        got = partition_sum(J, x)
         assert np.max(np.abs(got - phi0_eval(2.0**-J * x))) < 1e-15
     inside = np.abs(x) <= 2.0**4
-    assert np.all(partition_sum(dec, 4, x)[inside] == 1.0)
+    assert np.all(partition_sum(4, x)[inside] == 1.0)
 
 
 def test_symmetric_weights_are_even():
-    dec = DecompositionOfUnity()
-    x = np.linspace(-9.0, 9.0, 181)
-    for j in range(4):
-        assert np.array_equal(dec.symmetric(j, x), dec.symmetric(j, -x))
+    # bit for bit, so the torus block weights phi_j(k) of signed frequencies
+    # equal phi_j(|k|) exactly
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    for x in (np.linspace(-50.0, 50.0, 10001), signed_fft_freqs(2**9).astype(float),
+              _grid_axis(SYM, 7), _grid_axis(UNIT, 7)):
+        for j in range(-1, 12):
+            assert np.array_equal(bits(phi(j, x)), bits(phi(j, -x)))
+            assert np.array_equal(bits(phi(j, x)), bits(phi(j, np.abs(x))))
 
 
 # ------------------------------------------------------------- parameters
@@ -130,31 +130,30 @@ def test_regime_windows():
 
 
 def test_dual_shift_adds_one_to_conjugate_r():
-    spec = SeqNormSpec(BesovParams(1.5, 2.0, 2.0), "dual")
-    eff = spec.effective()
-    assert (eff.r, eff.p, eff.q) == (-0.5, 2.0, 2.0)
-    std = SeqNormSpec(BesovParams(1.5, 2.0, 2.0), "standard").effective()
-    assert std == BesovParams(1.5, 2.0, 2.0)
+    dual = BesovParams(1.5, 2.0, 2.0).dual()
+    assert (dual.r, dual.p, dual.q) == (-0.5, 2.0, 2.0)
+    c = BesovParams(0.5, 4.0, 1.0).conjugate()
+    assert BesovParams(0.5, 4.0, 1.0).dual() == BesovParams(c.r + 1.0, c.p, c.q)
 
 
 # --------------------------------------------------------- sequence norms
 
 
 def test_seq_norm_hand_values():
-    spec = SeqNormSpec(BesovParams(1.5, 2.0, 2.0))
-    assert seq_norm(cw_map({((3,), (5,)): 2.0}), spec) == 16.0
+    params = BesovParams(1.5, 2.0, 2.0)
+    assert seq_norm(cw_map({((3,), (5,)): 2.0}), params) == 16.0
     # father level carries weight 1
-    assert seq_norm(cw_map({((-1,), (0,)): 3.0}), spec) == 3.0
+    assert seq_norm(cw_map({((-1,), (0,)): 3.0}), params) == 3.0
     two = cw_map({((-1,), (0,)): 3.0, ((2,), (1,)): 1.0})
-    assert seq_norm(two, spec) == pytest.approx(5.0, rel=1e-15)
+    assert seq_norm(two, params) == pytest.approx(5.0, rel=1e-15)
     # mixed level in d=2 weights by the positive part of the level sum
-    assert seq_norm(cw_map({((2, -1), (1, 0)): 1.0}, d=2), spec) == 4.0
+    assert seq_norm(cw_map({((2, -1), (1, 0)): 1.0}, d=2), params) == 4.0
 
 
 def test_seq_norm_inner_outer_exponents():
     level = {((1,), (0,)): 3.0, ((1,), (4,)): 4.0}
     base = BesovParams(1.5, 2.0, 2.0)
-    assert seq_norm(cw_map(level), SeqNormSpec(base)) == 10.0
+    assert seq_norm(cw_map(level), base) == 10.0
     assert seq_norm(cw_map(level), BesovParams(1.5, INF, 2.0)) == pytest.approx(
         2.0 ** (1.5) * 4.0
     )
@@ -168,12 +167,12 @@ def test_seq_norm_inner_outer_exponents():
 
 
 def test_seq_norm_homogeneity_and_empty():
-    spec = SeqNormSpec(BesovParams(0.7, 1.5, 3.0))
+    params = BesovParams(0.7, 1.5, 3.0)
     entries = {((j,), (k,)): 0.1 * j - 0.03 * k for j in range(3) for k in range(4)}
-    base = seq_norm(cw_map(entries), spec)
-    scaled = seq_norm(cw_map({key: 2.5 * v for key, v in entries.items()}), spec)
+    base = seq_norm(cw_map(entries), params)
+    scaled = seq_norm(cw_map({key: 2.5 * v for key, v in entries.items()}), params)
     assert scaled == pytest.approx(2.5 * base, rel=1e-14)
-    assert seq_norm(cw_map({}), spec) == 0.0
+    assert seq_norm(cw_map({}), params) == 0.0
 
 
 def _seq_norm_report_by_entry(coeffs, params, strict, J):
@@ -234,10 +233,10 @@ def test_seq_norm_q_monotone_and_triangle():
 
 
 def test_seq_report_matches_norm_and_tail_closed_form():
-    spec = SeqNormSpec(BesovParams(0.5, 2.0, 2.0))
+    params = BesovParams(0.5, 2.0, 2.0)
     entries = {((L,), (0,)): 4.0**-L for L in range(6)}
-    rep = seq_norm_report(cw_map(entries), spec)
-    assert rep.value == seq_norm(cw_map(entries), spec)
+    rep = seq_norm_report(cw_map(entries), params)
+    assert rep.value == seq_norm(cw_map(entries), params)
     assert rep.norm_kind == "cw-seq"
     assert rep.J_max == 5
     # weights cancel (r = 1/p), level sums are 4^-L: geometric with rho 1/4
@@ -250,30 +249,30 @@ def test_seq_report_matches_norm_and_tail_closed_form():
 
 def test_seq_report_divergent_tail():
     entries = {((L,), (0,)): 2.0**L for L in range(5)}
-    spec = SeqNormSpec(BesovParams(0.5, 2.0, 2.0))
+    params = BesovParams(0.5, 2.0, 2.0)
     with pytest.raises(DivergentTailError, match="cw-seq level sums do not decay"):
-        seq_norm_report(cw_map(entries), spec, strict=True)
+        seq_norm_report(cw_map(entries), params, strict=True)
     # levels reach the requested top level J = 4: still a real divergence
     with pytest.raises(DivergentTailError, match="cw-seq"):
-        seq_norm_report(cw_map(entries), spec, strict=True, J=4)
-    rep = seq_norm_report(cw_map(entries), spec, strict=False)
+        seq_norm_report(cw_map(entries), params, strict=True, J=4)
+    rep = seq_norm_report(cw_map(entries), params, strict=False)
     assert rep.tail_bound == INF
-    assert rep.value == seq_norm(cw_map(entries), spec)
+    assert rep.value == seq_norm(cw_map(entries), params)
 
 
 def test_seq_report_missing_top_levels_are_exact_zeros():
     # levels 5..8 were requested and hold no coefficient: the expansion is
     # finite, so growing low levels are no evidence of divergence
     entries = {((L,), (0,)): 2.0**L for L in range(5)}
-    spec = SeqNormSpec(BesovParams(0.5, 2.0, 2.0))
-    rep = seq_norm_report(cw_map(entries), spec, strict=True, J=8)
+    params = BesovParams(0.5, 2.0, 2.0)
+    rep = seq_norm_report(cw_map(entries), params, strict=True, J=8)
     assert rep.tail_bound == 0.0 and rep.J_max == 4
-    assert rep.value == seq_norm(cw_map(entries), spec)
+    assert rep.value == seq_norm(cw_map(entries), params)
 
 
 def test_seq_report_short_history_has_zero_tail():
     rep = seq_norm_report(cw_map({((0,), (0,)): 1.0, ((1,), (2,)): 0.5}),
-                          SeqNormSpec(BesovParams(1.0, 2.0, 2.0)))
+                          BesovParams(1.0, 2.0, 2.0))
     assert rep.tail_bound == 0.0
 
 
@@ -353,14 +352,13 @@ def test_block_norm_matches_hand_weighted_quadrature():
     w = np.full(x.size, 2.0**-m)
     w[0] *= 0.5
     w[-1] *= 0.5
-    dec = DecompositionOfUnity()
     total = 0.0
     terms = {}
     for j in range(6):  # up to the level cap 5: frequency 9 < 2^4
         vals = np.zeros_like(x)
         for (k,), c in entries.items():
             base = np.sqrt(2.0) * np.cos(np.pi * k * x) if k else np.ones_like(x)
-            vals += float(dec.phi(j, float(k))) * c * base
+            vals += float(phi(j, float(k))) * c * base
         block = math.sqrt(float(np.sum(w * vals**2)))
         if block > 0.0:
             terms[(j,)] = 2.0 ** (params.r * j) * block
@@ -385,18 +383,6 @@ def test_block_norm_homogeneity_and_level_cap():
     assert wide.tail_bound == 0.0
 
 
-def test_block_norm_decomposition_profile_band():
-    entries = {(0,): 0.3, (1,): -0.7, (3,): 0.41, (5,): 0.2, (9,): -0.11}
-    params = BesovParams(1.5, 2.0, 2.0)
-    a = hpc_besov_norm(hpc_map(entries), params).value
-    b = hpc_besov_norm(
-        hpc_map(entries), params, decomp=DecompositionOfUnity(power=2)
-    ).value
-    # different cutoff profiles give equivalent norms; here within 2 percent
-    assert 0.5 < a / b < 2.0
-    assert a / b == pytest.approx(1.0, abs=0.05)
-
-
 def test_block_norm_divergent_tail_paths():
     slow = hpc_map({(k,): 1.0 / k for k in range(1, 65)})
     params = BesovParams(1.0, 2.0, 2.0)
@@ -410,10 +396,9 @@ def test_block_norm_divergent_tail_paths():
 
 
 def test_block_synthesis_is_the_weighted_mode():
-    dec = DecompositionOfUnity()
-    g = hpc_block(hpc_map({(3,): 1.0}), (2,), dec, 6)
+    g = hpc_block(hpc_map({(3,): 1.0}), (2,), 6)
     x = g.axis_points()
-    expect = float(dec.phi(2, 3.0)) * np.sqrt(2.0) * np.cos(3.0 * np.pi * x)
+    expect = float(phi(2, 3.0)) * np.sqrt(2.0) * np.cos(3.0 * np.pi * x)
     assert np.max(np.abs(g.values - expect)) < 1e-12
 
 
@@ -501,7 +486,7 @@ def test_difference_tensor_equals_generic_2d():
     h = lambda y: np.sin(np.pi * np.asarray(y, dtype=float))
     params = BesovParams(1.0, 2.0, 2.0)
     a = difference_seminorm(
-        params=params, m=2, J_max=3, grid_level=5, gauss=6, tensor_factors=[g, h]
+        params=params, m=2, J_max=3, grid_level=5, tensor_factors=[g, h]
     )
     b = difference_seminorm(
         f=lambda x, y: g(x) * h(y),
@@ -509,7 +494,6 @@ def test_difference_tensor_equals_generic_2d():
         m=2,
         J_max=3,
         grid_level=5,
-        gauss=6,
         d=2,
     )
     assert a.value == pytest.approx(b.value, rel=1e-12)
@@ -523,7 +507,7 @@ def test_difference_tensor_equals_generic_2d():
 # over full meshgrids for a generic callable.
 
 
-def _former_rectangular_mean_1d(f, m, t, x, gauss):
+def _former_rectangular_mean_1d(f, m, t, x, gauss=8):
     nodes, weights = np.polynomial.legendre.leggauss(gauss)
     signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
     out = np.zeros_like(x)
@@ -535,7 +519,7 @@ def _former_rectangular_mean_1d(f, m, t, x, gauss):
     return out
 
 
-def _former_difference_terms(f, tensor_factors, r, p, m, J_max, grid_level, d, gauss):
+def _former_difference_terms(f, tensor_factors, r, p, m, J_max, grid_level, d, gauss=8):
     x1 = -1.0 + np.arange(2 ** (grid_level + 1)) * 2.0**-grid_level
 
     def grid_lp(values):
@@ -592,8 +576,8 @@ def _former_difference_terms(f, tensor_factors, r, p, m, J_max, grid_level, d, g
 _BAND = {tf.name: tf for s in (0, 2) for tf in band_family(s)}
 
 
-_SMALL = dict(m=3, J_max=5, grid_level=7, gauss=8)
-_WORKLOAD = dict(m=3, J_max=8, grid_level=11, gauss=8)  # the band members of norms
+_SMALL = dict(m=3, J_max=5, grid_level=7)
+_WORKLOAD = dict(m=3, J_max=8, grid_level=11)  # the band members of norms
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5, INF])
@@ -627,14 +611,14 @@ def test_difference_route_evaluates_a_factor_137_times_at_level_8():
     # which later levels take from the l = 1 shifts of the level before:
     # 1 + 24 + 7 * 16 = 137 evaluations in place of 1 + 8 * 32 = 257.
     f = _Counting(_BAND["hat8_3@s0"].factors[0])
-    args = dict(m=3, J_max=8, grid_level=6, gauss=8)
+    args = dict(m=3, J_max=8, grid_level=6)
     rep = difference_seminorm(params=BesovParams(1.5, 2.0, 2.0), tensor_factors=[f], **args)
     assert f.calls == 137
     assert rep.level_terms == _former_difference_terms(None, [f], 1.5, 2.0, d=1, **args)
 
 
 def test_difference_route_builds_one_table_per_distinct_factor():
-    args = dict(m=3, J_max=8, grid_level=6, gauss=8)
+    args = dict(m=3, J_max=8, grid_level=6)
     params = BesovParams(1.5, 2.0, 2.0)
     f = _Counting(_BAND["hat8_3@s0"].factors[0])
     g = _Counting(_BAND["n4w8_2@s0"].factors[0])
@@ -645,16 +629,6 @@ def test_difference_route_builds_one_table_per_distinct_factor():
     rep = difference_seminorm(params=params, tensor_factors=[f, g], **args)
     assert f.calls == g.calls == 137
     assert rep.level_terms == _former_difference_terms(None, [f, g], 1.5, 2.0, d=2, **args)
-
-
-def test_rectangular_mean_keeps_negative_zero_apart():
-    # x + 0.0 turns -0.0 into +0.0; a zero shift may stand for no shift only
-    # where x holds no -0.0, so a sign-sensitive f still sees both
-    f = lambda x: np.where(np.signbit(x), 1.0, 0.0) + x
-    x = np.array([-0.0, 0.0, 0.25, -0.5])
-    for gauss in (3, 4):
-        (got,) = _rectangular_mean(f, 2, [(0.5,)], (x,), gauss)
-        assert np.array_equal(got, _former_rectangular_mean_1d(f, 2, 0.5, x, gauss))
 
 
 _GENERIC = {
@@ -671,15 +645,15 @@ _GENERIC = {
 def test_difference_generic_route_equals_the_former_meshgrid_loop(name, p):
     f = _GENERIC[name]
     d = 1 if name.endswith("1") else 2
-    args = dict(m=2, J_max=3 if d == 1 else 2, grid_level=6 if d == 1 else 4, gauss=4)
+    args = dict(m=2, J_max=3 if d == 1 else 2, grid_level=6 if d == 1 else 4)
     rep = difference_seminorm(f, params=BesovParams(1.0, p, 2.0), d=d, **args)
     assert rep.level_terms == _former_difference_terms(f, None, 1.0, p, d=d, **args)
 
 
 def test_rectangular_mean_equals_the_former_one_level_loop():
     x = np.linspace(-1.0, 1.0, 12)
-    (got,) = _rectangular_mean(np.sin, 3, [(0.25,)], (x,), 6)
-    assert np.array_equal(got, _former_rectangular_mean_1d(np.sin, 3, 0.25, x, 6))
+    (got,) = _rectangular_mean(np.sin, 3, [(0.25,)], (x,))
+    assert np.array_equal(got, _former_rectangular_mean_1d(np.sin, 3, 0.25, x))
 
 
 def _route_report(route, params):

@@ -243,6 +243,16 @@ def test_gnuplot_companion(tmp_path, capsys):
         (["coeffs", "--fn", "kink1d", "--kmax", "4", "--grid-level", "0"], 3, "grid level m=0"),
         (["cubature", "--rule", "net", "--fn", "exp1", "--shifts", "-2"], 2,
          "--shifts must be >= 0"),
+        (["approx", "--fn", "kink1d", "--kmax", "-5"], 2, "kmax must be >= 0"),
+        # sizes past the dense-grid limit are refused before any allocation
+        (["recover", "--fn", "kink1d", "--N", "3", "--seed", "1", "--grid-level", "40"], 2,
+         "--grid-level 40 asks for a level-40 grid in d=1"),
+        (["norms", "--fn", "kink1", "--J", "40"], 2, "--J 40 asks for a level-43 grid"),
+        (["identities", "--d", "5", "--seed", "1"], 2, "--d 5 asks for a level-5 grid in d=5"),
+        (["coeffs", "--fn", "kink1d", "--grid-level", "30"], 2, "--grid-level 30 asks"),
+        (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--grid-level", "30"], 2,
+         "--grid-level 30 asks"),
+        (["coeffs", "--fn", "kink2d", "--kmax", "4096"], 2, "--kmax 4096 asks for a level-14 grid"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):

@@ -193,6 +193,17 @@ def test_aliasing_guard():
         gibbs_demo(np.exp, 5, grid_level=4)
 
 
+def test_grid_size_limit_admits_the_largest_grids_in_use():
+    # the cosine blocks of `norms --fn kink2 --J 8` (2049^2), the ls_N64
+    # benchmark item (1025^2), `identities --d 4` (64^4 = 2^24 exactly)
+    for m, d, domain in ((11, 2, UNIT), (10, 2, UNIT), (5, 4, SYM), (23, 1, UNIT)):
+        grids._check_grid_size(m, d, domain, "size")
+    for m, d, domain in ((12, 2, UNIT), (24, 1, UNIT), (5, 5, SYM), (10**9, 1, UNIT),
+                         (0, 10**9, UNIT)):
+        with pytest.raises(ConfigError, match=f"--flag asks for a level-{m} grid in d={d}"):
+            grids._check_grid_size(m, d, domain, "--flag")
+
+
 def test_grid_level_must_be_nonnegative():
     with pytest.raises(ConfigError, match="grid level m must be >= 0, got -1"):
         GridFunction(UNIT, -1, np.zeros(2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfcos.besov import DecompositionOfUnity
+from halfcos.besov import phi
 from halfcos.indexsets import IndexSet, hyperbolic_cross, plus_l1
 from closed_forms import cross_cardinality_check
 
@@ -82,16 +82,15 @@ def test_cross_symmetry_and_membership(N, d):
 
 
 def test_dyadic_support_levels():
-    decomp = DecompositionOfUnity()
     ks = np.arange(20.0)
-    assert set(np.flatnonzero(decomp.phi(0, ks))) == {0, 1}
+    assert set(np.flatnonzero(phi(0, ks))) == {0, 1}
     # phi_2 vanishes at 2 and at 8 exactly (plateau edges)
-    assert set(np.flatnonzero(decomp.phi(2, ks))) == set(range(3, 8))
+    assert set(np.flatnonzero(phi(2, ks))) == set(range(3, 8))
     # phi_(0,2)(k) = phi_0(k_1) phi_2(k_2) is nonzero on the 2 x 5 product
-    block = np.multiply.outer(decomp.phi(0, ks), decomp.phi(2, ks))
+    block = np.multiply.outer(phi(0, ks), phi(2, ks))
     assert set(zip(*np.nonzero(block))) == {(a, b) for a in (0, 1) for b in range(3, 8)}
 
 
 def test_index_set_dedup_and_order():
-    K = IndexSet(d=1, kind="explicit", members=((3,), (1,), (3,)))
+    K = IndexSet(d=1, members=((3,), (1,), (3,)))
     assert K.members == ((1,), (3,))

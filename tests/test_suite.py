@@ -26,15 +26,13 @@ IDENTITIES = [
 
 def test_random_polynomial_shape():
     rng = np.random.default_rng(0)
-    cf = random_cosine_polynomial(2, rng, kmax=5, terms=8)
+    cf = random_cosine_polynomial(2, rng)
     assert cf.d == 2 and cf.basis == "hpc"
     assert (0, 0) in cf.entries
     assert all(len(k) == 2 for k in cf.entries)
-    assert all(0 <= t <= 5 for k in cf.entries for t in k)
-    again = random_cosine_polynomial(2, np.random.default_rng(0), kmax=5, terms=8)
-    assert again.entries == random_cosine_polynomial(
-        2, np.random.default_rng(0), kmax=5, terms=8
-    ).entries
+    assert all(0 <= t <= 8 for k in cf.entries for t in k)
+    again = random_cosine_polynomial(2, np.random.default_rng(0))
+    assert again.entries == random_cosine_polynomial(2, np.random.default_rng(0)).entries
     assert again.entries.keys() == cf.entries.keys()
 
 
@@ -86,11 +84,6 @@ def test_norm_comparison_subset_and_guard():
         norm_comparison(get_member("exp3"), BesovParams(1.0, 2.0, 2.0))
     with pytest.raises(ConfigError, match="J must be >= 0"):
         norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), J=-1)
-    with pytest.raises(ConfigError, match="kmax must be >= 0"):
-        norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), kmax=-1)
-    # kmax=0 keeps the constant term alone; it is not replaced by 2^(J+1)
-    only = norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), ("hpc",), kmax=0)
-    assert set(only["hpc"].level_terms) == {(0,)}
 
 
 def test_norm_comparison_finite_expansion_is_not_divergent():

@@ -9,7 +9,7 @@ import sympy as sp
 
 from halfcos import grids, wavelets
 from halfcos.corpus import get_member
-from halfcos.errors import ConfigError
+from halfcos.errors import ConfigError, TruncationError
 from halfcos.grids import CoefficientMap, GridFunction, UNIT
 from halfcos.wavelets import (
     PiecewiseLinear,
@@ -183,6 +183,21 @@ def test_dual_decay_base():
     seq = dual_coefficients(-1, n_max=40)
     assert abs(seq.decay_base - (2.0 + math.sqrt(3.0))) < 1e-6
     assert seq.tail_bound < 1e-10
+
+
+@pytest.mark.parametrize("n_max", [-1, 0, 3, 4, 5])
+def test_dual_solve_needs_two_fit_abscissae(n_max):
+    # the fit window 2 <= |n| <= n_max // 2 holds one |n| or none: a bare
+    # TypeError or ValueError from polyfit, or a RankWarning, before
+    with pytest.raises(ConfigError, match="n_max must be >= 6"):
+        dual_coefficients(-1, n_max=n_max)
+
+
+def test_dual_solve_raises_when_the_tail_exceeds_the_tolerance():
+    # the fitted tail at n_max = 16 is about 4.5e-10
+    with pytest.raises(TruncationError, match="above tolerance 1.0e-10 at n_max=16"):
+        dual_coefficients(-1, n_max=16)
+    assert dual_coefficients(-1, n_max=16, tol=1e-9).tail_bound < 1e-9
 
 
 def test_psi_eval_levels():
