@@ -18,6 +18,7 @@ from .corpus import _check_kmax
 from .cubature import fit_rate
 from .errors import ConditionError, ConfigError
 from .grids import (
+    _MAX_GRID_POINTS,
     UNIT,
     CoefficientMap,
     GridFunction,
@@ -34,7 +35,7 @@ from .grids import (
     periodize,
     signed_fft_freqs,
 )
-from .indexsets import IndexSet, hyperbolic_cross
+from .indexsets import IndexSet, cross_size, hyperbolic_cross
 
 __all__ = [
     "project_dense",
@@ -63,10 +64,14 @@ def project_dense(f: GridFunction, N: int):
 
 
 def _torus_projection(g: GridFunction, N: int) -> GridFunction:
-    """FFT-masking projection of a torus grid function onto the signed cross."""
-    dense = fourier_analyze_dense(g)
-    freqs = [signed_fft_freqs(dense.shape[0]).astype(float)] * g.d
-    return fourier_synthesize_dense(np.where(_cross_mask(freqs, N), dense, 0.0), g.m)
+    """FFT-masking projection of a torus grid function onto the signed
+    cross. The cross lies in |k_i| <= N - 1 per axis, so only those slots
+    are transformed."""
+    freqs = signed_fft_freqs(g.axis_size)
+    slots = [np.flatnonzero(np.abs(freqs) <= N - 1)] * g.d
+    dense = fourier_analyze_dense(g, slots)
+    kept = [freqs[keep].astype(float) for keep in slots]
+    return fourier_synthesize_dense(np.where(_cross_mask(kept, N), dense, 0.0), g.m, slots)
 
 
 def error_transfer_check(f: GridFunction, N: int, p: float):
@@ -151,14 +156,28 @@ def ls_error_experiment(
     if not math.isfinite(oversample):
         raise ConfigError(f"oversample must be finite, got {oversample}")
     d = member.d
-    K = hyperbolic_cross(N, d, signed=False)
-    card = len(K.members)
+    # The design is held whole: it may have as many cells as a dense grid has
+    # points. It has at least |cross|^2 >= N^2 of them once it is determined,
+    # so a larger N is refused before the cross is counted.
+    if N * N > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--N {N} asks for a least-squares design of at least N^2 = {N * N} cells, "
+            f"over the limit of {_MAX_GRID_POINTS} = 2^24"
+        )
+    card = cross_size(N, d)
     n_samples = int(math.ceil(oversample * card * (1.0 + math.log(card))))
     if n_samples < card:
         raise ConfigError(
             f"oversample={oversample}: {n_samples} samples for {card} unknowns, an underdetermined design"
         )
+    if n_samples * card > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--N {N} with --oversample {oversample} asks for a least-squares design of "
+            f"{n_samples} x {card} = {n_samples * card} cells, over the limit of "
+            f"{_MAX_GRID_POINTS} = 2^24"
+        )
     _check_aliasing(grid_level, N - 1)
+    K = hyperbolic_cross(N, d, signed=False)
     rng = np.random.default_rng(seed)
     pts = rng.random((n_samples, d))
     vals = member(*[pts[:, i] for i in range(d)])
@@ -223,6 +242,12 @@ def projection_error_rate(
     if bad:
         raise ConfigError(f"cross order N must be >= 1, got {bad[0]}")
     _check_kmax(kmax)
+    box = (kmax + 1) ** member.d  # the box is walked once per N
+    if box > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--kmax {kmax} asks for a coefficient box of {box} entries in d={member.d}, "
+            f"over the limit of {_MAX_GRID_POINTS} = 2^24"
+        )
     dims, errors = [], []
     for N in N_list:
         K = hyperbolic_cross(N, member.d, signed=False)

@@ -325,14 +325,18 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     FFT analysis, symmetric weights and FFT synthesis. Right:
     2^d ||cosine block||^p over the unit cube, via weighted DCT synthesis.
     The pipelines share no transform code; equality is the periodization
-    principle for blocks. p = inf compares sup values (no 2^d factor)."""
+    principle for blocks. The torus side transforms only the slots where
+    phi_{j_i} is nonzero (pruned FFTs), but never goes through the DCT-I.
+    p = inf compares sup values (no 2^d factor)."""
     d = f_coeffs.d
 
     g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs), grid_level)
-    dense = fourier_analyze_dense(periodize(g_unit))
-    freqs = signed_fft_freqs(dense.shape[0]).astype(float)  # phi_j is even: phi_j(|k|)
-    weighted = _weigh(dense, [phi(int(j), freqs) for j in jbar])
-    block_t = fourier_synthesize_dense(weighted, grid_level)
+    freqs = signed_fft_freqs(2 ** (grid_level + 1)).astype(float)  # phi_j is even: phi_j(|k|)
+    weights = [phi(int(j), freqs) for j in jbar]
+    slots = [np.flatnonzero(w) for w in weights]
+    dense = fourier_analyze_dense(periodize(g_unit), slots)
+    weighted = _weigh(dense, [w[keep] for w, keep in zip(weights, slots)])
+    block_t = fourier_synthesize_dense(weighted, grid_level, slots)
 
     block_u = hpc_block(f_coeffs, jbar, grid_level)
     if p == INF:

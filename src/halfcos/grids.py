@@ -93,14 +93,6 @@ def _axis_index(ax: int, index) -> tuple:
     return (slice(None),) * ax + (index,)
 
 
-def _negate_odd(a: np.ndarray) -> None:
-    """Multiply a in place by (-1)^(k_1 + ... + k_d): the odd slices of
-    one axis at a time are negated, which is exact and allocates nothing."""
-    for ax in range(a.ndim):
-        odd = a[_axis_index(ax, slice(1, None, 2))]
-        np.negative(odd, out=odd)
-
-
 def tent(x):
     """Componentwise tent map t -> 1 - |2t - 1| on [0,1]^d. Each step runs
     in place on one copy of x, with the same values as the out-of-place
@@ -479,18 +471,70 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     return GridFunction(UNIT, m, work)
 
 
-def fourier_analyze_dense(g: GridFunction) -> np.ndarray:
-    """Full tensor of torus Fourier coefficients, index k in FFT layout."""
+def _check_slots(slots, d: int, n: int) -> list:
+    """The kept FFT slots of each of the d axes as integer arrays; all n
+    slots of every axis when slots is None. ConfigError unless slots holds
+    d lists, each of sorted, unique integers in [0, n)."""
+    if slots is None:
+        return [np.arange(n)] * d
+    if len(slots) != d:
+        raise ConfigError(f"kept slots given for {len(slots)} axes, expected {d}")
+    out = []
+    for ax, keep in enumerate(slots):
+        keep = np.asarray(keep)
+        if keep.size == 0:
+            keep = keep.astype(np.intp)
+        if keep.ndim != 1 or keep.dtype.kind not in "iu" or keep.size and (
+            keep[0] < 0 or keep[-1] >= n or not (keep[1:] > keep[:-1]).all()
+        ):
+            raise ConfigError(
+                f"kept slots of axis {ax} must be sorted, unique integers in [0, {n})"
+            )
+        out.append(keep)
+    return out
+
+
+def _negate_odd(a: np.ndarray, slots, n: int) -> None:
+    """Multiply a in place by (-1)^(k_1 + ... + k_d), where k_i is the slot
+    that position i of axis i holds: the positions of odd slots are negated
+    one axis at a time, which is exact. An axis that keeps all n slots is
+    negated through a view of its odd slice, with no copy."""
+    for ax, keep in enumerate(slots):
+        if keep.size == n:
+            odd = a[_axis_index(ax, slice(1, None, 2))]
+            np.negative(odd, out=odd)
+        else:
+            index = _axis_index(ax, np.flatnonzero(keep % 2))
+            a[index] = np.negative(a[index])
+
+
+def fourier_analyze_dense(g: GridFunction, slots=None) -> np.ndarray:
+    """Torus Fourier coefficients in FFT layout, at the kept slots only.
+
+    slots lists, per axis, the kept slot indices (sorted, unique, in
+    [0, 2^(m+1))); None keeps every slot, which gives the full tensor.
+    Entry [i_1, ..., i_d] of the result is the coefficient at the slots
+    (slots[0][i_1], ..., slots[d-1][i_d]). The FFT runs in place along axis
+    0 on every line, then only that axis's kept slots stay before axis 1
+    is transformed, and so on in axis order (FFT pruning). The scaling and
+    the node sign (-1)^k, with k the slot and not the position, are applied
+    to the kept tensor. numpy's FFT computes each line on its own, so every
+    kept line, and with it every value, has the same bits as in the full
+    transform.
+    """
     if g.domain != SYM:
         raise DomainError("fourier_analyze_dense expects a torus grid function")
+    slots = _check_slots(slots, g.d, g.axis_size)
     h = 2.0**-g.m
     coeff = np.array(g.values, dtype=complex)
-    for ax in range(g.d):  # in place, with no new array per axis
+    for ax, keep in enumerate(slots):  # in place, with one smaller copy per pruned axis
         np.fft.fft(coeff, axis=ax, out=coeff)
+        if keep.size < g.axis_size:
+            coeff = coeff[_axis_index(ax, keep)]
     coeff *= h**g.d
     coeff *= 2.0 ** (-g.d / 2.0)
     # Node offset -1 per axis contributes the alternating sign (-1)^k.
-    _negate_odd(coeff)
+    _negate_odd(coeff, slots, g.axis_size)
     return coeff
 
 
@@ -499,23 +543,37 @@ def signed_fft_freqs(n: int) -> np.ndarray:
     return (np.arange(n) + n // 2) % n - n // 2
 
 
-def fourier_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
-    """Inverse of fourier_analyze_dense for a full FFT-layout tensor.
+def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunction:
+    """Inverse of fourier_analyze_dense: the torus grid function whose
+    coefficients are coeff at the kept slots and zero elsewhere.
 
-    The unnormalized inverse FFT runs in place one axis at a time, and the
-    1/n^d follows as one multiplication; n^d is a power of two, so that is
-    exact and the values equal those of a d-dimensional inverse FFT.
+    slots is as in fourier_analyze_dense, and coeff holds one entry per
+    kept slot of each axis; None means the full FFT-layout tensor. The
+    sign (-1)^k of each slot k is applied to coeff. Then each axis, in axis
+    order 0, ..., d-1 as in the full transform, is scattered to its full
+    length of zeros just before its own unnormalized inverse FFT runs in
+    place, so the earlier axes never transform the lines that would hold
+    only zeros. The other lines are transformed as the full transform would
+    transform them, each on its own, so the values are identical to that
+    transform. The 1/n^d follows as one multiplication; n^d is a power of
+    two, so that is exact.
     """
     d = coeff.ndim
     n = 2 ** (m + 1)
-    if any(s != n for s in coeff.shape):
+    slots = _check_slots(slots, d, n)
+    kept = tuple(keep.size for keep in slots)
+    if coeff.shape != kept:
         raise ResolutionMismatchError(
-            f"dense Fourier tensor must have {n} slots per axis"
+            f"dense Fourier tensor has shape {coeff.shape}, expected {kept} for the kept slots"
         )
     h = 2.0**-m
-    vals = np.array(coeff, dtype=complex)  # the one copy; coeff is not touched
-    _negate_odd(vals)
-    for ax in range(d):
+    vals = np.array(coeff, dtype=complex)  # coeff is not touched
+    _negate_odd(vals, slots, n)
+    for ax, keep in enumerate(slots):
+        if keep.size < n:
+            full = np.zeros(vals.shape[:ax] + (n,) + vals.shape[ax + 1 :], dtype=complex)
+            full[_axis_index(ax, keep)] = vals
+            vals = full
         np.fft.ifft(vals, axis=ax, norm="forward", out=vals)
     vals *= 1.0 / vals.size
     vals /= h**d * 2.0 ** (-d / 2.0)

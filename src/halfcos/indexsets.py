@@ -15,6 +15,7 @@ __all__ = [
     "plus_l1",
     "IndexSet",
     "hyperbolic_cross",
+    "cross_size",
 ]
 
 
@@ -82,3 +83,12 @@ def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
         raise ValueError("need N >= 1 and d >= 1")
     members = tuple(_enumerate_cross(d, N, signed))
     return IndexSet(d=d, members=members)
+
+
+def cross_size(N: int, d: int) -> int:
+    """Number of members of hyperbolic_cross(N, d, signed=False), counted on
+    Python ints without enumerating them: the d-tuples of positive integers
+    1 + k_i whose product is at most N. Takes about N (log N)^(d-2) steps."""
+    if d == 1:
+        return max(N, 0)
+    return sum(cross_size(N // a, d - 1) for a in range(1, N + 1))

@@ -253,6 +253,12 @@ def test_gnuplot_companion(tmp_path, capsys):
         (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--grid-level", "30"], 2,
          "--grid-level 30 asks"),
         (["coeffs", "--fn", "kink2d", "--kmax", "4096"], 2, "--kmax 4096 asks for a level-14 grid"),
+        (["approx", "--fn", "kink2d", "--kmax", "100000"], 2,
+         "--kmax 100000 asks for a coefficient box of 10000200001 entries in d=2"),
+        (["recover", "--fn", "kink1d", "--N", "100000", "--seed", "1"], 2,
+         "--N 100000 asks for a least-squares design of at least N^2"),
+        (["recover", "--fn", "kink2d", "--N", "256", "--seed", "1"], 2,
+         "--N 256 with --oversample 4.0 asks for a least-squares design"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):

@@ -8,7 +8,13 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from halfcos.errors import AliasingError, ConfigError, DomainError
+from halfcos.errors import (
+    AliasingError,
+    ConfigError,
+    DomainError,
+    HalfcosError,
+    ResolutionMismatchError,
+)
 from halfcos.grids import (
     SYM,
     UNIT,
@@ -29,7 +35,7 @@ from halfcos.grids import (
     signed_fft_freqs,
     tent,
 )
-from halfcos import grids
+from halfcos import approx, besov, grids
 from halfcos.corpus import corpus, gibbs_demo
 from halfcos.indexsets import hyperbolic_cross
 from closed_forms import evenize
@@ -394,6 +400,101 @@ def test_fourier_dense_signs_match_the_sign_vector(d, m):
     ref = scipy.fft.ifftn(_sign_multiply(coeff)) / (h**d * 2.0 ** (-d / 2.0))
     assert np.array_equal(fourier_synthesize_dense(coeff, m).values, ref)
     assert np.array_equal(coeff, kept)  # the caller's tensor is not touched
+
+
+def _slot_cases(n, d, rng):
+    """Per-axis kept slots: random sorted subsets, one slot, all slots."""
+    subsets = [np.sort(rng.choice(n, size=rng.integers(1, n), replace=False)) for _ in range(d)]
+    return [subsets, [np.array([int(rng.integers(n))])] * d, [np.arange(n)] * d]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_pruned_fourier_transforms_equal_the_full_ones_bit_for_bit(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    n = 2 ** (m + 1)
+    g = GridFunction(SYM, m, rng.normal(size=(n,) * d))
+    full = fourier_analyze_dense(g)
+    for slots in _slot_cases(n, d, rng):
+        kept = np.ix_(*slots)
+        assert np.array_equal(_bits(fourier_analyze_dense(g, slots)), _bits(full[kept]))
+        small = rng.normal(size=full[kept].shape) + 1j * rng.normal(size=full[kept].shape)
+        scattered = np.zeros((n,) * d, dtype=complex)
+        scattered[kept] = small
+        pruned = fourier_synthesize_dense(small, m, slots).values
+        assert np.array_equal(_bits(pruned), _bits(fourier_synthesize_dense(scattered, m).values))
+
+
+@pytest.mark.parametrize("d, m", [(1, 2), (2, 3), (3, 5)])
+def test_cosine_polynomial_inside_the_slots_round_trips(d, m):
+    rng = np.random.default_rng(d + m)
+    n = 2 ** (m + 1)
+    freqs = signed_fft_freqs(n)
+    mesh = np.ix_(*[grids._grid_axis(SYM, m)] * d)
+    slots, values = [], np.zeros((n,) * d)
+    for _ in range(4):
+        kbar = tuple(int(k) for k in rng.integers(0, 2**m, size=d))
+        values = values + rng.normal() * cos_basis(kbar, *mesh)
+        slots.append([np.flatnonzero(np.abs(freqs) == k) for k in kbar])
+    # each axis keeps the slots of +-k of every term, and one slot more
+    slots = [np.union1d(np.concatenate([s[ax] for s in slots]), [n // 2]) for ax in range(d)]
+    g = GridFunction(SYM, m, values)
+    back = fourier_synthesize_dense(fourier_analyze_dense(g, slots), m, slots)
+    assert np.max(np.abs(back.values - g.values)) < 1e-12 * np.max(np.abs(g.values))
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [[[2, 1]], [[1, 1, 3]], [[-1, 0]], [[0, 8]], [[0.0, 1.0]], [[0], [1]], [[[0, 1]]]],
+)
+def test_bad_kept_slots_raise(slots):
+    g = GridFunction(SYM, 2, np.ones(8))
+    with pytest.raises(HalfcosError):
+        fourier_analyze_dense(g, slots)
+    with pytest.raises(HalfcosError):
+        fourier_synthesize_dense(np.ones(2, dtype=complex), 2, slots)
+
+
+def test_kept_tensor_of_the_wrong_shape_raises():
+    with pytest.raises(ResolutionMismatchError):
+        fourier_synthesize_dense(np.ones((3, 2)), 2, [[0, 1, 7], [0, 1, 7]])
+    with pytest.raises(ResolutionMismatchError):
+        fourier_synthesize_dense(np.ones((8, 7)), 2)
+
+
+def _fft_lines(monkeypatch):
+    """Record (function, axis, lines transformed) of every np.fft.fft and
+    np.fft.ifft call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(a, *args, axis=-1, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append((_name, axis % a.ndim, a.size // a.shape[axis]))
+            return _fn(a, *args, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_torus_projection_transforms_only_the_cross_slots(monkeypatch):
+    d, m, N = 3, 5, 4  # |k_i| <= 3: 7 of 64 slots per axis
+    g = periodize(hpc_synthesize(CoefficientMap("hpc", d, {(1, 2, 0): 1.0}), m))
+    calls = _fft_lines(monkeypatch)
+    approx._torus_projection(g, N)
+    assert calls == [("fft", 0, 64 * 64), ("fft", 1, 64 * 7), ("fft", 2, 7 * 7),
+                     ("ifft", 0, 7 * 7), ("ifft", 1, 64 * 7), ("ifft", 2, 64 * 64)]
+
+
+def test_block_identity_transforms_only_the_support_of_the_blocks(monkeypatch):
+    # phi_0 keeps 3 and phi_3 keeps 22 of the 64 slots
+    calls = _fft_lines(monkeypatch)
+    besov.periodization_block_identity(
+        CoefficientMap("hpc", 2, {(0, 6): 1.0, (1, 9): 0.5}), (0, 3), 2.0, grid_level=5
+    )
+    assert calls == [("fft", 0, 64), ("fft", 1, 3), ("ifft", 0, 22), ("ifft", 1, 64)]
 
 
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2)])

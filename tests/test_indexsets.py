@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfcos.besov import phi
-from halfcos.indexsets import IndexSet, hyperbolic_cross, plus_l1
+from halfcos.indexsets import IndexSet, cross_size, hyperbolic_cross, plus_l1
 from closed_forms import cross_cardinality_check
 
 
@@ -30,6 +30,12 @@ def test_small_helpers():
 def test_cross_matches_box_scan(N, d, signed):
     got = hyperbolic_cross(N, d, signed=signed).members
     assert list(got) == brute_cross(N, d, signed)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cross_size_counts_the_unsigned_cross(d):
+    for N in range(1, 40):
+        assert cross_size(N, d) == len(hyperbolic_cross(N, d, signed=False))
 
 
 def test_signed_cross_cardinality_d2():
