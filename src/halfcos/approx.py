@@ -24,6 +24,7 @@ from .grids import (
     GridFunction,
     _check_aliasing,
     _check_grid_size,
+    _check_size,
     _weigh,
     box_slabs,
     fourier_analyze_dense,
@@ -68,7 +69,7 @@ def _torus_projection(g: GridFunction, N: int) -> GridFunction:
     cross. The cross lies in |k_i| <= N - 1 per axis, so only those slots
     are transformed."""
     freqs = signed_fft_freqs(g.axis_size)
-    slots = [np.flatnonzero(np.abs(freqs) <= N - 1)] * g.d
+    slots = [np.abs(freqs) <= N - 1] * g.d
     dense = fourier_analyze_dense(g, slots)
     kept = [freqs[keep].astype(float) for keep in slots]
     return fourier_synthesize_dense(np.where(_cross_mask(kept, N), dense, 0.0), g.m, slots)
@@ -159,23 +160,16 @@ def ls_error_experiment(
     # The design is held whole: it may have as many cells as a dense grid has
     # points. It has at least |cross|^2 >= N^2 of them once it is determined,
     # so a larger N is refused before the cross is counted.
-    if N * N > _MAX_GRID_POINTS:
-        raise ConfigError(
-            f"--N {N} asks for a least-squares design of at least N^2 = {N * N} cells, "
-            f"over the limit of {_MAX_GRID_POINTS} = 2^24"
-        )
+    _check_size(N * N, f"--N {N}", f"a least-squares design of at least N^2 = {N * N} cells")
     card = cross_size(N, d)
     n_samples = int(math.ceil(oversample * card * (1.0 + math.log(card))))
     if n_samples < card:
         raise ConfigError(
             f"oversample={oversample}: {n_samples} samples for {card} unknowns, an underdetermined design"
         )
-    if n_samples * card > _MAX_GRID_POINTS:
-        raise ConfigError(
-            f"--N {N} with --oversample {oversample} asks for a least-squares design of "
-            f"{n_samples} x {card} = {n_samples * card} cells, over the limit of "
-            f"{_MAX_GRID_POINTS} = 2^24"
-        )
+    cells = n_samples * card
+    _check_size(cells, f"--N {N} with --oversample {oversample}",
+                f"a least-squares design of {n_samples} x {card} = {cells} cells")
     _check_aliasing(grid_level, N - 1)
     K = hyperbolic_cross(N, d, signed=False)
     rng = np.random.default_rng(seed)
@@ -243,14 +237,12 @@ def projection_error_rate(
         raise ConfigError(f"cross order N must be >= 1, got {bad[0]}")
     _check_kmax(kmax)
     box = (kmax + 1) ** member.d  # the box is walked once per N
-    if box > _MAX_GRID_POINTS:
-        raise ConfigError(
-            f"--kmax {kmax} asks for a coefficient box of {box} entries in d={member.d}, "
-            f"over the limit of {_MAX_GRID_POINTS} = 2^24"
-        )
-    dims, errors = [], []
-    for N in N_list:
-        K = hyperbolic_cross(N, member.d, signed=False)
-        dims.append(len(K.members))
-        errors.append(exact_projection_error(member, N, kmax))
+    _check_size(box, f"--kmax {kmax}", f"a coefficient box of {box} entries in d={member.d}")
+    for N in N_list:  # the cross has at most N (1 + ln N)^(d-1) members
+        # an N past the limit is refused as it is: a huge int times a float overflows
+        bound = N if N > _MAX_GRID_POINTS else N * (1.0 + math.log(N)) ** (member.d - 1)
+        _check_size(bound, f"--N-list {N}",
+                    f"a cross of up to N (1 + ln N)^(d-1) members in d={member.d}")
+    dims = [cross_size(N, member.d) for N in N_list]
+    errors = [exact_projection_error(member, N, kmax) for N in N_list]
     return fit_rate(dims, errors, log_exponent, skip_smallest)

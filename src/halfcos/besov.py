@@ -1,7 +1,7 @@
 """The dyadic decomposition of unity, frequency-block building blocks, and the
 three (quasi-)norms used throughout: the cosine-block norm on the unit cube,
 the weighted sequence norm over wavelet indices, and a difference-based
-seminorm oracle.
+seminorm oracle on tensor factors only.
 
 The block norm truncates an infinite level sum. For cosine polynomials the
 default level cap makes the truncation exact; otherwise the geometric
@@ -333,7 +333,7 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs), grid_level)
     freqs = signed_fft_freqs(2 ** (grid_level + 1)).astype(float)  # phi_j is even: phi_j(|k|)
     weights = [phi(int(j), freqs) for j in jbar]
-    slots = [np.flatnonzero(w) for w in weights]
+    slots = [w != 0.0 for w in weights]
     dense = fourier_analyze_dense(periodize(g_unit), slots)
     weighted = _weigh(dense, [w[keep] for w, keep in zip(weights, slots)])
     block_t = fourier_synthesize_dense(weighted, grid_level, slots)
@@ -344,119 +344,79 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     return block_t.lp_norm(p) ** p, 2.0**d * block_u.lp_norm(p) ** p
 
 
-def _rectangular_mean(f, m: int, levels, axes):
-    """Yield, for each tuple of steps in levels, the integral over [-1,1]^e
-    of |Delta^m f(x)| dh by tensor Gauss quadrature of _GAUSS_ORDER nodes
-    per axis on the open mesh np.ix_(*axes), which f must broadcast. The
-    difference moves axis i by l h_i steps[i], l = 0..m, along each active
-    axis, those whose step is not None; with no active axis the result is
-    |f|.
+def _rectangular_mean(f, m: int, steps, x):
+    """Yield, for each step t in steps, the integral over [-1,1] of
+    |Delta^m f(x)| dh by Gauss quadrature of _GAUSS_ORDER nodes on the
+    axis x: the difference moves x by l h t, l = 0..m. A step None gives
+    |f(x)|.
 
-    Each evaluation of f is keyed by its per-axis shifts, so equal shifts
-    give the same values; a zero shift counts as no shift (None). f(x) is
-    kept for the whole call, and so is, until the next level, every
-    evaluation that level uses: over the dyadic steps 2^-j of one axis,
-    f(x) is evaluated once and the l = 2 shift at level j is the l = 1
-    shift at level j - 1 (2 h 2^-j equals h 2^-(j-1) exactly in floating
-    point). The sums run as if every evaluation were made afresh.
+    Each evaluation of f is keyed by its shift, so equal shifts give the
+    same values; a zero shift counts as no shift (None). f(x) is kept for
+    the whole call, and so is, until the next step, every evaluation that
+    step uses: over the dyadic steps 2^-j, f(x) is evaluated once and the
+    l = 2 shift at step 2^-j is the l = 1 shift at step 2^-(j-1) (2 h 2^-j
+    equals h 2^-(j-1) exactly in floating point). The sums run as if every
+    evaluation were made afresh.
     """
     nodes, weights = _gauss_legendre(_GAUSS_ORDER)
     signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
-    mesh, shape = np.ix_(*axes), tuple(len(x) for x in axes)
-    zero = (None,) * len(axes)
-
-    def plan(steps):
-        """(Gauss weight, [(sign product, shift key)]) per node combination."""
-        active = [i for i, t in enumerate(steps) if t is not None]
-        terms = []
-        for combo in np.ndindex(*([_GAUSS_ORDER] * len(active))):
-            shifts = []
-            for ls in np.ndindex(*([m + 1] * len(active))):
-                coeff, key = 1.0, list(zero)
-                for i, ci, l in zip(active, combo, ls):
-                    coeff *= signs[l]
-                    off = l * nodes[ci] * steps[i]
-                    if off != 0.0:
-                        key[i] = off
-                shifts.append((coeff, tuple(key)))
-            wq = 1.0
-            for ci in combo:
-                wq *= weights[ci]
-            terms.append((wq, shifts))
-        return terms
-
-    plans = [plan(steps) for steps in levels]
+    # (Gauss weight, [(sign, shift)]) per node; a step None has one node
+    plans = [
+        [(1.0, [(1.0, None)])] if t is None
+        else [(w, [(signs[l], l * h * t or None) for l in range(m + 1)])
+              for h, w in zip(nodes, weights)]
+        for t in steps
+    ]
     kept = {}
     for terms, after in zip(plans, plans[1:] + [[]]):
         following = {key for _, shifts in after for _, key in shifts}
-        acc = np.zeros(shape)
+        acc = np.zeros(x.shape)
         for wq, shifts in terms:
-            diff = np.zeros(shape)
-            for coeff, key in shifts:
+            diff = np.zeros(x.shape)
+            for sign, key in shifts:
                 vals = kept.pop(key, None)
                 if vals is None:
-                    moved = [a if k is None else a + k for a, k in zip(mesh, key)]
-                    vals = np.asarray(f(*moved), dtype=float)
-                if key == zero or key in following:
+                    vals = np.asarray(f(x if key is None else x + key), dtype=float)
+                if key is None or key in following:
                     kept[key] = vals
-                diff += coeff * vals
+                diff += sign * vals
             acc += wq * np.abs(diff)
         yield acc
 
 
 def difference_seminorm(
-    f=None,
-    params: BesovParams = None,
-    m: int = 2,
-    J_max: int = 5,
-    grid_level: int = 7,
-    d: int = 1,
-    tensor_factors=None,
+    *, tensor_factors, params: BesovParams, m: int = 2, J_max: int = 5, grid_level: int = 7
 ) -> NormReport:
     """Truncated (sum_jbar 2^{r q |jbar|_1} ||R^{e(jbar)}_m(f,2^{-jbar},.)||_p^q)^{1/q}
     for a continuous periodic f on the torus, with the difference applied
     only along the active axes e(jbar) = {i : j_i != 0}.
 
-    L_p norms use the normalized torus measure, so for reflection-symmetric
-    periodizations the values match unit-cube norms of the underlying
-    function. tensor_factors (univariate periodic callables) factorize the
-    computation exactly in any dimension: the rectangular means are taken
-    once per distinct factor; f(x) and dilated shifts shared across levels
-    (the l = 2 shift at level j is the l = 1 shift at level j - 1) are
-    evaluated once. The h-integrals use tensor Gauss quadrature of
-    _GAUSS_ORDER nodes per axis. A generic callable f needs d <= 2 and is
-    integrated once per jbar; it gets the grid axes as an open mesh
-    (np.ix_), as in GridFunction.from_callable, so it must broadcast its
-    arguments against each other.
+    Tensor factors only: f is the product of tensor_factors, one univariate
+    periodic callable per axis, and the computation factorizes exactly in
+    any dimension. L_p norms use the normalized torus measure, so for
+    reflection-symmetric periodizations the values match unit-cube norms
+    of the underlying function. The rectangular means are taken once per
+    distinct factor, by Gauss quadrature of _GAUSS_ORDER nodes; f(x) and
+    dilated shifts shared across levels (the l = 2 shift at level j is the
+    l = 1 shift at level j - 1) are evaluated once.
     """
-    if params is None:
-        raise ConfigError("params required")
-    if f is None and tensor_factors is None:
-        raise ConfigError("f or tensor_factors required")
+    if not tensor_factors:
+        raise ConfigError("tensor_factors has zero axes; give one factor per axis")
     if m <= params.r:
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
-    if tensor_factors is None and d > 2:
-        raise ConfigError(f"difference route for a generic callable needs d <= 2, got d={d}")
     x1 = _grid_axis(SYM, grid_level)
     steps = [None] + [2.0**-j for j in range(1, J_max + 1)]  # level 0: no difference
-    grid_lp = lambda values: _lp(values, params.p, mean=True)
-    if tensor_factors is not None:
-        d = len(tensor_factors)
-        built = {}  # id of a factor -> its table over the levels
-        for fi in tensor_factors:
-            if id(fi) not in built:
-                means = _rectangular_mean(fi, m, [(t,) for t in steps], (x1,))
-                built[id(fi)] = [grid_lp(v) for v in means]
-        tables = [built[id(fi)] for fi in tensor_factors]
+    built = {}  # id of a factor -> its table over the levels
+    for fi in tensor_factors:
+        if id(fi) not in built:
+            means = _rectangular_mean(fi, m, steps, x1)
+            built[id(fi)] = [_lp(v, params.p, mean=True) for v in means]
+    tables = [built[id(fi)] for fi in tensor_factors]
     level_terms = {}
-    for jbar in np.ndindex(*([J_max + 1] * d)):
-        if tensor_factors is not None:
-            val = 1.0
-            for i, j in enumerate(jbar):
-                val *= tables[i][j]
-        else:
-            (mean,) = _rectangular_mean(f, m, [[steps[j] for j in jbar]], [x1] * d)
-            val = grid_lp(mean)
+    for jbar in np.ndindex(*([J_max + 1] * len(tables))):
+        val = 1.0
+        for table, j in zip(tables, jbar):
+            val *= table[j]
         term = 2.0 ** (params.r * sum(jbar)) * val
         if term > 0.0:
             level_terms[tuple(int(t) for t in jbar)] = term

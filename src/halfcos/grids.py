@@ -293,17 +293,19 @@ class CoefficientMap:
 _MAX_GRID_POINTS = 2**24
 
 
+def _check_size(count, source: str, what: str):
+    """Raise ConfigError when count, the size of what source (the setting
+    that chose it) asks for, exceeds _MAX_GRID_POINTS."""
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"{source} asks for {what}, over the limit of {_MAX_GRID_POINTS} = 2^24")
+
+
 def _check_grid_size(m: int, d: int, domain: str, source: str):
-    """Raise ConfigError, naming source (the setting that chose the size),
-    when the level-m grid on the domain in d dimensions has more than
-    _MAX_GRID_POINTS points. The count is made on Python ints, and levels
-    or dimensions past 24 are refused before 2^m is formed, so the check
-    allocates nothing."""
-    if m > 24 or d > 24 or (2 ** (m + 1) if domain == SYM else 2**m + 1) ** d > _MAX_GRID_POINTS:
-        raise ConfigError(
-            f"{source} asks for a level-{m} grid in d={d}, over the limit of "
-            f"{_MAX_GRID_POINTS} = 2^24 grid points"
-        )
+    """_check_size of the level-m grid on the domain in d dimensions. The
+    count is made on Python ints, and levels or dimensions past 24 are
+    refused before 2^m is formed, so the check allocates nothing."""
+    count = math.inf if m > 24 or d > 24 else (2 ** (m + 1) if domain == SYM else 2**m + 1) ** d
+    _check_size(count, source, f"a level-{m} grid in d={d}")
 
 
 def _check_aliasing(m: int, kmax: int):
@@ -447,8 +449,11 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
 
 
 def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
-    """Inverse of hpc_analyze_dense for a full coefficient tensor (padded
-    or truncated to the grid size); used by the block machinery.
+    """The sum of coeff[kbar] c_kbar on the closed level-m grid, for a full
+    coefficient tensor (padded or truncated to the grid size); used by the
+    block machinery. hpc_analyze_dense gives coeff back only where no axis
+    holds slot 2^m: the trapezoid rule gives c_{2^m} the squared norm 2,
+    so an entry comes back doubled once per axis at that slot.
 
     Sum_k z_k cos(pi k j / 2^m) equals an unnormalized DCT-I after halving
     the interior coefficients. The d-dimensional DCT-I is run one axis at
@@ -472,49 +477,38 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
 
 
 def _check_slots(slots, d: int, n: int) -> list:
-    """The kept FFT slots of each of the d axes as integer arrays; all n
-    slots of every axis when slots is None. ConfigError unless slots holds
-    d lists, each of sorted, unique integers in [0, n)."""
+    """The kept FFT slots of each of the d axes as boolean masks of length
+    n; every slot of every axis when slots is None. ConfigError unless
+    slots holds d such masks."""
     if slots is None:
-        return [np.arange(n)] * d
-    if len(slots) != d:
-        raise ConfigError(f"kept slots given for {len(slots)} axes, expected {d}")
-    out = []
-    for ax, keep in enumerate(slots):
-        keep = np.asarray(keep)
-        if keep.size == 0:
-            keep = keep.astype(np.intp)
-        if keep.ndim != 1 or keep.dtype.kind not in "iu" or keep.size and (
-            keep[0] < 0 or keep[-1] >= n or not (keep[1:] > keep[:-1]).all()
-        ):
-            raise ConfigError(
-                f"kept slots of axis {ax} must be sorted, unique integers in [0, {n})"
-            )
-        out.append(keep)
-    return out
+        return [np.ones(n, dtype=bool)] * d
+    slots = [np.asarray(keep) for keep in slots]
+    if len(slots) != d or any(keep.dtype != bool or keep.shape != (n,) for keep in slots):
+        raise ConfigError(f"kept slots must be {d} boolean masks of length {n}")
+    return slots
 
 
-def _negate_odd(a: np.ndarray, slots, n: int) -> None:
+def _negate_odd(a: np.ndarray, slots) -> None:
     """Multiply a in place by (-1)^(k_1 + ... + k_d), where k_i is the slot
     that position i of axis i holds: the positions of odd slots are negated
-    one axis at a time, which is exact. An axis that keeps all n slots is
+    one axis at a time, which is exact. An axis that keeps all its slots is
     negated through a view of its odd slice, with no copy."""
     for ax, keep in enumerate(slots):
-        if keep.size == n:
+        if keep.all():
             odd = a[_axis_index(ax, slice(1, None, 2))]
             np.negative(odd, out=odd)
         else:
-            index = _axis_index(ax, np.flatnonzero(keep % 2))
+            index = _axis_index(ax, (np.arange(keep.size) % 2 == 1)[keep])
             a[index] = np.negative(a[index])
 
 
 def fourier_analyze_dense(g: GridFunction, slots=None) -> np.ndarray:
     """Torus Fourier coefficients in FFT layout, at the kept slots only.
 
-    slots lists, per axis, the kept slot indices (sorted, unique, in
-    [0, 2^(m+1))); None keeps every slot, which gives the full tensor.
-    Entry [i_1, ..., i_d] of the result is the coefficient at the slots
-    (slots[0][i_1], ..., slots[d-1][i_d]). The FFT runs in place along axis
+    slots holds, per axis, a boolean mask of the 2^(m+1) slots that are
+    kept; None keeps every slot, which gives the full tensor. Entry
+    [i_1, ..., i_d] of the result is the coefficient at the i_1-th kept
+    slot of axis 0, and so on. The FFT runs in place along axis
     0 on every line, then only that axis's kept slots stay before axis 1
     is transformed, and so on in axis order (FFT pruning). The scaling and
     the node sign (-1)^k, with k the slot and not the position, are applied
@@ -529,12 +523,12 @@ def fourier_analyze_dense(g: GridFunction, slots=None) -> np.ndarray:
     coeff = np.array(g.values, dtype=complex)
     for ax, keep in enumerate(slots):  # in place, with one smaller copy per pruned axis
         np.fft.fft(coeff, axis=ax, out=coeff)
-        if keep.size < g.axis_size:
+        if not keep.all():
             coeff = coeff[_axis_index(ax, keep)]
     coeff *= h**g.d
     coeff *= 2.0 ** (-g.d / 2.0)
     # Node offset -1 per axis contributes the alternating sign (-1)^k.
-    _negate_odd(coeff, slots, g.axis_size)
+    _negate_odd(coeff, slots)
     return coeff
 
 
@@ -561,16 +555,16 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
     d = coeff.ndim
     n = 2 ** (m + 1)
     slots = _check_slots(slots, d, n)
-    kept = tuple(keep.size for keep in slots)
+    kept = tuple(np.count_nonzero(keep) for keep in slots)
     if coeff.shape != kept:
         raise ResolutionMismatchError(
             f"dense Fourier tensor has shape {coeff.shape}, expected {kept} for the kept slots"
         )
     h = 2.0**-m
     vals = np.array(coeff, dtype=complex)  # coeff is not touched
-    _negate_odd(vals, slots, n)
+    _negate_odd(vals, slots)
     for ax, keep in enumerate(slots):
-        if keep.size < n:
+        if not keep.all():
             full = np.zeros(vals.shape[:ax] + (n,) + vals.shape[ax + 1 :], dtype=complex)
             full[_axis_index(ax, keep)] = vals
             vals = full

@@ -186,7 +186,6 @@ def norm_comparison(
             m=m_order,
             J_max=J,
             grid_level=min(J + 4, 11),
-            d=member.d,
             tensor_factors=member.factors,
         )
     return out

@@ -416,6 +416,8 @@ def cw_analyze(
     """
     basis = "cw-primal" if kind == "primal" else "cw-dual"
     d = len(box) if tensor_factors is None else len(tensor_factors)
+    if d == 0:
+        raise ConfigError("cw_analyze got zero axes; give one box and factor per axis")
     if tensor_factors is None and d == 1 and f_breaks is not None:
         f_breaks = (f_breaks,)
     if f_breaks is None or len(f_breaks) == 0:

@@ -259,6 +259,10 @@ def test_gnuplot_companion(tmp_path, capsys):
          "--N 100000 asks for a least-squares design of at least N^2"),
         (["recover", "--fn", "kink2d", "--N", "256", "--seed", "1"], 2,
          "--N 256 with --oversample 4.0 asks for a least-squares design"),
+        (["approx", "--fn", "kink1d", "--N-list", "2,4,30000000", "--kmax", "64"], 2,
+         "--N-list 30000000 asks for a cross of up to N (1 + ln N)^(d-1) members in d=1"),
+        (["approx", "--fn", "kink2d", "--N-list", "2,2000000", "--kmax", "64"], 2,
+         "--N-list 2000000 asks for a cross of up to N (1 + ln N)^(d-1) members in d=2"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):

@@ -226,6 +226,31 @@ def test_single_mode_synthesis_analyzes_back(k1, k2):
     assert abs(dense[k1, k2] - 1.0) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_dense_analysis_gives_back_a_synthesized_tensor_off_slot_2m(d, m, seed):
+    n = 2**m + 1
+    coeff = np.random.default_rng(seed).normal(size=(n,) * d)
+    top = np.ones(n)
+    top[-1] = 2.0  # the trapezoid rule gives c_{2^m} the squared norm 2
+    back = hpc_analyze_dense(hpc_synthesize_dense(coeff, m))
+    doubled = grids._weigh(coeff, [top] * d)
+    assert np.max(np.abs(back - doubled)) < 1e-13 * np.max(np.abs(doubled))
+    for ax in range(d):
+        coeff[grids._axis_index(ax, -1)] = 0.0
+    back = hpc_analyze_dense(hpc_synthesize_dense(coeff, m))
+    assert np.max(np.abs(back - coeff)) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_restrict_of_periodize_is_bit_equal(d, m, seed):
+    # any bit pattern, NaNs, infinities and -0.0 included
+    bits = np.random.default_rng(seed).integers(0, 2**64, (2**m + 1,) * d, dtype=np.uint64)
+    f = GridFunction(UNIT, m, bits.view(float))
+    assert np.array_equal(_bits(restrict(periodize(f)).values), bits)
+
+
 def test_lp_norms_against_closed_forms():
     f = GridFunction.from_callable(lambda x: x, 1, 10, UNIT)
     assert abs(f.lp_norm(np.inf) - 1.0) < 1e-15
@@ -403,9 +428,13 @@ def test_fourier_dense_signs_match_the_sign_vector(d, m):
 
 
 def _slot_cases(n, d, rng):
-    """Per-axis kept slots: random sorted subsets, one slot, all slots."""
-    subsets = [np.sort(rng.choice(n, size=rng.integers(1, n), replace=False)) for _ in range(d)]
-    return [subsets, [np.array([int(rng.integers(n))])] * d, [np.arange(n)] * d]
+    """Per-axis masks of kept slots: random proper subsets, one slot, all slots."""
+    masks = np.zeros((3, d, n), dtype=bool)
+    for ax in range(d):
+        masks[0, ax, rng.choice(n, size=rng.integers(1, n), replace=False)] = True
+    masks[1, :, rng.integers(n)] = True
+    masks[2] = True
+    return [list(case) for case in masks]
 
 
 def _bits(a):
@@ -435,21 +464,34 @@ def test_cosine_polynomial_inside_the_slots_round_trips(d, m):
     n = 2 ** (m + 1)
     freqs = signed_fft_freqs(n)
     mesh = np.ix_(*[grids._grid_axis(SYM, m)] * d)
-    slots, values = [], np.zeros((n,) * d)
+    # each axis keeps the slots of +-k of every term, and one slot more
+    slots, values = np.zeros((d, n), dtype=bool), np.zeros((n,) * d)
+    slots[:, n // 2] = True
     for _ in range(4):
         kbar = tuple(int(k) for k in rng.integers(0, 2**m, size=d))
         values = values + rng.normal() * cos_basis(kbar, *mesh)
-        slots.append([np.flatnonzero(np.abs(freqs) == k) for k in kbar])
-    # each axis keeps the slots of +-k of every term, and one slot more
-    slots = [np.union1d(np.concatenate([s[ax] for s in slots]), [n // 2]) for ax in range(d)]
+        for ax, k in enumerate(kbar):
+            slots[ax] |= np.abs(freqs) == k
+    slots = list(slots)
     g = GridFunction(SYM, m, values)
     back = fourier_synthesize_dense(fourier_analyze_dense(g, slots), m, slots)
     assert np.max(np.abs(back.values - g.values)) < 1e-12 * np.max(np.abs(g.values))
 
 
+_MASK = np.ones(8, dtype=bool)
+
+
 @pytest.mark.parametrize(
     "slots",
-    [[[2, 1]], [[1, 1, 3]], [[-1, 0]], [[0, 8]], [[0.0, 1.0]], [[0], [1]], [[[0, 1]]]],
+    [
+        [_MASK[:7]],  # wrong length
+        [np.ones(9, dtype=bool)],
+        [[0, 1]],  # slot indices, not a mask: wrong dtype
+        [np.ones(8)],
+        [np.ones(8, dtype=np.int8)],
+        [_MASK, _MASK],  # wrong axis count
+        [[_MASK]],
+    ],
 )
 def test_bad_kept_slots_raise(slots):
     g = GridFunction(SYM, 2, np.ones(8))
@@ -461,7 +503,7 @@ def test_bad_kept_slots_raise(slots):
 
 def test_kept_tensor_of_the_wrong_shape_raises():
     with pytest.raises(ResolutionMismatchError):
-        fourier_synthesize_dense(np.ones((3, 2)), 2, [[0, 1, 7], [0, 1, 7]])
+        fourier_synthesize_dense(np.ones((3, 2)), 2, [np.arange(8) % 4 == 1] * 2)
     with pytest.raises(ResolutionMismatchError):
         fourier_synthesize_dense(np.ones((8, 7)), 2)
 

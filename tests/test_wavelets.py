@@ -477,8 +477,9 @@ def test_analysis_rejects_a_box_that_is_not_an_interval(box):
         (dict(tensor_factors=[np.cos, np.cos], box=((0.0, 1.0),) * 2, f_breaks=[()]),
          "2 axes need as many boxes .* got 2 and 1"),
         (dict(f=lambda x, y, z: x * y * z, box=((0.0, 1.0),) * 3), "d <= 2"),
+        (dict(box=(), tensor_factors=[]), "zero axes"),
     ],
-    ids=["factors-longer-than-box", "factors-longer-than-breaks", "generic-d3"],
+    ids=["factors-longer-than-box", "factors-longer-than-breaks", "generic-d3", "zero-axes"],
 )
 def test_analysis_rejects_mismatched_axes(kwargs, message):
     with pytest.raises(ConfigError, match=message):
