@@ -205,8 +205,7 @@ def exact_projection_error(member, N: int, kmax: int) -> float:
     """
     total = 0.0
     one_plus_k = [1.0 + np.arange(kmax + 1.0)] * member.d
-    slabs = zip(box_slabs(member.coefficient_vectors(kmax)), box_slabs(one_plus_k))
-    for (_, coef), (_, prod) in slabs:
+    for coef, prod in zip(box_slabs(member.coefficient_vectors(kmax)), box_slabs(one_plus_k)):
         tail = coef[prod > N].tolist()
         squares = np.fromiter(map(math.pow, tail, repeat(2.0)), float, len(tail))
         total = float(np.cumsum(np.concatenate(([total], squares)))[-1])

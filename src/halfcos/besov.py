@@ -21,6 +21,7 @@ from .grids import (
     SYM,
     CoefficientMap,
     GridFunction,
+    _alias_free_level,
     _gauss_legendre,
     _grid_axis,
     _weigh,
@@ -255,7 +256,7 @@ def hpc_besov_norm(
     J = exact_cap if J_max is None else int(J_max)
     if grid_level is None:
         kmax_used = min(2 ** (J + 1), max(kmax, 1))
-        grid_level = max(4, int(math.ceil(math.log2(4 * kmax_used))))
+        grid_level = _alias_free_level(kmax_used, 4)
 
     ks = np.arange(kmax + 1, dtype=float)
     axis_w = []

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .approx import ls_error_experiment, projection_error_rate
@@ -34,7 +33,7 @@ from .errors import (
     ResolutionMismatchError,
     TruncationError,
 )
-from .grids import GridFunction, UNIT, _check_grid_size, coefficient_decay_report
+from .grids import GridFunction, UNIT, _alias_free_level, _check_grid_size, coefficient_decay_report
 from .suite import identity_suite, norm_comparison
 
 _NUMERIC_ERRORS = (
@@ -90,11 +89,14 @@ def _emit(text: str, out, gnuplot_script: str = None):
             raise ConfigError("--gnuplot needs --out FILE to reference")
         sys.stdout.write(text)
         return
-    with open(out, "w") as fh:
-        fh.write(text)
-    if gnuplot_script is not None:
-        with open(out + ".gp", "w") as fh:
-            fh.write(gnuplot_script)
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+        if gnuplot_script is not None:
+            with open(out + ".gp", "w") as fh:
+                fh.write(gnuplot_script)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out!r}: {exc}")
 
 
 def _gnuplot(csv_path: str, xlabel: str, ylabel: str, logscale: bool) -> str:
@@ -129,7 +131,7 @@ def _member(cfg: dict):
     if not cfg.get("fn"):
         raise ConfigError("--fn NAME is required; see `halfcos testfns list`")
     try:
-        return get_member(cfg["fn"])
+        return get_member(str(cfg["fn"]))
     except KeyError as exc:
         raise ConfigError(exc.args[0])
 
@@ -160,7 +162,7 @@ def _cmd_coeffs(cfg: dict) -> list:
     elif cfg["mode"] == "decay":
         level = cfg["grid_level"]
         source = f"--kmax {kmax}" if level is None else f"--grid-level {level}"
-        level = max(6, math.ceil(math.log2(4 * kmax))) if level is None else int(level)
+        level = _alias_free_level(kmax, 6) if level is None else int(level)
         _check_grid_size(level, member.d, UNIT, source)
         f = GridFunction.from_callable(member, member.d, level, UNIT)
         rows = coefficient_decay_report(f, kmax)

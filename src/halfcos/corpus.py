@@ -23,9 +23,10 @@ from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
+    _alias_free_level,
     _check_aliasing,
     _check_grid_size,
-    box_slabs,
+    _weigh,
     hpc_analyze_dense,
     slab_keys,
 )
@@ -112,22 +113,21 @@ class TestFunction:
     def hpc_map(self, kmax: int) -> CoefficientMap:
         """Closed-form coefficients on the full box |kbar|_inf <= kmax."""
         _check_kmax(kmax)
-        entries = {}
-        for prefix, slab in box_slabs(self.coefficient_vectors(kmax)):
-            keep = slab != 0.0
-            entries.update(zip(slab_keys(prefix, keep), slab[keep].tolist()))
+        box = _weigh(np.ones((kmax + 1,) * self.d), self.coefficient_vectors(kmax))
+        keep = box != 0.0
+        entries = dict(zip(slab_keys(keep), box[keep].tolist()))
         return CoefficientMap(basis="hpc", d=self.d, entries=entries)
 
     def hpc_map_numeric(self, kmax: int, grid_level: int = None) -> CoefficientMap:
         """Coefficients by aliasing-checked dense transform on the box."""
         _check_kmax(kmax)
-        m = max(6, math.ceil(math.log2(4 * max(kmax, 1)))) if grid_level is None else grid_level
+        m = _alias_free_level(kmax, 6) if grid_level is None else grid_level
         g = GridFunction.from_callable(self, self.d, m, UNIT)
         box = hpc_analyze_dense(g)[(slice(0, kmax + 1),) * self.d]
         if box.shape != (kmax + 1,) * self.d:
             raise AliasingError(f"grid level m={m} has no coefficients up to {kmax}")
         keep = np.abs(box) > 1e-15
-        entries = dict(zip(slab_keys((), keep), box[keep].tolist()))
+        entries = dict(zip(slab_keys(keep), box[keep].tolist()))
         return CoefficientMap(basis="hpc", d=self.d, entries=entries)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import tent
+from .grids import _check_size, tent
 
 __all__ = [
     "CubatureRule",
@@ -35,14 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CubatureRule:
-    nodes: np.ndarray  # (n, d), entries in [0, 1)
-    weights: np.ndarray  # (n,), positive, sums to 1
-    provenance: str
-
-    def __post_init__(self):
-        n, _ = self.nodes.shape
-        if self.weights.shape != (n,):
-            raise ConfigError("weights must match node count")
+    nodes: np.ndarray  # (n, d), entries in [0, 1); every weight is 1/n
 
     @property
     def n(self) -> int:
@@ -51,6 +44,10 @@ class CubatureRule:
     @property
     def d(self) -> int:
         return self.nodes.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.n, 1.0 / self.n)
 
 
 def fibonacci_number(n: int) -> int:
@@ -65,24 +62,22 @@ def fibonacci_number(n: int) -> int:
 
 def rank1_lattice(z, n: int) -> CubatureRule:
     """Nodes {frac(j z / n) : j = 0..n-1}, weights 1/n."""
-    z = np.asarray(z, dtype=np.int64)
+    if n < 1 or np.ndim(z) != 1 or len(z) == 0:
+        raise ConfigError(f"a rank-1 lattice needs n >= 1 and a nonempty z, got n={n}, z={z}")
+    _check_size(n * len(z), f"rank-1 lattice n={n}", f"{n} x {len(z)} node coordinates")
+    z = np.asarray([int(t) % n for t in z], dtype=np.int64)  # so that j * z fits in int64
     j = np.arange(n, dtype=np.int64)
-    nodes = ((j[:, None] * z[None, :]) % n) / float(n)
-    return CubatureRule(
-        nodes=nodes,
-        weights=np.full(n, 1.0 / n),
-        provenance=f"rank1(z={tuple(int(t) for t in z)},n={n})",
-    )
+    return CubatureRule(((j[:, None] * z[None, :]) % n) / float(n))
 
 
 def fibonacci_rule(index: int) -> CubatureRule:
     """The d=2 lattice with b_index points and generator (1, b_{index-1})."""
     if index < 2:
         raise ConfigError("Fibonacci rule needs index >= 2")
-    bn = fibonacci_number(index)
-    bprev = fibonacci_number(index - 1)
-    rule = rank1_lattice((1, bprev), bn)
-    return CubatureRule(rule.nodes, rule.weights, provenance=f"fibonacci({index})")
+    # 2 b_index node coordinates; past index 40 (b_40 > 10^8) b_index is not formed
+    count = 2 * fibonacci_number(index) if index <= 40 else math.inf
+    _check_size(count, f"Fibonacci index {index}", f"a rule of 2 x b_{index} node coordinates")
+    return rank1_lattice((1, fibonacci_number(index - 1)), fibonacci_number(index))
 
 
 # Direction-number table for the base-2 generator (degree, coefficient bits,
@@ -106,20 +101,20 @@ _NET_TABLE = [
 _NBITS = 32
 
 
-def _direction_integers(dim: int, nbits: int = _NBITS) -> np.ndarray:
-    """Direction integers v_k (as k-shifted nbits-bit values) for one axis."""
+def _direction_integers(dim: int) -> np.ndarray:
+    """Direction integers v_k (as k-shifted _NBITS-bit values) for one axis."""
     if dim == 0:
-        return np.array([1 << (nbits - 1 - k) for k in range(nbits)], dtype=np.uint64)
+        return np.array([1 << (_NBITS - 1 - k) for k in range(_NBITS)], dtype=np.uint64)
     s, a, m_init = _NET_TABLE[dim - 1]
     m = list(m_init)
-    for k in range(s, nbits):
+    for k in range(s, _NBITS):
         new = m[k - s] ^ (m[k - s] << s)
         for i in range(1, s):
             if (a >> (s - 1 - i)) & 1:
                 new ^= m[k - i] << i
         m.append(new)
     return np.array(
-        [np.uint64(m[k]) << np.uint64(nbits - 1 - k) for k in range(nbits)],
+        [np.uint64(m[k]) << np.uint64(_NBITS - 1 - k) for k in range(_NBITS)],
         dtype=np.uint64,
     )
 
@@ -129,9 +124,9 @@ def _generating_integers(d: int, alpha: int) -> np.ndarray:
     the direction integers for alpha=1, and for alpha=2 the digit-interlaced
     pairs of those of a 2d-dimensional net."""
     dims = alpha * d
-    if dims > len(_NET_TABLE) + 1:
+    if not 1 <= dims <= len(_NET_TABLE) + 1:
         raise ConfigError(
-            f"direction-number table covers {len(_NET_TABLE) + 1} dimensions"
+            f"direction-number table covers 1 to {len(_NET_TABLE) + 1} dimensions, got {dims}"
         )
     v = np.zeros((_NBITS, dims), dtype=np.uint64)
     for axis in range(dims):
@@ -190,21 +185,12 @@ def digital_net(m: int, d: int, alpha: int = 1) -> CubatureRule:
         raise ConfigError("interlacing factor must be 1 or 2")
     nodes = _net_points_int(m, _generating_integers(d, alpha)).astype(np.float64)
     nodes *= 2.0 ** (-alpha * _NBITS)
-    n = 2**m
-    return CubatureRule(
-        nodes=nodes,
-        weights=np.full(n, 1.0 / n),
-        provenance=f"net(m={m},d={d},alpha={alpha})",
-    )
+    return CubatureRule(nodes)
 
 
 def tent_transform_rule(rule: CubatureRule) -> CubatureRule:
     """Map every node componentwise through t -> 1 - |2t - 1|."""
-    return CubatureRule(
-        nodes=tent(rule.nodes),
-        weights=rule.weights,
-        provenance=f"tent({rule.provenance})",
-    )
+    return CubatureRule(tent(rule.nodes))
 
 
 def random_shift(rule: CubatureRule, rng) -> CubatureRule:
@@ -222,11 +208,7 @@ def random_shift(rule: CubatureRule, rng) -> CubatureRule:
         col = nodes[:, j]
         np.add(rule.nodes[:, j], s, out=col)
         col -= np.floor(col, out=floors)
-    return CubatureRule(
-        nodes=nodes,
-        weights=rule.weights,
-        provenance=f"shifted({rule.provenance})",
-    )
+    return CubatureRule(nodes)
 
 
 def integrate(rule: CubatureRule, f) -> float:
@@ -259,13 +241,17 @@ def fit_rate(ns, errors, log_exponent: float, skip_smallest: int) -> RateFit:
     skip_smallest first points and every zero error; a positive
     log_exponent divides err by (log2 n)^exponent first. Raises ConfigError
     unless at least two points remain."""
+    if not math.isfinite(log_exponent):
+        raise ConfigError(f"log_exponent must be finite, got {log_exponent}")
     xs, ys = [], []
     for n, e in zip(ns[skip_smallest:], errors[skip_smallest:]):
         if e <= 0.0:
             continue
-        corrected = e / (math.log2(n) ** log_exponent if log_exponent else 1.0)
+        try:  # (log2 1)^exponent is 0; the power or the quotient may leave the float range
+            ys.append(math.log2(e / (math.log2(n) ** log_exponent if log_exponent else 1.0)))
+        except (ArithmeticError, ValueError):
+            raise ConfigError(f"log_exponent={log_exponent} cannot correct the error at n={n}")
         xs.append(math.log2(n))
-        ys.append(math.log2(corrected))
     if len(xs) < 2:
         raise ConfigError(
             f"not enough positive errors to fit a rate: {len(xs)} of "

@@ -316,6 +316,11 @@ def _check_aliasing(m: int, kmax: int):
         )
 
 
+def _alias_free_level(kmax: int, floor: int) -> int:
+    """The least level m >= floor that _check_aliasing admits for kmax."""
+    return max(floor, (4 * max(kmax, 1) - 1).bit_length())
+
+
 def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
     """Full tensor of half-period cosine coefficients up to the grid cutoff.
 
@@ -491,15 +496,10 @@ def _check_slots(slots, d: int, n: int) -> list:
 def _negate_odd(a: np.ndarray, slots) -> None:
     """Multiply a in place by (-1)^(k_1 + ... + k_d), where k_i is the slot
     that position i of axis i holds: the positions of odd slots are negated
-    one axis at a time, which is exact. An axis that keeps all its slots is
-    negated through a view of its odd slice, with no copy."""
+    one axis at a time, which is exact."""
     for ax, keep in enumerate(slots):
-        if keep.all():
-            odd = a[_axis_index(ax, slice(1, None, 2))]
-            np.negative(odd, out=odd)
-        else:
-            index = _axis_index(ax, (np.arange(keep.size) % 2 == 1)[keep])
-            a[index] = np.negative(a[index])
+        index = _axis_index(ax, (np.arange(keep.size) % 2 == 1)[keep])
+        a[index] = np.negative(a[index])
 
 
 def fourier_analyze_dense(g: GridFunction, slots=None) -> np.ndarray:
@@ -521,10 +521,9 @@ def fourier_analyze_dense(g: GridFunction, slots=None) -> np.ndarray:
     slots = _check_slots(slots, g.d, g.axis_size)
     h = 2.0**-g.m
     coeff = np.array(g.values, dtype=complex)
-    for ax, keep in enumerate(slots):  # in place, with one smaller copy per pruned axis
+    for ax, keep in enumerate(slots):  # in place, then one copy of the kept slots per axis
         np.fft.fft(coeff, axis=ax, out=coeff)
-        if not keep.all():
-            coeff = coeff[_axis_index(ax, keep)]
+        coeff = coeff[_axis_index(ax, keep)]
     coeff *= h**g.d
     coeff *= 2.0 ** (-g.d / 2.0)
     # Node offset -1 per axis contributes the alternating sign (-1)^k.
@@ -564,10 +563,9 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
     vals = np.array(coeff, dtype=complex)  # coeff is not touched
     _negate_odd(vals, slots)
     for ax, keep in enumerate(slots):
-        if not keep.all():
-            full = np.zeros(vals.shape[:ax] + (n,) + vals.shape[ax + 1 :], dtype=complex)
-            full[_axis_index(ax, keep)] = vals
-            vals = full
+        full = np.zeros(vals.shape[:ax] + (n,) + vals.shape[ax + 1 :], dtype=complex)
+        full[_axis_index(ax, keep)] = vals
+        vals = full
         np.fft.ifft(vals, axis=ax, norm="forward", out=vals)
     vals *= 1.0 / vals.size
     vals /= h**d * 2.0 ** (-d / 2.0)
@@ -576,30 +574,29 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
 
 def box_slabs(vectors):
     """Outer product of per-axis vectors over a box, one leading-axis slab
-    at a time.
+    at a time, in lexicographic order of the box.
 
-    Yields (prefix, slab) in lexicographic order of the box. For d >= 2,
-    prefix is (i,) and slab[j_2, ..., j_d] = v_1[i] * v_2[j_2] * ... *
+    For d >= 2, slab i is slab[j_2, ..., j_d] = v_1[i] * v_2[j_2] * ... *
     v_d[j_d], multiplied left to right as a scalar loop over the box
     would, so every entry is bit-identical to that loop's product; only one
     slab of prod(len(v_2), ..., len(v_d)) floats is held at a time. For
-    d = 1 the single slab is v_1 itself with prefix ().
+    d = 1 the single slab is v_1 itself.
     """
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if len(vectors) == 1:
-        yield (), vectors[0]
+        yield vectors[0]
         return
-    for i, head in enumerate(vectors[0]):
+    for head in vectors[0]:
         slab = head * vectors[1]
         for v in vectors[2:]:
             slab = np.multiply.outer(slab, v)
-        yield (i,), slab
+        yield slab
 
 
-def slab_keys(prefix: tuple, mask: np.ndarray) -> list:
-    """Multi-indices prefix + j of the True entries of a slab mask, in
-    lexicographic order, as tuples of Python ints."""
-    return [prefix + j for j in zip(*(ix.tolist() for ix in np.nonzero(mask)))]
+def slab_keys(mask: np.ndarray) -> list:
+    """Multi-indices of the True entries of mask, in lexicographic order,
+    as tuples of Python ints."""
+    return list(zip(*(ix.tolist() for ix in np.nonzero(mask))))
 
 
 def coefficient_decay_report(f: GridFunction, k_max: int):
@@ -612,8 +609,5 @@ def coefficient_decay_report(f: GridFunction, k_max: int):
     _check_aliasing(f.m, k_max)
     box = np.abs(hpc_analyze_dense(f)[(slice(0, k_max + 1),) * f.d])
     weight = np.maximum(1, np.arange(k_max + 1)) ** 2
-    rows = []
-    for prefix, w in box_slabs([weight] * f.d):
-        vals = box[prefix] * w
-        rows.extend(zip((prefix + j for j in np.ndindex(vals.shape)), vals.ravel().tolist()))
-    return rows
+    vals = box * _weigh(np.ones(box.shape), [weight] * f.d)
+    return list(zip(np.ndindex(vals.shape), vals.ravel().tolist()))

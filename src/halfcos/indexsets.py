@@ -89,6 +89,8 @@ def cross_size(N: int, d: int) -> int:
     """Number of members of hyperbolic_cross(N, d, signed=False), counted on
     Python ints without enumerating them: the d-tuples of positive integers
     1 + k_i whose product is at most N. Takes about N (log N)^(d-2) steps."""
+    if N < 1 or d < 1:
+        raise ValueError("need N >= 1 and d >= 1")
     if d == 1:
-        return max(N, 0)
+        return N
     return sum(cross_size(N // a, d - 1) for a in range(1, N + 1))

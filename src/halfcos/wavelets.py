@@ -94,20 +94,18 @@ def product_integral(f: PiecewiseLinear, g: PiecewiseLinear) -> float:
     return float(np.sum(h / 6.0 * (pa + 4.0 * pm + pb)))
 
 
-# Explicit mother wavelet: six linear pieces on [0,3] with half-integer
-# breakpoints, antisymmetric pattern around x = 3/2.
-_MOTHER_BP = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+# Mother wavelet at its breakpoints 0, 1/2, ..., 3: antisymmetric about x = 3/2.
 _MOTHER_VAL = (0.0, 1.0 / 12.0, -0.5, 5.0 / 6.0, -0.5, 1.0 / 12.0, 0.0)
 
 
 def mother() -> PiecewiseLinear:
     """The order-2 mother wavelet in explicit piecewise form."""
-    return PiecewiseLinear(_MOTHER_BP, _MOTHER_VAL)
+    return psi_piecewise(0, 0)
 
 
 def father() -> PiecewiseLinear:
     """The hat function N_2 on [0,2]."""
-    return PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
+    return psi_piecewise(-1, 0)
 
 
 def _cox_de_boor(order: int, x: np.ndarray) -> np.ndarray:
@@ -167,8 +165,9 @@ def psi_piecewise(l: int, k: int) -> PiecewiseLinear:
 
 
 def gram_sequence(eps: int) -> dict:
-    """Exact shift Gram sequence n -> <psi_eps, psi_eps(. - n)>."""
-    gen = father() if eps == -1 else mother()
+    """Exact shift Gram sequence n -> <psi, psi(. - n)> of the generator
+    psi = psi_{min(eps, 0), 0}: the hat at eps = -1, the mother at eps >= 0."""
+    gen = psi_piecewise(min(eps, 0), 0)
     width = int(math.ceil(gen.support[1]))
     out = {}
     for n in range(-width, width + 1):
@@ -210,6 +209,8 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
         raise ConfigError(
             f"n_max must be >= 6 for the tail fit over 2 <= |n| <= n_max // 2, got {n_max}"
         )
+    if eps < -1:
+        raise ConfigError(f"level {eps} is identically zero and has no dual")
     g = gram_sequence(eps)
     size = 2 * n_max + 1
     col = np.array([g.get(n, 0.0) for n in range(size)])

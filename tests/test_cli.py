@@ -263,6 +263,22 @@ def test_gnuplot_companion(tmp_path, capsys):
          "--N-list 30000000 asks for a cross of up to N (1 + ln N)^(d-1) members in d=1"),
         (["approx", "--fn", "kink2d", "--N-list", "2,2000000", "--kmax", "64"], 2,
          "--N-list 2000000 asks for a cross of up to N (1 + ln N)^(d-1) members in d=2"),
+        # a Fibonacci rule past 2^24 node coordinates is refused before b_index is formed
+        (["cubature", "--rule", "fibonacci", "--fn", "kink2d", "--nmin", "60", "--nmax", "61"],
+         2, "Fibonacci index 60 asks for a rule of 2 x b_60 node coordinates"),
+        (["cubature", "--rule", "fibonacci", "--fn", "kink2d", "--nmin", "100", "--nmax", "101"],
+         2, "Fibonacci index 100 asks"),
+        (["cubature", "--rule", "fibonacci", "--fn", "kink2d", "--nmin", "1000000",
+          "--nmax", "1000001"], 2, "Fibonacci index 1000000 asks"),
+        # a log correction that cannot be formed: tracebacks, or slope nan for nan
+        (["cubature", "--fn", "kink2d", "--log-exponent", "nan"], 2,
+         "log_exponent must be finite, got nan"),
+        (["approx", "--fn", "kink1d", "--kmax", "16", "--log-exponent", "inf"], 2,
+         "log_exponent must be finite, got inf"),
+        (["cubature", "--fn", "kink2d", "--log-exponent", "1e308"], 2,
+         "log_exponent=1e+308 cannot correct the error at n="),
+        (["cubature", "--fn", "kink2d", "--log-exponent", "1", "--nmin", "2", "--skip", "0"], 2,
+         "log_exponent=1.0 cannot correct the error at n=1"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
@@ -289,6 +305,19 @@ def test_recover_config_with_unknown_weights_exits_two(tmp_path, capsys):
     rc, out, err = run(capsys, ["recover", "--fn", "kink1d", "--N", "8", "--seed", "1",
                                 "--config", str(cfgfile)])
     assert rc == 2 and out == "" and "weights='christoffel'" in err
+
+
+def test_config_with_a_nested_function_name_exits_two(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    for fn in ({"a": 1}, [1]):  # unhashable: a TypeError escaped before
+        cfgfile.write_text(json.dumps({"fn": fn}))
+        rc, out, err = run(capsys, ["coeffs", "--config", str(cfgfile)])
+        assert rc == 2 and out == "" and "unknown test function" in err
+
+
+def test_out_that_cannot_be_written_exits_two(tmp_path, capsys):
+    rc, out, err = run(capsys, ["testfns", "--out", str(tmp_path)])  # a directory
+    assert rc == 2 and out == "" and "cannot write --out" in err
 
 
 def test_testfns_rejects_unknown_action(capsys):

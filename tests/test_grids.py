@@ -588,3 +588,17 @@ def test_open_mesh_sampling_matches_full_meshgrid(name, domain):
             tf = dataclasses.replace(member, d=d, factors=factors)
             got = GridFunction.from_callable(tf, d, m, domain).values
             assert np.array_equal(got, _meshgrid_samples(tf, d, m, domain)), (name, d)
+
+
+def test_alias_free_level_equals_the_former_float_formulas():
+    # hpc_besov_norm used floor 4; hpc_map_numeric and `coeffs --mode decay` floor 6
+    ks = list(range(2**16 + 1)) + [2**e + s for e in range(17, 41) for s in (-1, 0, 1)]
+    for k in ks:
+        for floor in (4, 6):
+            want = max(floor, math.ceil(math.log2(4 * max(k, 1))))
+            assert grids._alias_free_level(k, floor) == want, (k, floor)
+    for k in (0, 1, 16, 17, 2**20):
+        level = grids._alias_free_level(k, 0)
+        grids._check_aliasing(level, k)  # admitted, and one level lower is not
+        with pytest.raises(AliasingError):
+            grids._check_aliasing(level - 1, k)

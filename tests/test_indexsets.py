@@ -38,6 +38,14 @@ def test_cross_size_counts_the_unsigned_cross(d):
         assert cross_size(N, d) == len(hyperbolic_cross(N, d, signed=False))
 
 
+@pytest.mark.parametrize("N,d", [(5, 0), (0, 2), (-3, 1), (0, 0)])
+def test_cross_size_refuses_what_hyperbolic_cross_refuses(N, d):
+    # d = 0 recursed without end; N < 1 counted an empty cross
+    for count in (cross_size, hyperbolic_cross):
+        with pytest.raises(ValueError, match="need N >= 1 and d >= 1"):
+            count(N, d)
+
+
 def test_signed_cross_cardinality_d2():
     # 1 center + 2*3 on-axis per axis + 4 corners (1+|k|)(1+|l|)<=4
     assert len(hyperbolic_cross(4, 2, signed=True)) == 17

@@ -193,6 +193,19 @@ def test_dual_solve_needs_two_fit_abscissae(n_max):
         dual_coefficients(-1, n_max=n_max)
 
 
+def test_generators_are_the_level_minus_one_and_zero_wavelets():
+    # the hat and the mother wavelet come from psi_piecewise; the Gram
+    # sequence of any level from 0 up is the mother's, and a level below -1
+    # (identically zero) has no dual
+    assert father().breakpoints == (0.0, 1.0, 2.0) and father().values == (0.0, 1.0, 0.0)
+    assert mother().breakpoints == (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    assert mother().values == (0.0, 1 / 12, -0.5, 5 / 6, -0.5, 1 / 12, 0.0)
+    assert gram_sequence(3) == gram_sequence(0) != gram_sequence(-1)
+    assert gram_sequence(-2) == {}
+    with pytest.raises(ConfigError, match="level -2 is identically zero"):
+        dual_coefficients(-2)
+
+
 def test_dual_solve_raises_when_the_tail_exceeds_the_tolerance():
     # the fitted tail at n_max = 16 is about 4.5e-10
     with pytest.raises(TruncationError, match="above tolerance 1.0e-10 at n_max=16"):
