@@ -10,7 +10,6 @@ because mirrored sample values coincide node by node.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .grids import (
     _check_grid_size,
     _check_size,
     _weigh,
-    box_slabs,
     fourier_analyze_dense,
     fourier_synthesize_dense,
     hpc_analyze_dense,
@@ -191,25 +189,43 @@ def ls_error_experiment(
     }
 
 
+def _cross_tail(squares, suffix, rest, bound: int, ax: int) -> float:
+    """Sum of prod_{i >= ax} squares[i][k_i] over the box indices of axes
+    ax.. with prod_{i >= ax} (1 + k_i) > bound, for an integer bound >= 0.
+
+    Indices k_ax >= bound leave a bound of 0 below them, which every later
+    index exceeds, so they give suffix[ax][bound] times the total rest[ax + 1]
+    of the later axes. Each k_ax < bound leaves the bound // (1 + k_ax); on
+    the last axis that bound picks a suffix sum."""
+    n = min(bound, len(squares[ax]))
+    inner = bound // np.arange(1, n + 1)
+    if ax + 2 == len(squares):
+        inner = suffix[-1][np.minimum(inner, len(suffix[-1]) - 1)]
+    else:
+        inner = np.array([_cross_tail(squares, suffix, rest, int(b), ax + 1) for b in inner])
+    return float(np.sum(squares[ax][:n] * inner)) + suffix[ax][n] * rest[ax + 1]
+
+
 def exact_projection_error(member, N: int, kmax: int) -> float:
     """L_2 projection error from closed-form coefficients: the tail
     ell_2 norm over the complement of the cross, computed on a box large
     enough that the remainder beyond kmax is negligible for k^{-2} decay.
 
-    The box is walked one leading-axis slab at a time and the squares are
-    added in lexicographic order (a sequential cumsum), as a scalar loop
-    over the box would. Each square is Python's float power, as in that
-    loop: numpy's square is the correctly rounded product, which differs
-    from the C library's pow in the last bit for about one term in a
-    thousand, so only this keeps every term, and so the sum, bit-identical.
+    The tail sum over prod (1 + k_i) > N of prod c_i(k_i)^2 recurses over
+    the leading axes with the integer bounds N // prod (1 + k_i), and on the
+    last axis reads a suffix sum of c_d^2, accumulated from the largest k
+    down; once a bound is 0 the rest is the product of the per-axis totals.
+    The work is O(d kmax + size of the cross), not O((kmax + 1)^d), and the
+    sum stays within about 1e-15 relative of the correctly rounded one, since
+    each suffix sum adds its terms smallest first for decaying coefficients.
     """
-    total = 0.0
-    one_plus_k = [1.0 + np.arange(kmax + 1.0)] * member.d
-    for coef, prod in zip(box_slabs(member.coefficient_vectors(kmax)), box_slabs(one_plus_k)):
-        tail = coef[prod > N].tolist()
-        squares = np.fromiter(map(math.pow, tail, repeat(2.0)), float, len(tail))
-        total = float(np.cumsum(np.concatenate(([total], squares)))[-1])
-    return math.sqrt(total)
+    squares = [np.square(c) for c in member.coefficient_vectors(kmax)]
+    # suffix[i][j] is the sum of squares[i][j:], with suffix[i][kmax + 1] = 0
+    suffix = [np.append(np.cumsum(sq[::-1])[::-1], 0.0) for sq in squares]
+    rest = [math.prod(float(s[0]) for s in suffix[i:]) for i in range(member.d + 1)]
+    if member.d == 1:
+        return math.sqrt(suffix[0][min(N, kmax + 1)])
+    return math.sqrt(_cross_tail(squares, suffix, rest, N, 0))
 
 
 def projection_error_rate(
@@ -235,7 +251,8 @@ def projection_error_rate(
     if bad:
         raise ConfigError(f"cross order N must be >= 1, got {bad[0]}")
     _check_kmax(kmax)
-    box = (kmax + 1) ** member.d  # the box is walked once per N
+    # an input bound on --kmax; the tail walks the cross, not this box
+    box = (kmax + 1) ** member.d
     _check_size(box, f"--kmax {kmax}", f"a coefficient box of {box} entries in d={member.d}")
     for N in N_list:  # the cross has at most N (1 + ln N)^(d-1) members
         # an N past the limit is refused as it is: a huge int times a float overflows

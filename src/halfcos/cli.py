@@ -23,7 +23,13 @@ import sys
 from .approx import ls_error_experiment, projection_error_rate
 from .besov import BesovParams, NormReport
 from .corpus import corpus, get_member, gibbs_demo
-from .cubature import digital_net, fibonacci_rule, convergence_experiment
+from .cubature import (
+    _check_fibonacci_index,
+    _check_net_level,
+    convergence_experiment,
+    digital_net,
+    fibonacci_rule,
+)
 from .errors import (
     AliasingError,
     ConditionError,
@@ -212,17 +218,20 @@ def _cmd_cubature(cfg: dict) -> list:
     if rule_kind == "fibonacci":
         if member.d != 2:
             raise ConfigError("the Fibonacci rule is two-dimensional")
-        rule_for_n = fibonacci_rule
+        rule_for_n, check = fibonacci_rule, _check_fibonacci_index
     elif rule_kind == "net":
         alpha = int(cfg["alpha"])
-        rule_for_n = lambda i: digital_net(i, member.d, alpha)
+        rule_for_n, check = (lambda i: digital_net(i, member.d, alpha)), _check_net_level
     else:
         raise ConfigError(f"unknown rule {rule_kind!r}")
+    indices = range(int(cfg["nmin"]), int(cfg["nmax"]) + 1)
+    for index in [*indices[:1], *indices[-1:]]:  # both ends, before any rule is built
+        check(index)
     fit = convergence_experiment(
         rule_for_n,
         member,
         member.integral,
-        range(int(cfg["nmin"]), int(cfg["nmax"]) + 1),
+        indices,
         transform="tent" if cfg["tent"] else "plain",
         shifts=shifts,
         seed=int(cfg["seed"] or 0),

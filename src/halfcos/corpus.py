@@ -104,11 +104,16 @@ class TestFunction:
         return out
 
     def coefficient_vectors(self, kmax: int) -> list:
-        """Per-axis closed-form coefficients c_i(0), ..., c_i(kmax)."""
+        """Per-axis closed-form coefficients c_i(0), ..., c_i(kmax). Each
+        distinct coefficient function is evaluated once, and axes that share
+        it share its vector."""
         if self.factor_coeff is None:
             raise ValueError(f"{self.name} has no closed-form coefficients")
-        return [np.array([c(k) for k in range(kmax + 1)], dtype=float)
-                for c in self.factor_coeff]
+        vectors = {}
+        for c in self.factor_coeff:
+            if c not in vectors:
+                vectors[c] = np.array([c(k) for k in range(kmax + 1)], dtype=float)
+        return [vectors[c] for c in self.factor_coeff]
 
     def hpc_map(self, kmax: int) -> CoefficientMap:
         """Closed-form coefficients on the full box |kbar|_inf <= kmax."""

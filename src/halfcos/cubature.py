@@ -70,13 +70,18 @@ def rank1_lattice(z, n: int) -> CubatureRule:
     return CubatureRule(((j[:, None] * z[None, :]) % n) / float(n))
 
 
-def fibonacci_rule(index: int) -> CubatureRule:
-    """The d=2 lattice with b_index points and generator (1, b_{index-1})."""
+def _check_fibonacci_index(index: int) -> None:
+    """Raise ConfigError unless fibonacci_rule(index) is admitted."""
     if index < 2:
         raise ConfigError("Fibonacci rule needs index >= 2")
     # 2 b_index node coordinates; past index 40 (b_40 > 10^8) b_index is not formed
     count = 2 * fibonacci_number(index) if index <= 40 else math.inf
     _check_size(count, f"Fibonacci index {index}", f"a rule of 2 x b_{index} node coordinates")
+
+
+def fibonacci_rule(index: int) -> CubatureRule:
+    """The d=2 lattice with b_index points and generator (1, b_{index-1})."""
+    _check_fibonacci_index(index)
     return rank1_lattice((1, fibonacci_number(index - 1)), fibonacci_number(index))
 
 
@@ -176,11 +181,16 @@ def _interlace_pairs(ints: np.ndarray) -> np.ndarray:
     return (_spread_bits(ints[:, 0::2]) << np.uint64(1)) | _spread_bits(ints[:, 1::2])
 
 
+def _check_net_level(m: int) -> None:
+    """Raise ConfigError unless digital_net admits m."""
+    if m < 0 or m > 20:
+        raise ConfigError("m must lie in 0..20")
+
+
 def digital_net(m: int, d: int, alpha: int = 1) -> CubatureRule:
     """Base-2 net with 2^m points; alpha=2 interlaces a 2d-dimensional net
     into d dimensions, the canonical order-2 construction."""
-    if m < 0 or m > 20:
-        raise ConfigError("m must lie in 0..20")
+    _check_net_level(m)
     if alpha not in (1, 2):
         raise ConfigError("interlacing factor must be 1 or 2")
     nodes = _net_points_int(m, _generating_integers(d, alpha)).astype(np.float64)
@@ -240,9 +250,11 @@ def fit_rate(ns, errors, log_exponent: float, skip_smallest: int) -> RateFit:
     """Least-squares line through (log2 n, log2 err) after dropping the
     skip_smallest first points and every zero error; a positive
     log_exponent divides err by (log2 n)^exponent first. Raises ConfigError
-    unless at least two points remain."""
+    for a negative skip_smallest, and unless at least two points remain."""
     if not math.isfinite(log_exponent):
         raise ConfigError(f"log_exponent must be finite, got {log_exponent}")
+    if skip_smallest < 0:
+        raise ConfigError(f"skip must be >= 0, got {skip_smallest}")
     xs, ys = [], []
     for n, e in zip(ns[skip_smallest:], errors[skip_smallest:]):
         if e <= 0.0:

@@ -47,7 +47,6 @@ __all__ = [
     "fourier_synthesize_dense",
     "signed_fft_freqs",
     "coefficient_decay_report",
-    "box_slabs",
     "slab_keys",
 ]
 
@@ -430,8 +429,8 @@ def _synthesize_terms(items, row, n: int, d: int) -> np.ndarray:
             piece = lead[key]
             for factor in factors[:-1]:
                 piece = np.multiply.outer(piece, factor)
-            if factors:
-                piece = np.multiply.outer(piece, factors[-1], out=buf)
+            if factors:  # the same correctly rounded products as multiply.outer, faster
+                piece = np.einsum("...,j->...j", piece, factors[-1], out=buf)
             np.multiply(piece, v, out=buf)
             block += buf
     return out
@@ -570,27 +569,6 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
     vals *= 1.0 / vals.size
     vals /= h**d * 2.0 ** (-d / 2.0)
     return GridFunction(SYM, m, vals)
-
-
-def box_slabs(vectors):
-    """Outer product of per-axis vectors over a box, one leading-axis slab
-    at a time, in lexicographic order of the box.
-
-    For d >= 2, slab i is slab[j_2, ..., j_d] = v_1[i] * v_2[j_2] * ... *
-    v_d[j_d], multiplied left to right as a scalar loop over the box
-    would, so every entry is bit-identical to that loop's product; only one
-    slab of prod(len(v_2), ..., len(v_d)) floats is held at a time. For
-    d = 1 the single slab is v_1 itself.
-    """
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if len(vectors) == 1:
-        yield vectors[0]
-        return
-    for head in vectors[0]:
-        slab = head * vectors[1]
-        for v in vectors[2:]:
-            slab = np.multiply.outer(slab, v)
-        yield slab
 
 
 def slab_keys(mask: np.ndarray) -> list:

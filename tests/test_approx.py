@@ -168,27 +168,37 @@ def test_projection_rate_recovers_coefficient_decay():
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
-def box_walk_tail(member, N, kmax):
-    """Reference: the scalar walk over the coefficient box, term by term."""
-    total = 0.0
+def box_walk_terms(member, kmax):
+    """Reference: a scalar walk over the coefficient box, term by term; it
+    gives each prod (1 + k_i) with the squared coefficient at kbar."""
+    terms = []
     for kbar in np.ndindex(*([kmax + 1] * member.d)):
         prod = 1.0
         for k in kbar:
             prod *= 1.0 + k
-        if prod > N:
-            total += hpc_coefficient(member, kbar) ** 2
-    return math.sqrt(total)
+        terms.append((prod, hpc_coefficient(member, kbar) ** 2))
+    return terms
 
 
+# Each list holds an N <= kmax in d >= 2, where the bound left for the last
+# axes reaches 0, and one N >= (kmax + 1)^d, whose tail is empty. The boxes
+# are large enough that a sequential sum over them misses fsum by up to 1.4e-13.
 @pytest.mark.parametrize(
     "name, kmax, N_list",
-    [("kink1", 600, [1, 2, 7, 64]), ("kink2", 60, [1, 2, 11, 64]),
-     ("exp3", 12, [3, 20]), ("const2", 9, [1, 4])],
+    [("kink1", 600, [1, 2, 7, 64, 601]), ("kink2", 300, [1, 2, 11, 64, 90601]),
+     ("exp3", 40, [3, 20, 68921]), ("const2", 9, [1, 4, 100]),
+     ("smoothper2", 30, [1, 3, 17, 100, 961])],
 )
-def test_exact_tail_is_bit_identical_to_the_box_walk(name, kmax, N_list):
+def test_exact_tail_matches_fsum_of_the_box_walk(name, kmax, N_list):
     member = get_member(name)
+    terms = box_walk_terms(member, kmax)
     for N in N_list:
-        assert exact_projection_error(member, N, kmax) == box_walk_tail(member, N, kmax)
+        ref = math.sqrt(math.fsum(sq for prod, sq in terms if prod > N))
+        got = exact_projection_error(member, N, kmax)
+        if N >= (kmax + 1) ** member.d or ref == 0.0:
+            assert got == ref == 0.0
+        else:
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("d, N", [(1, 9), (2, 12), (3, 10)])

@@ -279,12 +279,39 @@ def test_gnuplot_companion(tmp_path, capsys):
          "log_exponent=1e+308 cannot correct the error at n="),
         (["cubature", "--fn", "kink2d", "--log-exponent", "1", "--nmin", "2", "--skip", "0"], 2,
          "log_exponent=1.0 cannot correct the error at n=1"),
+        # the largest rule is checked before the first one is built
+        (["cubature", "--rule", "fibonacci", "--fn", "kink2d", "--nmin", "5", "--nmax", "40"],
+         2, "Fibonacci index 40 asks"),
+        (["cubature", "--rule", "net", "--fn", "exp1", "--nmin", "5", "--nmax", "21"], 2,
+         "m must lie in 0..20"),
+        # a negative skip would slice from the end
+        (["cubature", "--fn", "kink2d", "--skip", "-3"], 2, "skip must be >= 0, got -3"),
+        (["approx", "--fn", "kink1d", "--skip", "-1"], 2, "skip must be >= 0, got -1"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
     rc, out, err = run(capsys, argv)
     assert rc == code and out == "" and message in err
     assert "matrix condition" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [(["cubature", "--rule", "fibonacci", "--fn", "kink2d", "--nmin", "5", "--nmax", "40"],
+      "rank1_lattice"),
+     (["cubature", "--rule", "net", "--fn", "exp1", "--nmin", "5", "--nmax", "21"],
+      "_net_points_int")],
+)
+def test_cubature_refuses_the_largest_rule_before_building_any(monkeypatch, capsys, argv, builder):
+    from halfcos import cubature
+
+    built = []
+    real = getattr(cubature, builder)
+    monkeypatch.setattr(cubature, builder, lambda *a: built.append(a) or real(*a))
+    rc, out, _ = run(capsys, argv)
+    assert rc == 2 and out == "" and built == []
+    argv[argv.index("--nmax") + 1] = "8"  # the counter does see the rules that are built
+    assert run(capsys, argv)[0] == 0 and len(built) == 4
 
 
 @pytest.mark.parametrize(

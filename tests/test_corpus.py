@@ -1,5 +1,6 @@
 """Registry metadata against adaptive quadrature and the dense transform."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,24 @@ def test_closed_map_matches_the_box_walk(name, kmax):
     assert list(tf.hpc_map(kmax).entries.items()) == list(ref.items())
     with pytest.raises(ConfigError, match="kmax must be >= 0"):
         tf.hpc_map(-1)
+
+
+def test_coefficient_vectors_evaluate_each_function_once():
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return kink_coeff(KINK_A, k)
+
+    tf = dataclasses.replace(get_member("kink2"), factor_coeff=[counted] * 2)
+    vectors = tf.coefficient_vectors(10)
+    assert len(calls) == 11
+    assert [v.tolist() for v in vectors] == [[kink_coeff(KINK_A, k) for k in range(11)]] * 2
+    for name in ("kink2", "exp3", "smoothper2"):  # the same bits as one call per axis
+        tf = get_member(name)
+        ref = [np.array([c(k) for k in range(17)], dtype=float) for c in tf.factor_coeff]
+        got = tf.coefficient_vectors(16)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
 
 
 def test_numeric_map_matches_the_box_walk():

@@ -285,6 +285,49 @@ def test_synthesis_matches_the_per_term_grid_loop(d, m):
         assert 8 * n**d > 2 * grids._SYNTH_BLOCK_BYTES
 
 
+def _former_synthesize_terms(items, row, n, d):
+    """The term loop of hpc_synthesize as it was when its last outer product
+    was np.multiply.outer(..., out=buf), kept as the reference."""
+    rows, terms = {}, []
+    for keys, v in items:
+        for key in keys:
+            if key not in rows:
+                rows[key] = row(key)
+        terms.append((keys[0], [rows[key] for key in keys[1:]], np.real(v)))
+    out = np.zeros((n,) * d)
+    step = max(1, grids._SYNTH_BLOCK_BYTES // (out.itemsize * n ** (d - 1)))
+    for lo in range(0, n, step):
+        block = out[lo : lo + step]
+        buf = np.empty_like(block)
+        lead = rows if step >= n else {key: r[lo : lo + step] for key, r in rows.items()}
+        for key, factors, v in terms:
+            piece = lead[key]
+            for factor in factors[:-1]:
+                piece = np.multiply.outer(piece, factor)
+            if factors:
+                piece = np.multiply.outer(piece, factors[-1], out=buf)
+            np.multiply(piece, v, out=buf)
+            block += buf
+    return out
+
+
+# (2, 10) and (3, 7) span several blocks of the synthesis; the others fit in one.
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3), (2, 10), (3, 7)])
+@pytest.mark.parametrize("keys", ["random", "cross"])
+def test_synthesis_is_bit_identical_to_the_former_outer_products(d, m, keys):
+    rng = np.random.default_rng(20 + d)
+    if keys == "random":  # with repeated rows, the Nyquist row and aliased keys
+        kbars = [tuple(int(k) for k in rng.integers(0, 3 * 2**m, size=d)) for _ in range(12)]
+        kbars += [(0,) * d, (2**m,) * d]
+    else:
+        kbars = [tuple(int(k) for k in kbar) for kbar in hyperbolic_cross(9, d, signed=False).as_array()]
+    coeffs = CoefficientMap("hpc", d, {kbar: float(rng.normal()) for kbar in kbars})
+    x = np.arange(2**m + 1) * 2.0**-m
+    ref = _former_synthesize_terms(coeffs.items_sorted(), lambda k: hpc_basis_1d(k, x), x.size, d)
+    got = hpc_synthesize(coeffs, m).values
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 @pytest.mark.parametrize("d, m, kmax", [(1, 7, 32), (2, 6, 16), (3, 4, 4)])
 def test_decay_report_matches_the_box_walk(d, m, kmax):
     f = GridFunction.from_callable(lambda *xs: np.exp(sum(xs)), d, m, UNIT)
