@@ -24,7 +24,6 @@ from .grids import (
     tent,
     rho,
     periodize,
-    restrict,
     hpc_basis_1d,
     cos_basis,
     exp_basis,
@@ -90,4 +89,5 @@ from .suite import (
     random_cosine_polynomial,
     norm_comparison,
     ratio_table,
+    route_ratios,
 )

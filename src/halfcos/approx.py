@@ -2,9 +2,11 @@
 transfer of its error to the periodic problem under tent composition, and
 least-squares recovery from point samples.
 
-All projections are computed by aliasing-checked dense transforms; the
-transfer identity is tested on matched grids where it holds to round-off
-because mirrored sample values coincide node by node.
+Projections of sampled functions are computed by aliasing-checked dense
+transforms; the exact projection error of a corpus member is a tail sum of
+its closed-form coefficients, read from per-axis suffix sums. The transfer
+identity is tested on matched grids where it holds to round-off because
+mirrored sample values coincide node by node.
 """
 
 from __future__ import annotations

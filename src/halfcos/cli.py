@@ -9,9 +9,10 @@ Every output starts with a `# config:` line carrying the fully resolved
 configuration, so a run can be reproduced from its own artifact. Runs with
 the same configuration and seed produce byte-identical bodies.
 
-Exit codes: 0 success, 2 configuration error (unknown flag/function,
-missing mandatory seed, bad config file), 3 numerical precondition
-violated (aliasing, ill-conditioned design, divergent tail, truncation).
+Exit codes: 0 success, 2 configuration error (ConfigError: unknown
+flag/function, missing mandatory seed, bad config file), 3 any other
+HalfcosError, a numerical precondition violated (aliasing, ill-conditioned
+design, divergent tail, truncation).
 """
 
 from __future__ import annotations
@@ -30,26 +31,9 @@ from .cubature import (
     digital_net,
     fibonacci_rule,
 )
-from .errors import (
-    AliasingError,
-    ConditionError,
-    ConfigError,
-    DivergentTailError,
-    DomainError,
-    ResolutionMismatchError,
-    TruncationError,
-)
-from .grids import GridFunction, UNIT, _alias_free_level, _check_grid_size, coefficient_decay_report
-from .suite import identity_suite, norm_comparison
-
-_NUMERIC_ERRORS = (
-    AliasingError,
-    ConditionError,
-    DivergentTailError,
-    DomainError,
-    ResolutionMismatchError,
-    TruncationError,
-)
+from .errors import ConfigError, HalfcosError
+from .grids import coefficient_decay_report
+from .suite import identity_suite, norm_comparison, route_ratios
 
 
 def _check_number(key: str, val, kind, default):
@@ -166,12 +150,7 @@ def _cmd_coeffs(cfg: dict) -> list:
         for k, jump, smooth in rows:
             lines.append(f"{k},{jump:.12e},{smooth:.12e}")
     elif cfg["mode"] == "decay":
-        level = cfg["grid_level"]
-        source = f"--kmax {kmax}" if level is None else f"--grid-level {level}"
-        level = _alias_free_level(kmax, 6) if level is None else int(level)
-        _check_grid_size(level, member.d, UNIT, source)
-        f = GridFunction.from_callable(member, member.d, level, UNIT)
-        rows = coefficient_decay_report(f, kmax)
+        rows = coefficient_decay_report(member.sample(kmax, cfg["grid_level"]), kmax)
         head = ",".join(f"k_{i+1}" for i in range(member.d))
         lines.append(head + ",weighted_abs_coef")
         for kbar, w in rows:
@@ -185,9 +164,6 @@ def _cmd_norms(cfg: dict) -> list:
     member = _member(cfg)
     params = BesovParams(float(cfg["r"]), float(cfg["p"]), float(cfg["q"]))
     compare = tuple(t.strip() for t in str(cfg["compare"]).split(",") if t.strip())
-    for kind in compare:
-        if kind not in ("cw", "diff", "hpc"):
-            raise ConfigError(f"unknown norm kind {kind!r} in --compare")
     reports = norm_comparison(
         member,
         params,
@@ -199,11 +175,8 @@ def _cmd_norms(cfg: dict) -> list:
     lines = [NormReport.csv_header()]
     for kind in compare:
         lines.append(reports[kind].csv_row())
-    if "hpc" in reports and reports["hpc"].value > 0.0:
-        for kind in ("cw", "diff"):
-            if kind in reports:
-                ratio = reports[kind].value / reports["hpc"].value
-                lines.append(f"# ratio {kind}/hpc = {ratio:.6g}")
+    for kind, ratio in route_ratios(reports).items():
+        lines.append(f"# ratio {kind}/hpc = {ratio:.6g}")
     return lines
 
 
@@ -403,7 +376,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"halfcos: config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except HalfcosError as exc:
         print(f"halfcos: numerical precondition violated: {exc}", file=sys.stderr)
         return 3
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError
+from .errors import ConfigError
 from .grids import (
     UNIT,
     CoefficientMap,
@@ -123,14 +123,24 @@ class TestFunction:
         entries = dict(zip(slab_keys(keep), box[keep].tolist()))
         return CoefficientMap(basis="hpc", d=self.d, entries=entries)
 
+    def sample(self, kmax: int, grid_level: int = None) -> GridFunction:
+        """Samples on the level-grid_level unit-cube grid, by default the
+        least alias-free level >= 6, for coefficients up to kmax. The size
+        is checked before sampling and the aliasing after, so that a
+        negative level is the ConfigError of the sampling."""
+        if grid_level is None:
+            m, source = _alias_free_level(kmax, 6), f"--kmax {kmax}"
+        else:
+            m, source = int(grid_level), f"--grid-level {grid_level}"
+        _check_grid_size(m, self.d, UNIT, source)
+        g = GridFunction.from_callable(self, self.d, m, UNIT)
+        _check_aliasing(m, kmax)
+        return g
+
     def hpc_map_numeric(self, kmax: int, grid_level: int = None) -> CoefficientMap:
         """Coefficients by aliasing-checked dense transform on the box."""
         _check_kmax(kmax)
-        m = _alias_free_level(kmax, 6) if grid_level is None else grid_level
-        g = GridFunction.from_callable(self, self.d, m, UNIT)
-        box = hpc_analyze_dense(g)[(slice(0, kmax + 1),) * self.d]
-        if box.shape != (kmax + 1,) * self.d:
-            raise AliasingError(f"grid level m={m} has no coefficients up to {kmax}")
+        box = hpc_analyze_dense(self.sample(kmax, grid_level))[(slice(0, kmax + 1),) * self.d]
         keep = np.abs(box) > 1e-15
         entries = dict(zip(slab_keys(keep), box[keep].tolist()))
         return CoefficientMap(basis="hpc", d=self.d, entries=entries)

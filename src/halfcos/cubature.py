@@ -155,30 +155,15 @@ def _net_points_int(m: int, v: np.ndarray) -> np.ndarray:
     return out
 
 
-# Shifts and masks of Morton spreading, for _NBITS = 32: after the five
-# steps, bit b of a 32-bit input sits at bit 2b of the 64-bit output.
-_SPREAD = [
-    (16, 0x0000FFFF0000FFFF),
-    (8, 0x00FF00FF00FF00FF),
-    (4, 0x0F0F0F0F0F0F0F0F),
-    (2, 0x3333333333333333),
-    (1, 0x5555555555555555),
-]
-
-
-def _spread_bits(x: np.ndarray) -> np.ndarray:
-    """Move bit b of each 32-bit entry to bit 2b, zeros between."""
-    for shift, mask in _SPREAD:
-        x = (x | (x << np.uint64(shift))) & np.uint64(mask)
-    return x
-
-
 def _interlace_pairs(ints: np.ndarray) -> np.ndarray:
     """Digit-interlace consecutive columns: two 32-bit inputs produce one
     64-bit output whose digits alternate between them, the first input's
-    digit leading (Morton order: the first input's bits go to the odd
-    positions, the second's to the even ones)."""
-    return (_spread_bits(ints[:, 0::2]) << np.uint64(1)) | _spread_bits(ints[:, 1::2])
+    digit leading. Bit b of the first input goes to bit 2b+1 of the
+    output, and bit b of the second to bit 2b."""
+    bits = np.arange(_NBITS, dtype=np.uint64)
+    digits = (ints[..., None] >> bits) & np.uint64(1)
+    spread = np.bitwise_or.reduce(digits << (bits + bits), axis=-1)
+    return (spread[:, 0::2] << np.uint64(1)) | spread[:, 1::2]
 
 
 def _check_net_level(m: int) -> None:

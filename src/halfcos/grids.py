@@ -36,7 +36,6 @@ __all__ = [
     "tent",
     "rho",
     "periodize",
-    "restrict",
     "hpc_basis_1d",
     "cos_basis",
     "exp_basis",
@@ -220,18 +219,6 @@ def periodize(f: GridFunction) -> GridFunction:
     return GridFunction(SYM, f.m, vals)
 
 
-def restrict(g: GridFunction) -> GridFunction:
-    """Restriction R: g -> g on [0,1]^d (torus node x=1 identified with -1)."""
-    if g.domain != SYM:
-        raise DomainError("restrict expects a torus grid function")
-    n = 2**g.m
-    idx = (n + np.arange(n + 1)) % (2 * n)
-    vals = g.values
-    for ax in range(g.d):
-        vals = np.take(vals, idx, axis=ax)
-    return GridFunction(UNIT, g.m, vals)
-
-
 def hpc_basis_1d(k: int, x):
     """Half-period cosine c_k: 1 for k=0, sqrt(2) cos(pi k x) otherwise."""
     x = np.asarray(x, dtype=float)
@@ -266,9 +253,9 @@ def exp_basis(kbar, *axes):
 class CoefficientMap:
     """Sparse map from multi-index to coefficient.
 
-    basis: 'hpc' (keys in N_0^d), 'torus-exp' (keys in Z^d), or
-    'cw-primal'/'cw-dual' (keys are (jbar, kbar) pairs over
-    N_{-1}^d x Z^d). Absent key means coefficient zero.
+    basis: 'hpc' (keys in N_0^d) or 'cw-primal'/'cw-dual' (keys are
+    (jbar, kbar) pairs over N_{-1}^d x Z^d). Absent key means
+    coefficient zero.
     """
 
     basis: str

@@ -45,6 +45,7 @@ __all__ = [
     "identity_suite",
     "norm_comparison",
     "ratio_table",
+    "route_ratios",
 ]
 
 
@@ -157,6 +158,9 @@ def norm_comparison(
     cosine blocks up to level J (coefficient box kmax = 2^{J+1}), wavelet
     levels up to J, difference dyadics up to J. Values are the truncated
     quasi-norms; each report carries its own geometric tail estimate."""
+    for kind in compare:
+        if kind not in ("cw", "diff", "hpc"):
+            raise ConfigError(f"unknown norm kind {kind!r} in --compare")
     if J < 0:
         raise ConfigError(f"truncation level J must be >= 0, got {J}")
     if member.d > 2 and "cw" in compare:
@@ -191,6 +195,15 @@ def norm_comparison(
     return out
 
 
+def route_ratios(reports: dict) -> dict:
+    """cw/hpc and diff/hpc, for the routes in reports, when the hpc value
+    is present and positive; keys 'cw' and 'diff' in that order."""
+    if not ("hpc" in reports and reports["hpc"].value > 0.0):
+        return {}
+    return {kind: reports[kind].value / reports["hpc"].value
+            for kind in ("cw", "diff") if kind in reports}
+
+
 def ratio_table(
     params: BesovParams,
     scales=(0, 1, 2),
@@ -199,7 +212,7 @@ def ratio_table(
     strict: bool = False,
 ) -> list:
     """Rows (scale, name, hpc, cw, diff, cw/hpc, diff/hpc) over the
-    twenty-member family at each dyadic scale."""
+    twenty-member family at each dyadic scale; the ratios are route_ratios."""
     rows = []
     for s in scales:
         for member in band_family(s):
@@ -207,9 +220,7 @@ def ratio_table(
             row = {"scale": s, "name": member.name}
             for kind, rep in reports.items():
                 row[kind] = rep.value
-            if "hpc" in reports:
-                for kind in ("cw", "diff"):
-                    if kind in reports:
-                        row[f"{kind}_ratio"] = reports[kind].value / reports["hpc"].value
+            for kind, ratio in route_ratios(reports).items():
+                row[f"{kind}_ratio"] = ratio
             rows.append(row)
     return rows

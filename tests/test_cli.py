@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from halfcos import cli
+from halfcos import cli, errors
 from halfcos.corpus import corpus
 
 
@@ -293,6 +293,25 @@ def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
     rc, out, err = run(capsys, argv)
     assert rc == code and out == "" and message in err
     assert "matrix condition" not in err
+
+
+def test_exit_code_follows_the_error_class(capsys, monkeypatch):
+    # a HalfcosError subclass that the CLI never names still exits 3
+    class NewNumericError(errors.HalfcosError):
+        pass
+
+    classes = [NewNumericError] + [getattr(errors, name) for name in errors.__all__]
+    for cls in classes:
+        def fail(*args, _cls=cls, **kwargs):
+            raise _cls("injected")
+
+        monkeypatch.setattr(cli, "identity_suite", fail)
+        rc, out, err = run(capsys, ["identities", "--seed", "1"])
+        if cls is errors.ConfigError:
+            assert (rc, err) == (2, "halfcos: config error: injected\n")
+        else:
+            assert (rc, err) == (3, "halfcos: numerical precondition violated: injected\n"), cls
+        assert out == ""
 
 
 @pytest.mark.parametrize(

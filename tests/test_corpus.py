@@ -120,6 +120,33 @@ def test_numeric_map_matches_the_box_walk():
         tf.hpc_map_numeric(8, grid_level=0)
     with pytest.raises(ConfigError, match="kmax must be >= 0"):
         tf.hpc_map_numeric(-1)
+    with pytest.raises(AliasingError, match="m=4"):  # an explicit level is checked too
+        get_member("exp1").hpc_map_numeric(16, grid_level=4)
+
+
+def test_numeric_map_refuses_a_large_grid_before_sampling(monkeypatch):
+    calls = []
+
+    def record(cls, *args, **kwargs):
+        calls.append(args)
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(GridFunction, "from_callable", classmethod(record))
+    with pytest.raises(ConfigError, match="--kmax 8192 asks for a level-15 grid in d=2"):
+        get_member("kink2").hpc_map_numeric(2**13)
+    assert calls == []
+
+
+def test_sample_checks_size_then_samples_then_checks_aliasing():
+    tf = get_member("kink1")
+    assert (tf.sample(16).m, tf.sample(17).m) == (6, 7)  # least alias-free level >= 6
+    assert tf.sample(16, grid_level=8).m == 8
+    with pytest.raises(ConfigError, match="--grid-level 30 asks for a level-30 grid"):
+        tf.sample(16, grid_level=30)
+    with pytest.raises(ConfigError, match="grid level m must be >= 0"):
+        tf.sample(16, grid_level=-1)
+    with pytest.raises(AliasingError, match="grid level m=5 too low"):
+        tf.sample(16, grid_level=5)
 
 
 def test_numeric_map_without_closed_form():

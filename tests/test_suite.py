@@ -1,6 +1,8 @@
 """Orchestration layer: identity residuals at round-off, consistent norm
 truncation, and the band ratio table."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from halfcos.suite import (
     norm_comparison,
     random_cosine_polynomial,
     ratio_table,
+    route_ratios,
 )
 
 IDENTITIES = [
@@ -124,3 +127,22 @@ def test_ratio_table_matches_norm_comparison():
     assert row["hpc"] == reps["hpc"].value
     assert row["cw"] == reps["cw"].value
     assert "diff" not in row
+
+
+def test_unknown_route_names_are_refused():
+    params = BesovParams(1.5, 2.0, 2.0)
+    with pytest.raises(ConfigError, match="unknown norm kind 'hcp' in --compare"):
+        norm_comparison(get_member("kink1"), params, compare=("hcp",))
+    with pytest.raises(ConfigError, match="unknown norm kind 'bogus' in --compare"):
+        ratio_table(params, scales=(0,), J=4, compare=("hpc", "bogus"))
+
+
+def test_route_ratios_need_a_positive_hpc_value():
+    rep = lambda v: SimpleNamespace(value=v)
+    reports = {"diff": rep(3.0), "hpc": rep(2.0), "cw": rep(1.0)}
+    got = route_ratios(reports)
+    assert list(got.items()) == [("cw", 0.5), ("diff", 1.5)]
+    assert route_ratios({"hpc": rep(2.0)}) == {}
+    assert route_ratios({"cw": rep(1.0), "diff": rep(3.0)}) == {}
+    for bad in (0.0, -1.0, float("nan")):
+        assert route_ratios({"cw": rep(1.0), "hpc": rep(bad)}) == {}
