@@ -1,13 +1,17 @@
 """Command line front end.
 
-Thin by contract: this module parses flags, resolves the run configuration
-(defaults, then an optional JSON config file, then explicit flags), calls
-exactly one orchestration routine per subcommand, and formats CSV. Every
-emitted number is produced by a library call; nothing is computed here.
+Thin by contract: this module parses flags, calls exactly one
+orchestration routine per subcommand, and formats CSV. Every emitted number
+is produced by a library call; nothing is computed here.
 
-Every output starts with a `# config:` line carrying the fully resolved
-configuration, so a run can be reproduced from its own artifact. Runs with
-the same configuration and seed produce byte-identical bodies.
+argparse is the one resolver: the values of an optional JSON config file
+become the parser's defaults, and explicit flags override them. Each value
+is converted and checked as its flag is (an int flag refuses 16.7, a choice
+must be one of the flag's choices, an on/off flag such as --tent takes only
+true or false), so every handler gets typed values. Every output starts with
+a `# config:` line carrying the values the run used, so a run can be
+reproduced from its own artifact. Runs with the same configuration and seed
+produce byte-identical bodies.
 
 Exit codes: 0 success, 2 configuration error (ConfigError: unknown
 flag/function, missing mandatory seed, bad config file), 3 any other
@@ -36,41 +40,49 @@ from .grids import coefficient_decay_report
 from .suite import identity_suite, norm_comparison, route_ratios
 
 
-def _check_number(key: str, val, kind, default):
-    """A config-file value for a key of numeric type must convert as its
-    flag converts it; None stays allowed where the default is None."""
-    if kind in (int, float) and not (val is None and default is None):
-        try:
-            kind(val)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"config value {key}={val!r} is not a valid {kind.__name__}")
+def _key(flag: str) -> str:
+    """The config key, and the namespace attribute, of a flag."""
+    return flag.lstrip("-").replace("-", "_")
 
 
-def _resolve(cmd: str, args: argparse.Namespace) -> dict:
-    """defaults <- config file section <- explicit flags."""
-    options = {flag.lstrip("-").replace("-", "_"): (default, kw)
-               for flag, default, kw in _COMMANDS[cmd][3]}
-    cfg = {key: default for key, (default, _) in options.items()}
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file {path!r}: {exc}")
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, val in loaded.items():
-            if key not in cfg:
-                raise ConfigError(f"config key {key!r} unknown for {cmd!r}")
-            default, kw = options[key]
-            _check_number(key, val, kw.get("type"), default)
-            cfg[key] = val
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _convert(key: str, val, default, kw: dict):
+    """A config-file value converted and checked as its flag converts and
+    checks it; None stays allowed where the default is None."""
+    if val is None and default is None:
+        return None
+    on_off = kw.get("action") == "store_const"
+    kind = bool if on_off else kw.get("type", str)
+    refusal = ConfigError(f"config value {key}={val!r} is not a valid {kind.__name__}")
+    # JSON true/false only for on/off flags: int(True) and int(16.7) would pass
+    if val is None or isinstance(val, bool) != on_off or (
+            kind is int and isinstance(val, float) and not val.is_integer()):
+        raise refusal
+    try:
+        out = kind(val)
+    except (TypeError, ValueError, OverflowError):
+        raise refusal
+    if "choices" in kw and out not in kw["choices"]:
+        raise ConfigError(f"config value {key}={val!r} is not one of {kw['choices']}")
+    return out
+
+
+def _read_config(cmd: str, path: str) -> dict:
+    """The config file's values, converted as their flags convert them:
+    they become the parser's defaults, so explicit flags override them."""
+    options = {_key(flag): (default, kw) for flag, default, kw in _COMMANDS[cmd][3]}
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}")
+    if not isinstance(loaded, dict):
+        raise ConfigError("config file must hold a JSON object")
+    values = {}
+    for key, val in loaded.items():
+        if key not in options:
+            raise ConfigError(f"config key {key!r} unknown for {cmd!r}")
+        values[key] = _convert(key, val, *options[key])
+    return values
 
 
 def _emit(text: str, out, gnuplot_script: str = None):
@@ -110,25 +122,21 @@ def _fit_lines(fit) -> list:
 
 
 def _require_seed(cfg: dict):
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         raise ConfigError("this path is randomized: --seed is mandatory")
-    cfg["seed"] = int(cfg["seed"])
     if cfg["seed"] < 0:
         raise ConfigError("seed must be >= 0")
 
 
 def _member(cfg: dict):
-    if not cfg.get("fn"):
+    if not cfg["fn"]:
         raise ConfigError("--fn NAME is required; see `halfcos testfns list`")
-    try:
-        return get_member(str(cfg["fn"]))
-    except KeyError as exc:
-        raise ConfigError(exc.args[0])
+    return get_member(cfg["fn"])
 
 
 def _cmd_identities(cfg: dict) -> list:
     _require_seed(cfg)
-    res = identity_suite(int(cfg["d"]), cfg["seed"], n_funcs=int(cfg["funcs"]))
+    res = identity_suite(cfg["d"], cfg["seed"], n_funcs=cfg["funcs"])
     lines = ["identity,max_rel_residual"]
     for name in sorted(res):
         lines.append(f"{name},{res[name]:.6e}")
@@ -137,41 +145,28 @@ def _cmd_identities(cfg: dict) -> list:
 
 def _cmd_coeffs(cfg: dict) -> list:
     member = _member(cfg)
-    kmax = int(cfg["kmax"])
+    kmax = cfg["kmax"]
     if kmax < 1:
         raise ConfigError(f"--kmax must be >= 1, got {kmax}")
-    lines = []
     if cfg["mode"] == "gibbs":
-        if member.d != 1:
-            raise ConfigError("gibbs mode needs a univariate function")
-        level = 12 if cfg["grid_level"] is None else int(cfg["grid_level"])
-        rows = gibbs_demo(member, kmax, grid_level=level)
-        lines.append("k,abs_sine_coef_k,abs_hpc_coef_k2")
-        for k, jump, smooth in rows:
+        level = 12 if cfg["grid_level"] is None else cfg["grid_level"]
+        lines = ["k,abs_sine_coef_k,abs_hpc_coef_k2"]
+        for k, jump, smooth in gibbs_demo(member, kmax, grid_level=level):
             lines.append(f"{k},{jump:.12e},{smooth:.12e}")
-    elif cfg["mode"] == "decay":
-        rows = coefficient_decay_report(member.sample(kmax, cfg["grid_level"]), kmax)
-        head = ",".join(f"k_{i+1}" for i in range(member.d))
-        lines.append(head + ",weighted_abs_coef")
-        for kbar, w in rows:
-            lines.append(",".join(str(k) for k in kbar) + f",{w:.12e}")
-    else:
-        raise ConfigError(f"unknown coeffs mode {cfg['mode']!r}")
+        return lines
+    rows = coefficient_decay_report(member.sample(kmax, cfg["grid_level"]), kmax)
+    lines = [",".join(f"k_{i+1}" for i in range(member.d)) + ",weighted_abs_coef"]
+    for kbar, w in rows:
+        lines.append(",".join(str(k) for k in kbar) + f",{w:.12e}")
     return lines
 
 
 def _cmd_norms(cfg: dict) -> list:
     member = _member(cfg)
-    params = BesovParams(float(cfg["r"]), float(cfg["p"]), float(cfg["q"]))
-    compare = tuple(t.strip() for t in str(cfg["compare"]).split(",") if t.strip())
-    reports = norm_comparison(
-        member,
-        params,
-        compare=compare,
-        J=int(cfg["J"]),
-        m_order=int(cfg["m"]),
-        strict=bool(cfg["strict"]),
-    )
+    params = BesovParams(cfg["r"], cfg["p"], cfg["q"])
+    compare = tuple(t.strip() for t in cfg["compare"].split(",") if t.strip())
+    reports = norm_comparison(member, params, compare=compare, J=cfg["J"],
+                              m_order=cfg["m"], strict=cfg["strict"])
     lines = [NormReport.csv_header()]
     for kind in compare:
         lines.append(reports[kind].csv_row())
@@ -182,22 +177,18 @@ def _cmd_norms(cfg: dict) -> list:
 
 def _cmd_cubature(cfg: dict) -> list:
     member = _member(cfg)
-    shifts = int(cfg["shifts"])
+    shifts = cfg["shifts"]
     if shifts < 0:
         raise ConfigError(f"--shifts must be >= 0 (0: no shift), got {shifts}")
     if shifts > 0:
         _require_seed(cfg)
-    rule_kind = cfg["rule"]
-    if rule_kind == "fibonacci":
+    if cfg["rule"] == "fibonacci":
         if member.d != 2:
             raise ConfigError("the Fibonacci rule is two-dimensional")
         rule_for_n, check = fibonacci_rule, _check_fibonacci_index
-    elif rule_kind == "net":
-        alpha = int(cfg["alpha"])
-        rule_for_n, check = (lambda i: digital_net(i, member.d, alpha)), _check_net_level
     else:
-        raise ConfigError(f"unknown rule {rule_kind!r}")
-    indices = range(int(cfg["nmin"]), int(cfg["nmax"]) + 1)
+        rule_for_n, check = (lambda i: digital_net(i, member.d, cfg["alpha"])), _check_net_level
+    indices = range(cfg["nmin"], cfg["nmax"] + 1)
     for index in [*indices[:1], *indices[-1:]]:  # both ends, before any rule is built
         check(index)
     fit = convergence_experiment(
@@ -207,9 +198,9 @@ def _cmd_cubature(cfg: dict) -> list:
         indices,
         transform="tent" if cfg["tent"] else "plain",
         shifts=shifts,
-        seed=int(cfg["seed"] or 0),
-        log_exponent=float(cfg["log_exponent"]),
-        skip_smallest=int(cfg["skip"]),
+        seed=cfg["seed"] or 0,
+        log_exponent=cfg["log_exponent"],
+        skip_smallest=cfg["skip"],
     )
     return _fit_lines(fit)
 
@@ -217,16 +208,16 @@ def _cmd_cubature(cfg: dict) -> list:
 def _cmd_approx(cfg: dict) -> list:
     member = _member(cfg)
     try:
-        n_list = [int(t) for t in str(cfg["N_list"]).split(",") if t.strip()]
+        n_list = [int(t) for t in cfg["N_list"].split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --N-list: {exc}")
     fit = projection_error_rate(
         member,
         n_list,
-        p=float(cfg["p"]),
-        kmax=int(cfg["kmax"]),
-        log_exponent=float(cfg["log_exponent"]),
-        skip_smallest=int(cfg["skip"]),
+        p=cfg["p"],
+        kmax=cfg["kmax"],
+        log_exponent=cfg["log_exponent"],
+        skip_smallest=cfg["skip"],
     )
     return _fit_lines(fit)
 
@@ -236,11 +227,11 @@ def _cmd_recover(cfg: dict) -> list:
     _require_seed(cfg)
     row = ls_error_experiment(
         member,
-        int(cfg["N"]),
-        oversample=float(cfg["oversample"]),
+        cfg["N"],
+        oversample=cfg["oversample"],
         seed=cfg["seed"],
-        grid_level=int(cfg["grid_level"]),
-        weights=str(cfg["weights"]),
+        grid_level=cfg["grid_level"],
+        weights=cfg["weights"],
     )
     return [
         "N,dim,samples,ls_error,projection_error,condition,normal_residual",
@@ -345,7 +336,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; config (key -> value, from
+    _read_config) replaces the table's defaults of the option keys it
+    names, so that explicit flags override it."""
     top = argparse.ArgumentParser(
         prog="halfcos",
         description="half-period cosine analysis experiments",
@@ -355,20 +349,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=text)
         p.add_argument("--config", help="JSON file with defaults; flags override")
         p.add_argument("--out", help="output CSV path (default stdout)")
-        for flag, _, kw in options:
-            p.add_argument(flag, **kw)
+        for flag, default, kw in options:
+            p.add_argument(flag, default=(config or {}).get(_key(flag), default), **kw)
         if plot:
             p.add_argument("--gnuplot", action="store_true")
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _, handler, plot, _ = _COMMANDS[args.cmd]
+    args = _build_parser().parse_args(argv)
+    _, handler, plot, options = _COMMANDS[args.cmd]
     try:
-        cfg = _resolve(args.cmd, args)
-        body = handler(cfg)  # first: a handler may normalize cfg, as the seed check does
+        if args.config:
+            args = _build_parser(_read_config(args.cmd, args.config)).parse_args(argv)
+        cfg = {_key(flag): getattr(args, _key(flag)) for flag, _, _ in options}
+        body = handler(cfg)
         head = f"# config: cmd={args.cmd} " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
         script = _gnuplot(args.out, *plot) if plot and args.gnuplot else None
         _emit("\n".join([head] + body) + "\n", args.out, script)

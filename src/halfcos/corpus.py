@@ -97,6 +97,8 @@ class TestFunction:
     factor_breaks: list = field(default_factory=list)
 
     def __call__(self, *axes):
+        if len(axes) != self.d:
+            raise ConfigError(f"{self.name} takes d={self.d} coordinate arrays, got {len(axes)}")
         out = None
         for fi, x in zip(self.factors, axes):
             t = np.asarray(fi(np.asarray(x, dtype=float)), dtype=float)
@@ -108,7 +110,7 @@ class TestFunction:
         distinct coefficient function is evaluated once, and axes that share
         it share its vector."""
         if self.factor_coeff is None:
-            raise ValueError(f"{self.name} has no closed-form coefficients")
+            raise ConfigError(f"{self.name} has no closed-form coefficients")
         vectors = {}
         for c in self.factor_coeff:
             if c not in vectors:
@@ -231,7 +233,7 @@ def get_member(name: str) -> TestFunction:
     reg = corpus()
     name = _ALIASES.get(name, name)
     if name not in reg:
-        raise KeyError(f"unknown test function {name!r}; see testfns list")
+        raise ConfigError(f"unknown test function {name!r}; see testfns list")
     return reg[name]
 
 
@@ -285,13 +287,13 @@ def h2_family() -> list:
     return [reg["exp2"], reg["monomial2"], reg["smoothper2"]]
 
 
-def gibbs_demo(f, k_max: int, grid_level: int = 12) -> list:
+def gibbs_demo(member: TestFunction, k_max: int, grid_level: int = 12) -> list:
     """Rows (k, |periodic sine coefficient| * k, |cosine coefficient| * k^2)
     for k = 1..k_max: the first column stays bounded away from zero for a
-    step-like f (periodization jump), the second stays bounded."""
-    _check_grid_size(grid_level, 1, UNIT, f"--grid-level {grid_level}")
-    _check_aliasing(grid_level, k_max)
-    g = GridFunction.from_callable(f, 1, grid_level, UNIT)
+    step-like member (periodization jump), the second stays bounded."""
+    if member.d != 1:
+        raise ConfigError("gibbs mode needs a univariate function")
+    g = member.sample(k_max, grid_level)
     x, vals = g.axis_points(), g.values
     w = g.axis_weights()
     dense = hpc_analyze_dense(g)

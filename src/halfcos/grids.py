@@ -433,7 +433,7 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     prints residuals at exactly that round-off.
     """
     if coeffs.basis != "hpc":
-        raise ValueError("expected half-period cosine coefficients")
+        raise ConfigError("expected half-period cosine coefficients")
     x = _grid_axis(UNIT, m)
     row = lambda k: hpc_basis_1d(k, x)
     return GridFunction(UNIT, m, _synthesize_terms(coeffs.items_sorted(), row, x.size, coeffs.d))

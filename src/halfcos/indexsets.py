@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "plus_l1",
     "IndexSet",
@@ -34,11 +36,11 @@ class IndexSet:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ConfigError("dimension must be >= 1")
         uniq = sorted(set(tuple(int(x) for x in m) for m in self.members))
         for m in uniq:
             if len(m) != self.d:
-                raise ValueError("member dimension mismatch")
+                raise ConfigError("member dimension mismatch")
         object.__setattr__(self, "members", tuple(uniq))
 
     def __iter__(self):
@@ -80,7 +82,7 @@ def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
     cosine system; the enumeration meets each member once.
     """
     if N < 1 or d < 1:
-        raise ValueError("need N >= 1 and d >= 1")
+        raise ConfigError("need N >= 1 and d >= 1")
     members = tuple(_enumerate_cross(d, N, signed))
     return IndexSet(d=d, members=members)
 
@@ -90,7 +92,7 @@ def cross_size(N: int, d: int) -> int:
     Python ints without enumerating them: the d-tuples of positive integers
     1 + k_i whose product is at most N. Takes about N (log N)^(d-2) steps."""
     if N < 1 or d < 1:
-        raise ValueError("need N >= 1 and d >= 1")
+        raise ConfigError("need N >= 1 and d >= 1")
     if d == 1:
         return N
     return sum(cross_size(N // a, d - 1) for a in range(1, N + 1))

@@ -68,7 +68,7 @@ class PiecewiseLinear:
     def moment(self, s: int) -> float:
         """Exact integral of x^s f(x) for s <= 2 (Simpson per cell)."""
         if s > 2:
-            raise ValueError("Simpson is exact only up to cubic integrands")
+            raise ConfigError("Simpson is exact only up to cubic integrands")
         b = np.asarray(self.breakpoints)
         v = np.asarray(self.values)
         mid = 0.5 * (b[1:] + b[:-1])

@@ -59,6 +59,15 @@ def test_config_header_reflects_resolution(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"funcs": 2, "seed": 5.0}))
     rc, out, _ = run(capsys, ["identities", "--config", str(cfgfile)])
     assert rc == 0 and out.split("\n")[0].endswith(" seed=5")
+    # and every value as its flag prints it: {"p": 2} is --p 2, p=2.0
+    argv = ["norms", "--fn", "kink1", "--J", "3"]
+    rc, flagged, _ = run(capsys, argv + ["--p", "2"])
+    assert rc == 0 and " p=2.0 " in flagged.split("\n")[0]
+    cfgfile.write_text(json.dumps({"p": 2}))
+    assert run(capsys, argv + ["--config", str(cfgfile)]) == (0, flagged, "")
+    cfgfile.write_text(json.dumps({"kmax": 8.0}))  # an integral number is an int
+    rc, out, _ = run(capsys, ["coeffs", "--fn", "kink1", "--config", str(cfgfile)])
+    assert rc == 0 and out.split("\n")[0].endswith(" kmax=8 mode=decay")
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -287,6 +296,9 @@ def test_gnuplot_companion(tmp_path, capsys):
         # a negative skip would slice from the end
         (["cubature", "--fn", "kink2d", "--skip", "-3"], 2, "skip must be >= 0, got -3"),
         (["approx", "--fn", "kink1d", "--skip", "-1"], 2, "skip must be >= 0, got -1"),
+        # gibbs mode samples as decay mode does: a negative level is a config error
+        (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--grid-level", "-1"], 2,
+         "grid level m must be >= 0, got -1"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):
@@ -343,6 +355,26 @@ def test_config_values_that_do_not_convert_exit_two(tmp_path, capsys, content, f
     cfgfile.write_text(json.dumps(content))
     rc, out, err = run(capsys, ["identities", "--config", str(cfgfile)])
     assert rc == 2 and out == "" and field in err
+
+
+@pytest.mark.parametrize(
+    "argv, content, field",
+    [
+        (["cubature", "--fn", "kink2d", "--nmax", "9"], {"tent": "false"}, "tent='false'"),
+        (["norms", "--fn", "const1", "--r", "1.25", "--compare", "cw,hpc"], {"strict": "false"},
+         "strict='false'"),
+        (["identities", "--seed", "1", "--funcs", "2"], {"d": True}, "d=True"),
+        (["coeffs", "--fn", "kink1"], {"kmax": 16.7}, "kmax=16.7"),
+        (["coeffs", "--fn", "kink1"], {"mode": "bogus"}, "mode='bogus'"),
+        (["cubature", "--fn", "exp1", "--rule", "net", "--nmax", "9"], {"alpha": 3}, "alpha=3"),
+    ],
+)
+def test_config_values_are_checked_as_their_flags(tmp_path, capsys, argv, content, field):
+    # each of these once ran as a value other than the one the header printed
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(content))
+    rc, out, err = run(capsys, argv + ["--config", str(cfgfile)])
+    assert rc == 2 and out == "" and f"config value {field} is not" in err
 
 
 def test_recover_config_with_unknown_weights_exits_two(tmp_path, capsys):

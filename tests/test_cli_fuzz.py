@@ -1,13 +1,15 @@
 """CLI fuzz: any argv and config file drawn from small pools of valid,
 boundary, non-finite, non-numeric and unknown values exits 0, 2 or 3 with
-no other exception escaping."""
+no other exception escaping, and the `# config:` line of a run that exits 0,
+written back as a config file, reproduces its stdout."""
 
 import contextlib
 import io
 import json
+import pathlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from halfcos import cli
 
@@ -89,6 +91,45 @@ def _invocations(draw):
     return argv, config, out
 
 
+def _run(argv):
+    """Exit code and stdout of one CLI call; argparse refusals exit too."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses an unknown choice or a non-numeric value
+            rc = exc.code
+    return rc, stdout.getvalue()
+
+
+def _header_config(cmd, stdout):
+    """The values of the `# config:` line as a JSON config, each converted
+    from its printed text as the table types its flag."""
+    head = stdout.split("\n")[0].split(" ")
+    assert head[:3] == ["#", "config:", f"cmd={cmd}"], head
+    printed = dict(item.split("=", 1) for item in head[3:])
+    config = {}
+    for flag, default, kw in cli._COMMANDS[cmd][3]:
+        key = flag.lstrip("-").replace("-", "_")
+        text = printed.pop(key)
+        if default is None and text == "None":
+            config[key] = None
+        elif kw.get("action") == "store_const":
+            config[key] = {"True": True, "False": False}[text]
+        else:
+            config[key] = kw.get("type", str)(text)
+    assert not printed, printed
+    return config
+
+
+def _assert_header_reproduces_stdout(workdir, cmd, stdout):
+    """The header is the configuration: as a config file alone, it prints
+    the same bytes again."""
+    path = workdir / "header.json"
+    path.write_text(json.dumps(_header_config(cmd, stdout)))
+    assert _run([cmd, "--config", str(path)]) == (0, stdout), path.read_text()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -97,6 +138,10 @@ def workdir(tmp_path_factory):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_invocations())
+# config values that ran, once, as something other than the header printed
+@example(case=(["cubature", "--fn", "kink2d", "--nmax", "9"], {"tent": "false"}, None))
+@example(case=(["coeffs", "--fn", "kink1"], {"kmax": 16.7}, None))
+@example(case=(["identities", "--seed", "1", "--funcs", "2"], {"d": True}, None))
 def test_any_argv_and_config_exit_zero_two_or_three(workdir, case):
     argv, config, out = case
     if config is not None:
@@ -105,9 +150,23 @@ def test_any_argv_and_config_exit_zero_two_or_three(workdir, case):
         argv = argv + ["--config", str(path)]
     if out is not None:  # "dir" cannot be written
         argv = argv + ["--out", {"-": "-", "file": str(workdir / "out.csv"), "dir": str(workdir)}[out]]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:  # argparse refuses an unknown choice or a non-numeric value
-            rc = exc.code
+    rc, stdout = _run(argv)
     assert rc in (0, 2, 3), (argv, config)
+    if rc == 0 and out in (None, "-"):
+        _assert_header_reproduces_stdout(workdir, argv[0], stdout)
+
+
+def _readme_argvs():
+    """The `halfcos ...` example lines of README.md, the config one aside."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0].split() for line in path.read_text().splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["halfcos"] and "--config" not in words]
+
+
+def test_readme_headers_reproduce_their_stdout(tmp_path):
+    argvs = _readme_argvs()
+    assert len(argvs) == 7
+    for argv in argvs:
+        rc, stdout = _run(argv)
+        assert rc == 0, argv
+        _assert_header_reproduces_stdout(tmp_path, argv[0], stdout)

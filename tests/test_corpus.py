@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from halfcos.errors import AliasingError, ConfigError
+from halfcos.cubature import digital_net, integrate
 from halfcos.grids import UNIT, GridFunction, hpc_analyze_dense
 from halfcos.corpus import (
     KINK_A,
@@ -151,7 +152,7 @@ def test_sample_checks_size_then_samples_then_checks_aliasing():
 
 def test_numeric_map_without_closed_form():
     tf = get_member("bspline2_1")
-    with pytest.raises(ValueError, match="no closed-form coefficients"):
+    with pytest.raises(ConfigError, match="no closed-form coefficients"):
         tf.coefficient_vectors(1)
     ent = tf.hpc_map_numeric(8, grid_level=10).entries
     # the hat is symmetric about 1/2, so odd coefficients vanish
@@ -175,12 +176,22 @@ def test_tensor_members_factorize():
     assert k2.integral == pytest.approx(k1.integral**2, rel=1e-15)
 
 
+def test_members_refuse_a_wrong_number_of_coordinate_arrays():
+    # zip() paired factors with axes: kink2 on one array gave the 1-D factor,
+    # and on a 3-D net it gave 0.053353 for the integral 0.053987
+    kink2 = get_member("kink2")
+    with pytest.raises(ConfigError, match="kink2 takes d=2 coordinate arrays, got 1"):
+        kink2(np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ConfigError, match="kink2 takes d=2 coordinate arrays, got 3"):
+        integrate(digital_net(8, 3), kink2)
+
+
 def test_aliases_and_unknown_names():
     assert get_member("kink1d").name == "kink1"
     assert get_member("kink2d").name == "kink2"
     assert get_member("bspline2").name == "bspline2_1"
     assert get_member("bspline4").name == "bspline4_1"
-    with pytest.raises(KeyError, match="testfns list"):
+    with pytest.raises(ConfigError, match="testfns list"):
         get_member("nosuch")
 
 
@@ -227,7 +238,7 @@ def test_h2_family_is_smooth_nonperiodic_2d():
 
 
 def test_gibbs_columns():
-    rows = gibbs_demo(get_member("gibbs").factors[0], 8)
+    rows = gibbs_demo(get_member("gibbs"), 8)
     assert [r[0] for r in rows] == list(range(1, 9))
     for k, sine_k, cos_k2 in rows:
         # periodization of x jumps at the seam: sine column pins at 1/pi
@@ -239,7 +250,7 @@ def test_gibbs_columns():
 
 
 def test_gibbs_columns_smooth_function_decay():
-    rows = gibbs_demo(get_member("smoothper1").factors[0], 6)
+    rows = gibbs_demo(get_member("smoothper1"), 6)
     assert rows[0][1] > 0.4  # the single sine mode
     for k, sine_k, cos_k2 in rows[1:]:
         assert sine_k < 1e-6

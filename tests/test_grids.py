@@ -35,7 +35,7 @@ from halfcos.grids import (
     tent,
 )
 from halfcos import approx, besov, grids
-from halfcos.corpus import corpus, gibbs_demo
+from halfcos.corpus import corpus, get_member, gibbs_demo
 from halfcos.indexsets import hyperbolic_cross
 from closed_forms import evenize
 
@@ -201,9 +201,9 @@ def test_aliasing_guard():
     assert len(coefficient_decay_report(f, 4)) == 5
     with pytest.raises(AliasingError, match="m=4 too low for frequencies up to 5"):
         coefficient_decay_report(f, 5)
-    assert len(gibbs_demo(np.exp, 4, grid_level=4)) == 4
+    assert len(gibbs_demo(get_member("exp1"), 4, grid_level=4)) == 4
     with pytest.raises(AliasingError, match="m=4 too low for frequencies up to 5"):
-        gibbs_demo(np.exp, 5, grid_level=4)
+        gibbs_demo(get_member("exp1"), 5, grid_level=4)
 
 
 def test_grid_size_limit_admits_the_largest_grids_in_use():

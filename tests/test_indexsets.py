@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfcos.besov import phi
+from halfcos.errors import ConfigError
 from halfcos.indexsets import IndexSet, cross_size, hyperbolic_cross, plus_l1
 from closed_forms import cross_cardinality_check
 
@@ -42,7 +43,7 @@ def test_cross_size_counts_the_unsigned_cross(d):
 def test_cross_size_refuses_what_hyperbolic_cross_refuses(N, d):
     # d = 0 recursed without end; N < 1 counted an empty cross
     for count in (cross_size, hyperbolic_cross):
-        with pytest.raises(ValueError, match="need N >= 1 and d >= 1"):
+        with pytest.raises(ConfigError, match="need N >= 1 and d >= 1"):
             count(N, d)
 
 

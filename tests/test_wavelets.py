@@ -83,7 +83,7 @@ def test_vanishing_moments_exact():
     assert abs(w.moment(0)) < 1e-15
     assert abs(w.moment(1)) < 1e-15
     assert abs(w.moment(2)) > 1e-3  # exactly two vanishing moments
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="Simpson is exact only up to cubic"):
         w.moment(3)
 
 
