@@ -19,9 +19,12 @@ import numpy as np
 from .errors import ConfigError, DivergentTailError
 from .grids import (
     SYM,
+    UNIT,
     CoefficientMap,
     GridFunction,
     _alias_free_level,
+    _check_grid_size,
+    _check_size,
     _gauss_legendre,
     _grid_axis,
     _weigh,
@@ -165,18 +168,32 @@ def _lp(values, p: float, mean: bool = False) -> float:
     return float((np.mean(a**p) if mean else np.sum(a**p)) ** (1.0 / p))
 
 
-def _hpc_dense(coeffs: CoefficientMap) -> np.ndarray:
-    """Dense nonnegative-frequency tensor from a cosine coefficient map,
-    of side 1 + the largest frequency, built in one pass over the keys."""
+def _max_frequency(coeffs: CoefficientMap) -> int:
+    """Largest frequency along any axis of a cosine coefficient map (0 when
+    it is empty). Refuses with ConfigError a map whose dense box, of side
+    one more, would hold over _MAX_GRID_POINTS entries."""
+    kmax = int(max((abs(t) for key in coeffs.entries for t in key), default=0))
+    box = (kmax + 1) ** coeffs.d
+    _check_size(box, f"a cosine map of top frequency {kmax}",
+                f"a dense box of {box} entries in d={coeffs.d}")
+    return kmax
+
+
+def _hpc_dense(coeffs: CoefficientMap, kmax: int) -> np.ndarray:
+    """Dense nonnegative-frequency tensor of side kmax + 1 (kmax from
+    _max_frequency) from a cosine coefficient map, in one pass over the keys."""
     keys = np.array(list(coeffs.entries), dtype=np.int64).reshape(-1, coeffs.d)
-    out = np.zeros((int(np.abs(keys).max(initial=0)) + 1,) * coeffs.d)
+    out = np.zeros((kmax + 1,) * coeffs.d)
     out[tuple(keys.T)] = np.real(np.array(list(coeffs.entries.values())))
     return out
 
 
 def hpc_block(f_coeffs: CoefficientMap, jbar, grid_level: int) -> GridFunction:
-    """Weighted cosine sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid."""
-    dense = _hpc_dense(f_coeffs)
+    """Weighted cosine sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid.
+    The dense box and the grid are size-checked before either is made."""
+    kmax = _max_frequency(f_coeffs)
+    _check_grid_size(grid_level, f_coeffs.d, UNIT, f"grid_level {grid_level}")
+    dense = _hpc_dense(f_coeffs, kmax)
     ks = np.arange(dense.shape[0], dtype=float)
     return hpc_synthesize_dense(_weigh(dense, [phi(int(j), ks) for j in jbar]), grid_level)
 
@@ -234,6 +251,22 @@ def _norm_report(
     return NormReport(kind, params.r, params.p, q, J_max, value, tail, level_terms)
 
 
+def _tensor_report(
+    kind: str, params: BesovParams, J_max: int, axis_tables, exact: bool, strict: bool
+) -> NormReport:
+    """_norm_report of a tensor-product function from one table per axis:
+    axis_tables[i][j] is the level-j quantity of factor i with no 2^{r j}
+    weight, and the term of jbar is 2^{r |jbar|_1} times the product of
+    axis_tables[i][j_i], multiplied in axis order. Terms <= 0 are dropped.
+    Strictness and the tail fit act on the combined level sums."""
+    level_terms = {}
+    for jbar in np.ndindex(*(len(t) for t in axis_tables)):
+        term = 2.0 ** (params.r * sum(jbar)) * math.prod(t[j] for t, j in zip(axis_tables, jbar))
+        if term > 0.0:
+            level_terms[jbar] = term
+    return _norm_report(kind, params, J_max, level_terms, exact, strict)
+
+
 def hpc_besov_norm(
     f_coeffs: CoefficientMap,
     params: BesovParams,
@@ -248,15 +281,19 @@ def hpc_besov_norm(
     is exact and the tail bound is zero. Otherwise the per-level sums are
     fitted geometrically; a non-decaying fit raises unless strict=False, in
     which case the value is the bare truncation and the tail bound is inf.
+    The dense box and the grid are size-checked before either is made.
+    Every block is synthesized on the full d-dimensional grid;
+    norm_comparison multiplies the 1-D tables of a product's factors instead.
     """
     d = f_coeffs.d
-    base = _hpc_dense(f_coeffs)
-    kmax = base.shape[0] - 1
+    kmax = _max_frequency(f_coeffs)
     exact_cap = _level_cap(kmax)
     J = exact_cap if J_max is None else int(J_max)
     if grid_level is None:
         kmax_used = min(2 ** (J + 1), max(kmax, 1))
         grid_level = _alias_free_level(kmax_used, 4)
+    _check_grid_size(grid_level, d, UNIT, f"grid_level {grid_level}")
+    base = _hpc_dense(f_coeffs, kmax)
 
     ks = np.arange(kmax + 1, dtype=float)
     axis_w = []
@@ -331,7 +368,7 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     p = inf compares sup values (no 2^d factor)."""
     d = f_coeffs.d
 
-    g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs), grid_level)
+    g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs, _max_frequency(f_coeffs)), grid_level)
     freqs = signed_fft_freqs(2 ** (grid_level + 1)).astype(float)  # phi_j is even: phi_j(|k|)
     weights = [phi(int(j), freqs) for j in jbar]
     slots = [w != 0.0 for w in weights]
@@ -399,7 +436,8 @@ def difference_seminorm(
     of the underlying function. The rectangular means are taken once per
     distinct factor, by Gauss quadrature of _GAUSS_ORDER nodes; f(x) and
     dilated shifts shared across levels (the l = 2 shift at level j is the
-    l = 1 shift at level j - 1) are evaluated once.
+    l = 1 shift at level j - 1) are evaluated once. _tensor_report
+    multiplies the factors' tables of L_p norms over the levels.
     """
     if not tensor_factors:
         raise ConfigError("tensor_factors has zero axes; give one factor per axis")
@@ -413,12 +451,4 @@ def difference_seminorm(
             means = _rectangular_mean(fi, m, steps, x1)
             built[id(fi)] = [_lp(v, params.p, mean=True) for v in means]
     tables = [built[id(fi)] for fi in tensor_factors]
-    level_terms = {}
-    for jbar in np.ndindex(*([J_max + 1] * len(tables))):
-        val = 1.0
-        for table, j in zip(tables, jbar):
-            val *= table[j]
-        term = 2.0 ** (params.r * sum(jbar)) * val
-        if term > 0.0:
-            level_terms[tuple(int(t) for t in jbar)] = term
-    return _norm_report("diff", params, J_max, level_terms, exact=False, strict=False)
+    return _tensor_report("diff", params, J_max, tables, exact=False, strict=False)

@@ -105,6 +105,23 @@ class TestFunction:
             out = t if out is None else out * t
         return out
 
+    def factor_member(self, i: int) -> "TestFunction":
+        """The univariate member of axis i: the same callable, closed-form
+        coefficients and breaks. A univariate member is its own factor. The
+        integral is math.nan, as no norm route reads it; factor members are
+        not registered."""
+        if self.d == 1:
+            return self
+        return TestFunction(
+            name=f"{self.name}[{i}]",
+            d=1,
+            factors=[self.factors[i]],
+            integral=math.nan,
+            tag=self.tag,
+            factor_coeff=None if self.factor_coeff is None else [self.factor_coeff[i]],
+            factor_breaks=self.factor_breaks[i : i + 1],
+        )
+
     def coefficient_vectors(self, kmax: int) -> list:
         """Per-axis closed-form coefficients c_i(0), ..., c_i(kmax). Each
         distinct coefficient function is evaluated once, and axes that share

@@ -16,6 +16,9 @@ import numpy as np
 
 from .besov import (
     BesovParams,
+    _level_cap,
+    _max_frequency,
+    _tensor_report,
     difference_seminorm,
     hpc_besov_norm,
     periodization_block_identity,
@@ -155,9 +158,15 @@ def norm_comparison(
     strict: bool = True,
 ) -> dict:
     """The three norm routes for one corpus member, truncated consistently:
-    cosine blocks up to level J (coefficient box kmax = 2^{J+1}), wavelet
-    levels up to J, difference dyadics up to J. Values are the truncated
-    quasi-norms; each report carries its own geometric tail estimate."""
+    cosine blocks up to level J (coefficient box kmax = 2^{J+1} per axis),
+    wavelet levels up to J, difference dyadics up to J. Values are the
+    truncated quasi-norms; each report carries its own geometric tail
+    estimate. The blocks of f_1 x ... x f_d are products of 1-D blocks and
+    the trapezoid L_p quadrature factors the same way, so the cosine-block
+    and difference routes build one table per distinct factor and multiply
+    them (_tensor_report). A factor's table is hpc_besov_norm of its 1-D
+    map at r = 0, the bare block norms; the product is exact when every
+    factor's truncation is."""
     for kind in compare:
         if kind not in ("cw", "diff", "hpc"):
             raise ConfigError(f"unknown norm kind {kind!r} in --compare")
@@ -165,15 +174,27 @@ def norm_comparison(
         raise ConfigError(f"truncation level J must be >= 0, got {J}")
     if member.d > 2 and "cw" in compare:
         raise ConfigError("wavelet route implemented for d <= 2")
-    _check_grid_size(J + 3, member.d, UNIT, f"--J {J}")  # the grid of the cosine blocks
+    # An input bound on --J: the level-(J + 3) grid of a d-dimensional block.
+    # The routes below work on 1-D grids and need no such grid.
+    _check_grid_size(J + 3, member.d, UNIT, f"--J {J}")
     kmax = 2 ** (J + 1)
     out = {}
     if "hpc" in compare:
-        if member.factor_coeff is not None:
-            coeffs = member.hpc_map(kmax)
-        else:
-            coeffs = member.hpc_map_numeric(kmax)
-        out["hpc"] = hpc_besov_norm(coeffs, params, J_max=J, strict=strict)
+        bare = BesovParams(0.0, params.p, params.q)  # terms without the 2^{r j} weight
+        exact, built = True, {}  # id of a factor -> its block norms over the levels
+        for i, fi in enumerate(member.factors):
+            if id(fi) in built:
+                continue
+            factor = member.factor_member(i)
+            if factor.factor_coeff is not None:
+                coeffs = factor.hpc_map(kmax)
+            else:
+                coeffs = factor.hpc_map_numeric(kmax)
+            exact = exact and J >= _level_cap(_max_frequency(coeffs))
+            terms = hpc_besov_norm(coeffs, bare, J_max=J, strict=False).level_terms
+            built[id(fi)] = [terms.get((j,), 0.0) for j in range(J + 1)]
+        tables = [built[id(fi)] for fi in member.factors]
+        out["hpc"] = _tensor_report("hpc", params, J, tables, exact, strict)
     if "cw" in compare:
         lam = cw_analyze(
             J=J,

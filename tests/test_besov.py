@@ -395,6 +395,27 @@ def test_block_norm_divergent_tail_paths():
     assert exact.value > rep.value
 
 
+def test_block_routes_refuse_a_large_box_or_grid_before_allocating(monkeypatch):
+    import halfcos.besov as besov
+
+    def reached(*args, **kwargs):
+        raise AssertionError("dense box or grid made before the size check")
+
+    monkeypatch.setattr(besov, "_hpc_dense", reached)
+    monkeypatch.setattr(besov, "hpc_synthesize_dense", reached)
+    params = BesovParams(1.5, 2.0, 2.0)
+    # 5001^2 entries in the box; at J_max=6 the grid itself would be small
+    with pytest.raises(ConfigError, match="a dense box of 25010001 entries in d=2"):
+        hpc_besov_norm(hpc_map({(5000, 5000): 1.0}, d=2), params, J_max=6)
+    with pytest.raises(ConfigError, match="a dense box of 33554433 entries in d=1"):
+        hpc_block(hpc_map({(2**25,): 1.0}), (0,), 6)
+    # a 4001^2 box fits; its level cap 13 asks for a level-14 grid of 16385^2 points
+    with pytest.raises(ConfigError, match="grid_level 14 asks for a level-14 grid in d=2"):
+        hpc_besov_norm(hpc_map({(4000, 4000): 1.0}, d=2), params)
+    with pytest.raises(ConfigError, match="grid_level 13 asks for a level-13 grid in d=2"):
+        hpc_block(hpc_map({(3, 3): 1.0}, d=2), (1, 1), 13)
+
+
 def test_block_synthesis_is_the_weighted_mode():
     g = hpc_block(hpc_map({(3,): 1.0}), (2,), 6)
     x = g.axis_points()

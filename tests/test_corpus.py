@@ -176,6 +176,25 @@ def test_tensor_members_factorize():
     assert k2.integral == pytest.approx(k1.integral**2, rel=1e-15)
 
 
+@pytest.mark.parametrize("name", ["kink2", "bspline4_2", "exp3"])
+def test_factor_members_are_the_univariate_factors(name):
+    member = get_member(name)
+    x = np.linspace(0.0, 1.0, 9)
+    for i in range(member.d):
+        factor = member.factor_member(i)
+        assert factor.d == 1 and factor.factors[0] is member.factors[i]
+        assert math.isnan(factor.integral)
+        assert factor.factor_breaks == [member.factor_breaks[i]]
+        if member.factor_coeff is None:
+            assert factor.factor_coeff is None
+        else:
+            assert factor.factor_coeff == [member.factor_coeff[i]]
+        assert np.array_equal(factor(x), member.factors[i](x))
+        assert factor.name not in corpus()
+    one = get_member(name[:-1] + "1")
+    assert one.factor_member(0) is one
+
+
 def test_members_refuse_a_wrong_number_of_coordinate_arrays():
     # zip() paired factors with axes: kink2 on one array gave the 1-D factor,
     # and on a 3-D net it gave 0.053353 for the integral 0.053987

@@ -1,14 +1,16 @@
 """Orchestration layer: identity residuals at round-off, consistent norm
 truncation, and the band ratio table."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from halfcos.besov import BesovParams, NormReport
-from halfcos.corpus import get_member
-from halfcos.errors import ConfigError
+import halfcos.suite as suite
+from halfcos.besov import BesovParams, NormReport, difference_seminorm, hpc_besov_norm
+from halfcos.corpus import band_family, corpus, get_member
+from halfcos.errors import ConfigError, DivergentTailError
 from halfcos.suite import (
     identity_suite,
     norm_comparison,
@@ -92,11 +94,89 @@ def test_norm_comparison_subset_and_guard():
 def test_norm_comparison_finite_expansion_is_not_divergent():
     # hat8_1 at scale 1 lies in the level-3 spline space: levels 4..8 are
     # exact zeros that the prune drops, and the tail is exactly zero
-    from halfcos.corpus import band_family
-
     member = band_family(1)[0]
     rep = norm_comparison(member, BesovParams(1.5, 2.0, 2.0), ("cw",), J=8)["cw"]
     assert rep.J_max == 3 and rep.tail_bound == 0.0
+
+
+def _coefficients(member, kmax):
+    if member.factor_coeff is not None:
+        return member.hpc_map(kmax)
+    return member.hpc_map_numeric(kmax)
+
+
+def _tail_kind(tail):
+    return "zero" if tail == 0.0 else "infinite" if tail == math.inf else "finite"
+
+
+# The d-dimensional hpc_besov_norm is the oracle. The dense numeric map of
+# bspline4_2 prunes coefficient products below 1e-15, which the factor
+# tables keep, so its top-level terms differ by more than round-off.
+_PARITY = (
+    [pytest.param(name, 5, 1e-13, id=name)
+     for name in ("kink2", "bspline2_2", "exp2", "smoothper2", "mode4_2", "monomial2", "const2")]
+    + [pytest.param("bspline4_2", 5, 1e-9, id="bspline4_2")]
+    + [pytest.param(name, 2, 1e-13, id=name) for name in ("exp3", "monomial3", "const3")]
+)
+
+
+@pytest.mark.parametrize("name, J, rel", _PARITY)
+def test_factor_tables_match_the_d_dimensional_block_norm(name, J, rel):
+    member = get_member(name)
+    coeffs = _coefficients(member, 2 ** (J + 1))
+    for p in (1.0, 2.0, math.inf):
+        for r in (1.25, 1.5, 1.75):
+            params = BesovParams(r, p, 2.0)
+            want = hpc_besov_norm(coeffs, params, J_max=J, strict=False)
+            got = norm_comparison(member, params, ("hpc",), J=J, strict=False)["hpc"]
+            assert set(got.level_terms) == set(want.level_terms)
+            for key, term in want.level_terms.items():
+                assert got.level_terms[key] == pytest.approx(term, rel=rel)
+            assert got.value == pytest.approx(want.value, rel=rel)
+            assert _tail_kind(got.tail_bound) == _tail_kind(want.tail_bound)
+            if _tail_kind(want.tail_bound) == "finite":
+                assert got.tail_bound == pytest.approx(want.tail_bound, rel=rel)
+            if name in ("mode4_2", "const2", "const3"):  # truncations that are exact
+                assert got.tail_bound == 0.0
+
+
+def test_factor_tables_raise_the_strict_tail_error_of_the_d_dimensional_route():
+    member, J, params = get_member("monomial3"), 2, BesovParams(1.5, 2.0, 2.0)
+    with pytest.raises(DivergentTailError) as want:
+        hpc_besov_norm(member.hpc_map(2 ** (J + 1)), params, J_max=J)
+    with pytest.raises(DivergentTailError) as got:
+        norm_comparison(member, params, ("hpc",), J=J)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["kink2", "bspline4_2", "exp3"])
+def test_block_norms_are_taken_once_per_distinct_factor(monkeypatch, name):
+    calls = []
+
+    def counting(coeffs, *args, **kwargs):
+        calls.append(coeffs.d)
+        return hpc_besov_norm(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(suite, "hpc_besov_norm", counting)
+    norm_comparison(get_member(name), BesovParams(1.5, 2.0, 2.0), ("hpc",), J=3, strict=False)
+    assert calls == [1]
+
+
+def test_univariate_routes_equal_the_direct_calls_bit_for_bit():
+    J, params = 6, BesovParams(1.5, 2.0, 2.0)
+    members = [tf for tf in corpus().values() if tf.d == 1] + band_family(0)
+    for member in members:
+        reps = norm_comparison(member, params, ("hpc", "diff"), J=J, strict=False)
+        direct = {
+            "hpc": hpc_besov_norm(_coefficients(member, 2 ** (J + 1)), params, J_max=J,
+                                  strict=False),
+            "diff": difference_seminorm(params=params, m=3, J_max=J, grid_level=J + 4,
+                                        tensor_factors=member.factors),
+        }
+        for kind, want in direct.items():
+            got = reps[kind]
+            assert (got.value, got.tail_bound) == (want.value, want.tail_bound), member.name
+            assert got.level_terms == want.level_terms, member.name
 
 
 def test_ratio_table_rows():
@@ -117,8 +197,6 @@ def test_ratio_table_matches_norm_comparison():
     rows = ratio_table(
         BesovParams(1.0, 2.0, 2.0), scales=(0,), J=4, compare=("hpc", "cw")
     )
-    from halfcos.corpus import band_family
-
     member = band_family(0)[0]
     reps = norm_comparison(
         member, BesovParams(1.0, 2.0, 2.0), J=4, compare=("hpc", "cw"), strict=False
