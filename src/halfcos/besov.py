@@ -251,17 +251,28 @@ def _norm_report(
     return NormReport(kind, params.r, params.p, q, J_max, value, tail, level_terms)
 
 
-def _tensor_report(
-    kind: str, params: BesovParams, J_max: int, axis_tables, exact: bool, strict: bool
-) -> NormReport:
+def _per_factor(factors, table) -> list:
+    """[table(i) for each axis i], calling table once per distinct factor
+    (by id): the 2-D corpus members repeat one factor on both axes."""
+    built = {}
+    for i, fi in enumerate(factors):
+        if id(fi) not in built:
+            built[id(fi)] = table(i)
+    return [built[id(fi)] for fi in factors]
+
+
+def _tensor_report(kind: str, params: BesovParams, J_max: int, axis_terms, slope: float,
+                   exact: bool, strict: bool) -> NormReport:
     """_norm_report of a tensor-product function from one table per axis:
-    axis_tables[i][j] is the level-j quantity of factor i with no 2^{r j}
-    weight, and the term of jbar is 2^{r |jbar|_1} times the product of
-    axis_tables[i][j_i], multiplied in axis order. Terms <= 0 are dropped.
-    Strictness and the tail fit act on the combined level sums."""
+    axis_terms[i] maps (j,), j >= -1, to factor i's level term with no
+    level weight. The term of jbar, in the order of nested loops over the
+    tables, is 2^{slope |jbar_+|_1} times the product of axis_terms[i][(j_i,)]
+    in axis order; terms <= 0 are dropped. Strictness and the tail fit act
+    on the combined level sums."""
     level_terms = {}
-    for jbar in np.ndindex(*(len(t) for t in axis_tables)):
-        term = 2.0 ** (params.r * sum(jbar)) * math.prod(t[j] for t, j in zip(axis_tables, jbar))
+    for keys in itertools.product(*axis_terms):
+        jbar = tuple(j for (j,) in keys)
+        term = 2.0 ** (slope * plus_l1(jbar)) * math.prod(t[k] for t, k in zip(axis_terms, keys))
         if term > 0.0:
             level_terms[jbar] = term
     return _norm_report(kind, params, J_max, level_terms, exact, strict)
@@ -445,10 +456,10 @@ def difference_seminorm(
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
     x1 = _grid_axis(SYM, grid_level)
     steps = [None] + [2.0**-j for j in range(1, J_max + 1)]  # level 0: no difference
-    built = {}  # id of a factor -> its table over the levels
-    for fi in tensor_factors:
-        if id(fi) not in built:
-            means = _rectangular_mean(fi, m, steps, x1)
-            built[id(fi)] = [_lp(v, params.p, mean=True) for v in means]
-    tables = [built[id(fi)] for fi in tensor_factors]
-    return _tensor_report("diff", params, J_max, tables, exact=False, strict=False)
+
+    def table(i):
+        means = _rectangular_mean(tensor_factors[i], m, steps, x1)
+        return {(j,): _lp(v, params.p, mean=True) for j, v in enumerate(means)}
+
+    tables = _per_factor(tensor_factors, table)
+    return _tensor_report("diff", params, J_max, tables, params.r, exact=False, strict=False)

@@ -18,6 +18,7 @@ from .besov import (
     BesovParams,
     _level_cap,
     _max_frequency,
+    _per_factor,
     _tensor_report,
     difference_seminorm,
     hpc_besov_norm,
@@ -161,50 +162,48 @@ def norm_comparison(
     cosine blocks up to level J (coefficient box kmax = 2^{J+1} per axis),
     wavelet levels up to J, difference dyadics up to J. Values are the
     truncated quasi-norms; each report carries its own geometric tail
-    estimate. The blocks of f_1 x ... x f_d are products of 1-D blocks and
-    the trapezoid L_p quadrature factors the same way, so the cosine-block
-    and difference routes build one table per distinct factor and multiply
-    them (_tensor_report). A factor's table is hpc_besov_norm of its 1-D
-    map at r = 0, the bare block norms; the product is exact when every
-    factor's truncation is."""
+    estimate. The blocks, the trapezoid L_p quadrature and the wavelet
+    coefficients of f_1 x ... x f_d all factor, so each route takes one
+    table of bare 1-D level terms per distinct factor (_per_factor) and
+    multiplies them (_tensor_report): hpc_besov_norm at r = 0,
+    seq_norm_report at r = 1/p, or the difference means. The hpc product is
+    exact when every factor's truncation is, the cw one when no factor
+    reaches level J."""
     for kind in compare:
         if kind not in ("cw", "diff", "hpc"):
             raise ConfigError(f"unknown norm kind {kind!r} in --compare")
     if J < 0:
         raise ConfigError(f"truncation level J must be >= 0, got {J}")
+    # Input bounds, kept so that no exit code moves: the routes below work on
+    # 1-D tables in any d and build no level-(J + 3) grid in d dimensions.
     if member.d > 2 and "cw" in compare:
         raise ConfigError("wavelet route implemented for d <= 2")
-    # An input bound on --J: the level-(J + 3) grid of a d-dimensional block.
-    # The routes below work on 1-D grids and need no such grid.
     _check_grid_size(J + 3, member.d, UNIT, f"--J {J}")
     kmax = 2 ** (J + 1)
     out = {}
     if "hpc" in compare:
         bare = BesovParams(0.0, params.p, params.q)  # terms without the 2^{r j} weight
-        exact, built = True, {}  # id of a factor -> its block norms over the levels
-        for i, fi in enumerate(member.factors):
-            if id(fi) in built:
-                continue
-            factor = member.factor_member(i)
-            if factor.factor_coeff is not None:
-                coeffs = factor.hpc_map(kmax)
-            else:
-                coeffs = factor.hpc_map_numeric(kmax)
-            exact = exact and J >= _level_cap(_max_frequency(coeffs))
+
+        def hpc_table(i):
+            f1 = member.factor_member(i)
+            coeffs = f1.hpc_map(kmax) if f1.factor_coeff is not None else f1.hpc_map_numeric(kmax)
             terms = hpc_besov_norm(coeffs, bare, J_max=J, strict=False).level_terms
-            built[id(fi)] = [terms.get((j,), 0.0) for j in range(J + 1)]
-        tables = [built[id(fi)] for fi in member.factors]
-        out["hpc"] = _tensor_report("hpc", params, J, tables, exact, strict)
+            return terms, J >= _level_cap(_max_frequency(coeffs))
+
+        tables, exact = zip(*_per_factor(member.factors, hpc_table))
+        out["hpc"] = _tensor_report("hpc", params, J, tables, params.r, all(exact), strict)
     if "cw" in compare:
-        lam = cw_analyze(
-            J=J,
-            box=((0.0, 1.0),) * member.d,
-            kind="dual",
-            tensor_factors=member.factors,
-            f_breaks=member.factor_breaks or None,
-            prune=1e-13,
-        )
-        out["cw"] = seq_norm_report(lam, params, strict=strict, J=J)
+        bare = BesovParams(params.inv_p, params.p, params.q)  # weight exponent r - 1/p = 0
+
+        def cw_table(i):
+            breaks = member.factor_breaks[i] if member.factor_breaks else None
+            lam = cw_analyze(member.factors[i], J=J, kind="dual", f_breaks=breaks, prune=1e-13)
+            return seq_norm_report(lam, bare, strict=False, J=J)
+
+        reports = _per_factor(member.factors, cw_table)
+        top = max(rep.J_max for rep in reports)
+        out["cw"] = _tensor_report("cw-seq", params, top, [rep.level_terms for rep in reports],
+                                   params.r - params.inv_p, top < J, strict)
     if "diff" in compare:
         out["diff"] = difference_seminorm(
             params=params,

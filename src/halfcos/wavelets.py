@@ -11,7 +11,6 @@ quadratic, so per-cell Simpson is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -398,59 +397,40 @@ def cw_analyze_1d(f, J: int, box, kind: str = "primal", f_breaks=(), n_max: int 
 
 
 def cw_analyze(
-    f=None,
+    f,
     J: int = 3,
     box=((0.0, 1.0),),
     kind: str = "primal",
-    tensor_factors=None,
     f_breaks=None,
     n_max: int = 40,
     prune: float = 0.0,
 ) -> CoefficientMap:
     """Coefficients lambda_{jbar,kbar}(f) = 2^{|jbar_+|} <f, psi_{jbar,kbar}>
-    for all levels |jbar|_inf <= J whose wavelet meets the support box.
+    for all levels |jbar|_inf <= J whose wavelet meets the support box,
+    keeping magnitudes above prune.
 
-    Either pass a vectorized callable f (d = 1 or 2) or tensor_factors, a
-    list of univariate callables whose product is f; tensor structure
-    factorizes the coefficients exactly. f_breaks holds per-axis
-    breakpoints, or a flat list for a univariate callable f.
+    f is a vectorized callable of d = len(box) <= 2 variables; in d = 1 the
+    map is the cw_analyze_1d table. f_breaks holds per-axis breakpoints, or
+    a flat list when d = 1. norm_comparison multiplies the level terms of a
+    product's factors and builds no d-dimensional map.
     """
     basis = "cw-primal" if kind == "primal" else "cw-dual"
-    d = len(box) if tensor_factors is None else len(tensor_factors)
+    d = len(box)
     if d == 0:
-        raise ConfigError("cw_analyze got zero axes; give one box and factor per axis")
-    if tensor_factors is None and d == 1 and f_breaks is not None:
+        raise ConfigError("cw_analyze got zero axes; give one box per axis")
+    if d > 2:
+        raise ConfigError(f"cw_analyze takes d <= 2 axes, got {d}")
+    if d == 1 and f_breaks is not None:
         f_breaks = (f_breaks,)
     if f_breaks is None or len(f_breaks) == 0:
         f_breaks = ((),) * d
-    if len(box) != d or len(f_breaks) != d:
-        raise ConfigError(
-            f"{d} axes need as many boxes and f_breaks entries; got {len(box)} and {len(f_breaks)}"
-        )
-    if tensor_factors is None:
-        if d > 2:
-            raise ConfigError("generic callables are supported for d <= 2; use tensor_factors")
+    if len(f_breaks) != d:
+        raise ConfigError(f"{d} axes need as many f_breaks entries; got {len(f_breaks)}")
+    if d == 1:
+        table = cw_analyze_1d(f, J, box[0], kind, f_breaks[0], n_max)
+        entries = {((l,), (k,)): v for (l, k), v in table.items() if abs(v) > prune}
+    else:
         entries = _analyze(f, J, box, kind, f_breaks, n_max, prune)
-        return CoefficientMap(basis=basis, d=d, entries=entries)
-
-    # One table per distinct (factor object, box, breaks): the 2-D corpus
-    # members repeat one factor on both axes.
-    built, tables = {}, []
-    for fi, b, fb in zip(tensor_factors, box, f_breaks):
-        key = (id(fi), np.asarray(b, dtype=float).tobytes(), np.asarray(fb, dtype=float).tobytes())
-        if key not in built:
-            built[key] = cw_analyze_1d(fi, J, b, kind, fb, n_max)
-        tables.append(built[key])
-    # Keys in the order of nested loops over the tables, values the same
-    # products v * tv computed as one outer product per table.
-    keys, vals = [((), ())], np.ones(1)
-    for t in tables:
-        keys = [(j + (l,), k + (kk,)) for j, k in keys for l, kk in t]
-        vals = np.multiply.outer(vals, np.fromiter(t.values(), float, len(t))).ravel()
-    if prune > 0.0:
-        keep = np.abs(vals) > prune
-        keys, vals = list(itertools.compress(keys, keep)), vals[keep]
-    entries = dict(zip(keys, vals.tolist()))
     return CoefficientMap(basis=basis, d=d, entries=entries)
 
 

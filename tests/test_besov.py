@@ -205,8 +205,8 @@ def test_seq_norm_report_equals_the_per_entry_loop(p, q):
     maps = [(_interleaved_levels_map(), 3)]
     for name, J in (("kink2", 3), ("bspline4_2", 3), ("exp1", 5)):
         tf = get_member(name)
-        lam = cw_analyze(J=J, box=((0.0, 1.0),) * tf.d, kind="dual",
-                         tensor_factors=tf.factors, f_breaks=tf.factor_breaks or None)
+        breaks = tf.factor_breaks if tf.d == 2 else tf.factor_breaks[0]
+        lam = cw_analyze(tf, J=J, box=((0.0, 1.0),) * tf.d, kind="dual", f_breaks=breaks)
         maps.append((lam, J))
     for lam, J in maps:
         for r in (0.5, 1.5):

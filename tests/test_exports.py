@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +36,9 @@ def test_every_package_import_is_exported_by_its_submodule():
             exported = getattr(module, "__all__", ())
             missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert not missing, f"halfcos/__init__.py imports names outside their module's __all__: {missing}"
+
+
+def test_library_stays_within_its_line_budget():
+    # ROADMAP item 8 caps src/halfcos at 3,300 lines, counted as wc -l does
+    lines = sum(path.read_bytes().count(b"\n") for path in Path(halfcos.__file__).parent.glob("*.py"))
+    assert lines <= 3300, f"src/halfcos holds {lines} lines, over the 3,300 of ROADMAP item 8"

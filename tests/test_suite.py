@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import halfcos.suite as suite
-from halfcos.besov import BesovParams, NormReport, difference_seminorm, hpc_besov_norm
+import halfcos.wavelets as wavelets
+from halfcos.besov import (
+    BesovParams,
+    NormReport,
+    difference_seminorm,
+    hpc_besov_norm,
+    seq_norm_report,
+)
 from halfcos.corpus import band_family, corpus, get_member
 from halfcos.errors import ConfigError, DivergentTailError
 from halfcos.suite import (
@@ -18,6 +25,7 @@ from halfcos.suite import (
     ratio_table,
     route_ratios,
 )
+from halfcos.wavelets import cw_analyze
 
 IDENTITIES = [
     "cosine-reflection",
@@ -162,21 +170,34 @@ def test_block_norms_are_taken_once_per_distinct_factor(monkeypatch, name):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("name", ["kink2", "bspline4_2"])
+def test_cw_route_analyses_each_distinct_factor_once(monkeypatch, name):
+    calls = []
+    real = wavelets.cw_analyze_1d
+    monkeypatch.setattr(wavelets, "cw_analyze_1d", lambda *a: calls.append(a) or real(*a))
+    norm_comparison(get_member(name), BesovParams(1.5, 2.0, 2.0), ("cw",), J=3, strict=False)
+    assert len(calls) == 1
+
+
 def test_univariate_routes_equal_the_direct_calls_bit_for_bit():
     J, params = 6, BesovParams(1.5, 2.0, 2.0)
     members = [tf for tf in corpus().values() if tf.d == 1] + band_family(0)
     for member in members:
-        reps = norm_comparison(member, params, ("hpc", "diff"), J=J, strict=False)
+        reps = norm_comparison(member, params, ("hpc", "cw", "diff"), J=J, strict=False)
+        lam = cw_analyze(member.factors[0], J=J, kind="dual", f_breaks=member.factor_breaks[0],
+                         prune=1e-13)
         direct = {
             "hpc": hpc_besov_norm(_coefficients(member, 2 ** (J + 1)), params, J_max=J,
                                   strict=False),
+            "cw": seq_norm_report(lam, params, strict=False, J=J),
             "diff": difference_seminorm(params=params, m=3, J_max=J, grid_level=J + 4,
                                         tensor_factors=member.factors),
         }
         for kind, want in direct.items():
             got = reps[kind]
-            assert (got.value, got.tail_bound) == (want.value, want.tail_bound), member.name
-            assert got.level_terms == want.level_terms, member.name
+            assert (got.value, got.tail_bound, got.J_max) == (
+                want.value, want.tail_bound, want.J_max), (kind, member.name)
+            assert got.level_terms == want.level_terms, (kind, member.name)
 
 
 def test_ratio_table_rows():

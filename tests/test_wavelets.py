@@ -7,9 +7,10 @@ import pytest
 import scipy.linalg
 import sympy as sp
 
-from halfcos import grids, wavelets
+from halfcos import grids
+from halfcos.besov import BesovParams, seq_norm_report
 from halfcos.corpus import get_member
-from halfcos.errors import ConfigError, TruncationError
+from halfcos.errors import ConfigError, DivergentTailError, TruncationError
 from halfcos.grids import CoefficientMap, GridFunction, UNIT
 from halfcos.wavelets import (
     PiecewiseLinear,
@@ -30,6 +31,7 @@ from halfcos.wavelets import (
     psi_piecewise,
     psi_support,
 )
+from halfcos.suite import norm_comparison
 from closed_forms import mother_from_qcoeffs
 
 R = sp.Rational
@@ -259,15 +261,11 @@ def test_biorthogonality_2d_generic_route():
 
 
 def test_tensor_route_matches_generic_2d():
+    # the cw norm route multiplies 1-D coefficients: the generic 2-D
+    # analysis of f1(x) f2(y) gives the products of the 1-D tables
     f1 = lambda x: np.maximum(0.0, 1.0 - np.abs(4.0 * x - 2.0))
     f2 = lambda x: np.asarray(x, dtype=float)
-    tens = cw_analyze(
-        J=1,
-        box=((0.0, 1.0), (0.0, 1.0)),
-        kind="dual",
-        tensor_factors=[f1, f2],
-        f_breaks=[(0.25, 0.5, 0.75), ()],
-    )
+    tens = _former_cw_tensor([f1, f2], 1, ((0.0, 1.0),) * 2, [(0.25, 0.5, 0.75), ()])
     gen = cw_analyze(
         f=lambda x, y: f1(x) * f2(y),
         J=1,
@@ -275,45 +273,67 @@ def test_tensor_route_matches_generic_2d():
         kind="dual",
         f_breaks=((0.25, 0.5, 0.75), ()),
     )
-    keys = set(tens.entries) | set(gen.entries)
-    worst = max(abs(tens.get(key) - gen.get(key)) for key in keys)
+    keys = set(tens) | set(gen.entries)
+    worst = max(abs(tens.get(key, 0.0) - gen.get(key)) for key in keys)
     assert worst < 1e-12
 
 
-def _former_cw_tensor(factors, J, box, breaks, kind="dual"):
-    """The former tensor route: one 1-D table per axis, products in the
-    order of nested loops over the tables."""
+def _former_cw_tensor(factors, J, box, breaks, kind="dual", prune=0.0):
+    """The former tensor route of cw_analyze: one 1-D table per axis,
+    products in the order of nested loops over the tables, magnitudes
+    above prune kept."""
     tables = [cw_analyze_1d(f, J, b, kind, fb) for f, b, fb in zip(factors, box, breaks)]
     entries = {((), ()): 1.0}
     for t in tables:
         entries = {(j + (l,), k + (kk,)): v * tv for (j, k), v in entries.items()
                    for (l, kk), tv in t.items()}
-    return entries
+    return {key: v for key, v in entries.items() if abs(v) > prune}
 
 
-_HAT = lambda x: np.maximum(0.0, 1.0 - np.abs(4.0 * x - 2.0))
-_LIN = lambda x: np.asarray(x, dtype=float)
+def _tail_kind(t):
+    return 0 if t == 0.0 else (math.inf if t == math.inf else 1)
 
 
-@pytest.mark.parametrize(
-    "factors, box, breaks, tables",
-    [
-        ([_HAT, _HAT], ((0.0, 1.0),) * 2, [(0.25, 0.5, 0.75)] * 2, 1),
-        ([_HAT, _LIN], ((0.0, 1.0),) * 2, [(0.25, 0.5, 0.75), ()], 2),
-        ([_HAT, _HAT], ((0.0, 1.0), (0.0, 0.5)), [(0.25, 0.5, 0.75)] * 2, 2),
-        ([_HAT, _HAT], ((0.0, 1.0),) * 2, [(0.25, 0.5, 0.75), (0.5,)], 2),
-    ],
-    ids=["same", "two_factors", "two_boxes", "two_breaks"],
-)
-def test_cw_tensor_route_builds_one_table_per_distinct_factor(monkeypatch, factors, box,
-                                                              breaks, tables):
-    ref = _former_cw_tensor(factors, 3, box, breaks)
-    calls = []
-    real = wavelets.cw_analyze_1d
-    monkeypatch.setattr(wavelets, "cw_analyze_1d", lambda *a: calls.append(a) or real(*a))
-    got = cw_analyze(J=3, box=box, kind="dual", tensor_factors=factors, f_breaks=breaks)
-    assert len(calls) == tables
-    assert list(got.entries) == list(ref) and got.entries == ref
+@pytest.mark.parametrize("name", ["kink2", "bspline2_2", "bspline4_2", "exp2", "smoothper2",
+                                  "mode4_2", "monomial2", "const2"])
+def test_cw_route_matches_the_former_tensor_expansion(name):
+    # The cw route multiplies the factors' 1-D level terms. The former one
+    # expanded the 2-D map, pruned its products <= 1e-13 and grouped it by
+    # level; pruning the factors instead moves p = 1 values by ~1e-10 and
+    # adds level terms that are round-off next to the largest one.
+    J, tf = 6, get_member(name)
+    lam = CoefficientMap("cw-dual", 2, _former_cw_tensor(tf.factors, J, ((0.0, 1.0),) * 2,
+                                                         tf.factor_breaks, prune=1e-13))
+    for p in (1.0, 2.0, math.inf):
+        value_tol, term_tol, tail_tol = (1e-9, 1e-8, 1e-6) if p == 1.0 else (1e-14,) * 3
+        for q in (1.0, 2.0, math.inf):
+            for r in (1.25, 1.5, 1.75):
+                params = BesovParams(r, p, q)
+                old = seq_norm_report(lam, params, strict=False, J=J)
+                new = norm_comparison(tf, params, ("cw",), J=J, strict=False)["cw"]
+                case = (p, q, r)
+                assert new.J_max == old.J_max, case
+                assert _tail_kind(new.tail_bound) == _tail_kind(old.tail_bound), case
+                if _tail_kind(old.tail_bound) == 1:
+                    assert new.tail_bound == pytest.approx(old.tail_bound, rel=tail_tol), case
+                assert new.value == pytest.approx(old.value, rel=value_tol), case
+                big = max(old.level_terms.values())
+                assert old.level_terms.keys() <= new.level_terms.keys(), case
+                for key, t in new.level_terms.items():
+                    assert abs(t - old.level_terms.get(key, 0.0)) <= term_tol * big, (case, key)
+                    if key not in old.level_terms:
+                        assert t <= 1e-15 * big, (case, key)
+
+
+def test_cw_route_raises_the_strict_tail_error_of_the_former_expansion():
+    J, tf, params = 6, get_member("monomial2"), BesovParams(1.5, 2.0, 2.0)
+    lam = CoefficientMap("cw-dual", 2, _former_cw_tensor(tf.factors, J, ((0.0, 1.0),) * 2,
+                                                         tf.factor_breaks, prune=1e-13))
+    with pytest.raises(DivergentTailError) as old:
+        seq_norm_report(lam, params, strict=True, J=J)
+    with pytest.raises(DivergentTailError) as new:
+        norm_comparison(tf, params, ("cw",), J=J, strict=True)
+    assert str(new.value) == str(old.value)
 
 
 def test_dual_analysis_primal_synthesis_reconstructs_spline():
@@ -321,9 +341,7 @@ def test_dual_analysis_primal_synthesis_reconstructs_spline():
     # of wavelets up to level 1; the expansion reproduces it exactly
     f = lambda x: np.maximum(0.0, 1.0 - np.abs(4.0 * x - 2.0))
     breaks = tuple(np.arange(-8, 13) / 4.0)
-    lam = cw_analyze(
-        J=1, box=((0.0, 1.0),), kind="dual", tensor_factors=[f], f_breaks=[breaks]
-    )
+    lam = cw_analyze(f, J=1, box=((0.0, 1.0),), kind="dual", f_breaks=breaks)
     rec = cw_synthesize(lam, 6, using="primal")
     ref = GridFunction.from_callable(f, 1, 6, UNIT)
     assert np.max(np.abs(rec.values - ref.values)) < 1e-12
@@ -355,8 +373,8 @@ def _former_cw_synthesis(coeffs, m, using, n_max=40):
 @pytest.mark.parametrize("d, m", [(1, 6), (2, 5), (1, 17), (2, 9)])
 def test_cw_synthesis_equals_the_former_per_term_loop(d, m, kind, using):
     tf = get_member(f"kink{d}")
-    lam = cw_analyze(J=3 - d, box=((0.0, 1.0),) * d, kind=kind, tensor_factors=tf.factors,
-                     f_breaks=tf.factor_breaks)
+    breaks = tf.factor_breaks if d == 2 else tf.factor_breaks[0]
+    lam = cw_analyze(tf, J=3 - d, box=((0.0, 1.0),) * d, kind=kind, f_breaks=breaks)
     got = cw_synthesize(lam, m, using=using).values
     assert np.array_equal(got, _former_cw_synthesis(lam, m, using))
     if m >= 9:
@@ -370,8 +388,8 @@ def test_lambda_scale_invariance():
     f2 = lambda x: f(2.0 * np.asarray(x, dtype=float))
     b1 = tuple(np.arange(0, 5) / 4.0)
     b2 = tuple(np.arange(0, 5) / 8.0)
-    lam1 = cw_analyze(J=1, box=((0.0, 1.0),), kind="dual", tensor_factors=[f], f_breaks=[b1])
-    lam2 = cw_analyze(J=2, box=((0.0, 0.5),), kind="dual", tensor_factors=[f2], f_breaks=[b2])
+    lam1 = cw_analyze(f, J=1, box=((0.0, 1.0),), kind="dual", f_breaks=b1)
+    lam2 = cw_analyze(f2, J=2, box=((0.0, 0.5),), kind="dual", f_breaks=b2)
     for l in (0, 1):
         for k in range(-2, 8):
             a = lam1.get(((l,), (k,)))
@@ -390,12 +408,9 @@ def test_analyze_accepts_array_breakpoints():
     # f_breaks given as numpy arrays must behave like tuples in every branch
     f = lambda x: np.maximum(0.0, 1.0 - np.abs(4.0 * x - 2.0))
     breaks = np.arange(-8, 13) / 4.0
-    lam_t = cw_analyze(
-        J=1, box=((0.0, 1.0),), kind="dual", tensor_factors=[f], f_breaks=[breaks]
-    )
+    lam_t = cw_analyze(f, J=1, box=((0.0, 1.0),), kind="dual", f_breaks=tuple(breaks))
     lam_f = cw_analyze(f=f, J=1, box=((0.0, 1.0),), kind="dual", f_breaks=breaks)
-    keys = set(lam_t.entries) | set(lam_f.entries)
-    assert max(abs(lam_t.get(k) - lam_f.get(k)) for k in keys) < 1e-10
+    assert lam_t.entries == lam_f.entries
     g = lambda x, y: f(x) * f(y)
     lam2 = cw_analyze(
         f=g,
@@ -486,13 +501,12 @@ def test_analysis_rejects_a_box_that_is_not_an_interval(box):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(tensor_factors=[np.cos, np.cos]), "2 axes need as many boxes .* got 1 and 2"),
-        (dict(tensor_factors=[np.cos, np.cos], box=((0.0, 1.0),) * 2, f_breaks=[()]),
-         "2 axes need as many boxes .* got 2 and 1"),
+        (dict(f=lambda x, y: x * y, box=((0.0, 1.0),) * 2, f_breaks=[()]),
+         "2 axes need as many f_breaks entries; got 1"),
         (dict(f=lambda x, y, z: x * y * z, box=((0.0, 1.0),) * 3), "d <= 2"),
-        (dict(box=(), tensor_factors=[]), "zero axes"),
+        (dict(f=np.cos, box=()), "zero axes"),
     ],
-    ids=["factors-longer-than-box", "factors-longer-than-breaks", "generic-d3", "zero-axes"],
+    ids=["box-longer-than-breaks", "generic-d3", "zero-axes"],
 )
 def test_analysis_rejects_mismatched_axes(kwargs, message):
     with pytest.raises(ConfigError, match=message):
