@@ -170,9 +170,13 @@ def _lp(values, p: float, mean: bool = False) -> float:
 
 def _max_frequency(coeffs: CoefficientMap) -> int:
     """Largest frequency along any axis of a cosine coefficient map (0 when
-    it is empty). Refuses with ConfigError a map whose dense box, of side
-    one more, would hold over _MAX_GRID_POINTS entries."""
-    kmax = int(max((abs(t) for key in coeffs.entries for t in key), default=0))
+    it is empty). Refuses with ConfigError a negative frequency, and a map
+    whose dense box, of side one more, would hold over _MAX_GRID_POINTS
+    entries."""
+    ks = [int(t) for key in coeffs.entries for t in key]
+    if min(ks, default=0) < 0:
+        raise ConfigError(f"cosine frequencies must be >= 0, got {min(ks)}")
+    kmax = max(ks, default=0)
     box = (kmax + 1) ** coeffs.d
     _check_size(box, f"a cosine map of top frequency {kmax}",
                 f"a dense box of {box} entries in d={coeffs.d}")
@@ -307,19 +311,10 @@ def hpc_besov_norm(
     base = _hpc_dense(f_coeffs, kmax)
 
     ks = np.arange(kmax + 1, dtype=float)
-    axis_w = []
-    for j in range(J + 1):
-        w = phi(j, ks)
-        axis_w.append(w if np.any(w != 0.0) else None)
-
+    axis_w = [phi(j, ks) for j in range(J + 1)]
     level_terms = {}
     for jbar in np.ndindex(*([J + 1] * d)):
-        if any(axis_w[j] is None for j in jbar):
-            continue
-        block = _weigh(base, [axis_w[j] for j in jbar])
-        if not np.any(block):
-            continue
-        g = hpc_synthesize_dense(block, grid_level)
+        g = hpc_synthesize_dense(_weigh(base, [axis_w[j] for j in jbar]), grid_level)
         term = 2.0 ** (params.r * sum(jbar)) * g.lp_norm(params.p)
         if term != 0.0:
             level_terms[tuple(int(t) for t in jbar)] = term
@@ -341,20 +336,14 @@ def seq_norm_report(
     J, when given, is the top level per axis that the coefficients were
     requested up to; requested levels with no entry are exact zeros. If no
     entry reaches level J the expansion is finite and the tail is 0."""
-    groups: dict = {}
+    groups: dict = {}  # levels in first-appearance order, values in entry order
     for (j, _), v in coeffs.entries.items():
         groups.setdefault(j, []).append(v)
-    # One array of |values|, level after level in first-appearance order,
-    # each level's values in entry order; a level's block is a slice of it.
-    absval = np.abs(np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=float,
-                                count=len(coeffs.entries)))
-    level_terms, top, start = {}, -1, 0
+    level_terms, top = {}, -1
     for j, vals in groups.items():
         j = tuple(int(t) for t in j)
         top = max(top, *j)
-        block = absval[start : start + len(vals)]
-        start += len(vals)
-        level_terms[j] = 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(block, params.p)
+        level_terms[j] = 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(vals, params.p)
     exact = J is not None and top < J
     return _norm_report("cw-seq", params, top, level_terms, exact=exact, strict=strict)
 
@@ -376,9 +365,12 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     The pipelines share no transform code; equality is the periodization
     principle for blocks. The torus side transforms only the slots where
     phi_{j_i} is nonzero (pruned FFTs), but never goes through the DCT-I.
-    p = inf compares sup values (no 2^d factor)."""
+    p = inf compares sup values (no 2^d factor). p and the torus grid, the
+    largest, are checked before any grid is made."""
     d = f_coeffs.d
-
+    if not 0.0 < p <= INF:
+        raise ConfigError(f"p must lie in (0, inf], got {p}")
+    _check_grid_size(grid_level, d, SYM, f"grid_level {grid_level}")
     g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs, _max_frequency(f_coeffs)), grid_level)
     freqs = signed_fft_freqs(2 ** (grid_level + 1)).astype(float)  # phi_j is even: phi_j(|k|)
     weights = [phi(int(j), freqs) for j in jbar]
@@ -393,43 +385,35 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     return block_t.lp_norm(p) ** p, 2.0**d * block_u.lp_norm(p) ** p
 
 
-def _rectangular_mean(f, m: int, steps, x):
-    """Yield, for each step t in steps, the integral over [-1,1] of
-    |Delta^m f(x)| dh by Gauss quadrature of _GAUSS_ORDER nodes on the
-    axis x: the difference moves x by l h t, l = 0..m. A step None gives
-    |f(x)|.
+def _rectangular_mean(f, m: int, J: int, x):
+    """Yield |f(x)|, then, for each level j = 1..J, the integral over [-1,1]
+    of |Delta^m f(x)| dh by Gauss quadrature of _GAUSS_ORDER nodes on the
+    axis x: the difference moves x by l h 2^-j, l = 0..m.
 
-    Each evaluation of f is keyed by its shift, so equal shifts give the
-    same values; a zero shift counts as no shift (None). f(x) is kept for
-    the whole call, and so is, until the next step, every evaluation that
-    step uses: over the dyadic steps 2^-j, f(x) is evaluated once and the
-    l = 2 shift at step 2^-j is the l = 1 shift at step 2^-(j-1) (2 h 2^-j
-    equals h 2^-(j-1) exactly in floating point). The sums run as if every
-    evaluation were made afresh.
+    The shifts follow the dilation: for even l, l h 2^-j equals
+    (l/2) h 2^-(j-1) exactly in floating point, so level j takes those
+    evaluations from level j - 1, and f(x) is evaluated once. Only the
+    evaluations with 2l <= m are kept for the next level, each until its
+    one use there. The sums run as if every evaluation were made afresh.
     """
     nodes, weights = _gauss_legendre(_GAUSS_ORDER)
     signs = [(-1.0) ** (m - l) * math.comb(m, l) for l in range(m + 1)]
-    # (Gauss weight, [(sign, shift)]) per node; a step None has one node
-    plans = [
-        [(1.0, [(1.0, None)])] if t is None
-        else [(w, [(signs[l], l * h * t or None) for l in range(m + 1)])
-              for h, w in zip(nodes, weights)]
-        for t in steps
-    ]
-    kept = {}
-    for terms, after in zip(plans, plans[1:] + [[]]):
-        following = {key for _, shifts in after for _, key in shifts}
-        acc = np.zeros(x.shape)
-        for wq, shifts in terms:
+    fx = np.asarray(f(x), dtype=float)
+    yield np.abs(fx)
+    last = {(n, 0): fx for n in range(len(nodes))}  # (node, l) -> values
+    for j in range(1, J + 1):
+        acc, kept = np.zeros(x.shape), {}
+        for n, (h, w) in enumerate(zip(nodes, weights)):
             diff = np.zeros(x.shape)
-            for sign, key in shifts:
-                vals = kept.pop(key, None)
+            for l in range(m + 1):
+                vals = last.pop((n, l // 2), None) if l % 2 == 0 else None
                 if vals is None:
-                    vals = np.asarray(f(x if key is None else x + key), dtype=float)
-                if key is None or key in following:
-                    kept[key] = vals
-                diff += sign * vals
-            acc += wq * np.abs(diff)
+                    vals = np.asarray(f(x + l * h * 2.0**-j), dtype=float)
+                if 2 * l <= m:
+                    kept[n, l] = vals
+                diff += signs[l] * vals
+            acc += w * np.abs(diff)
+        last = kept
         yield acc
 
 
@@ -445,20 +429,24 @@ def difference_seminorm(
     any dimension. L_p norms use the normalized torus measure, so for
     reflection-symmetric periodizations the values match unit-cube norms
     of the underlying function. The rectangular means are taken once per
-    distinct factor, by Gauss quadrature of _GAUSS_ORDER nodes; f(x) and
-    dilated shifts shared across levels (the l = 2 shift at level j is the
-    l = 1 shift at level j - 1) are evaluated once. _tensor_report
-    multiplies the factors' tables of L_p norms over the levels.
+    distinct factor, by Gauss quadrature of _GAUSS_ORDER nodes; f(x) is
+    evaluated once, and the shift l h 2^-j of an even l is the shift
+    (l/2) h 2^-(j-1) of the level before, so level j reuses the evaluations
+    with 2l <= m of level j - 1. _tensor_report multiplies the factors'
+    tables of L_p norms over the levels; level 0 takes no difference.
     """
     if not tensor_factors:
         raise ConfigError("tensor_factors has zero axes; give one factor per axis")
+    if m < 1:
+        raise ConfigError(f"difference order m={m} must be >= 1")
     if m <= params.r:
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
+    if J_max < 0:
+        raise ConfigError(f"truncation level J_max must be >= 0, got {J_max}")
     x1 = _grid_axis(SYM, grid_level)
-    steps = [None] + [2.0**-j for j in range(1, J_max + 1)]  # level 0: no difference
 
     def table(i):
-        means = _rectangular_mean(tensor_factors[i], m, steps, x1)
+        means = _rectangular_mean(tensor_factors[i], m, J_max, x1)
         return {(j,): _lp(v, params.p, mean=True) for j, v in enumerate(means)}
 
     tables = _per_factor(tensor_factors, table)

@@ -363,9 +363,15 @@ class _LevelAxis:
         return np.moveaxis(out, 0, axis)
 
 
+def _check_side(value, name: str):
+    if value not in ("primal", "dual"):
+        raise ConfigError(f"{name} must be 'primal' or 'dual', got {value!r}")
+
+
 def _analyze(f, J: int, box, kind: str, f_breaks, n_max: int, prune: float) -> dict:
     """(jbar, kbar) -> 2^{|jbar_+|} <f, w_{jbar,kbar}> over |jbar|_inf <= J
     for the primal or dual tensor wavelets, keeping magnitudes above prune."""
+    _check_side(kind, "kind")
     gens = [psi_piecewise(eps, 0) if kind == "primal" else dual_piecewise(eps, 0, n_max)
             for eps in range(-1, min(J, 0) + 1)]
     axes = [[_LevelAxis(l, b, fb, gens[min(l, 0) + 1]) for l in range(-1, J + 1)]
@@ -440,6 +446,7 @@ def cw_synthesize(
     """Evaluate sum of coeff * psi_{jbar,kbar} (or dual wavelets) on the
     closed unit-cube grid at level m, term by term in key order with one
     cached row per (level, shift), as hpc_synthesize sums its terms."""
+    _check_side(using, "using")
     x = _grid_axis(UNIT, m)
 
     def row(key):

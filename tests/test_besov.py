@@ -191,23 +191,33 @@ def _seq_norm_report_by_entry(coeffs, params, strict, J):
     return _norm_report("cw-seq", params, top, level_terms, exact=exact, strict=strict)
 
 
-def _interleaved_levels_map():
+def _interleaved_levels_map(d):
     # Entries of one level are not contiguous, and levels first appear out
     # of sorted order, so grouping must keep both orders.
     rng = np.random.default_rng(8)
-    keys = [((j1, j2), (k, k)) for k in range(3) for j1 in (2, -1, 0) for j2 in (1, -1)]
-    return cw_map({key: rng.standard_normal() for key in keys}, d=2)
+    if d == 2:
+        levels = [(j1, j2) for j1 in (2, -1, 0) for j2 in (1, -1)]
+    else:
+        levels = [(2,), (-1,), (4,), (0,)]
+    keys = [(j, (k,) * d) for k in range(3) for j in levels]
+    return cw_map({key: rng.standard_normal() for key in keys}, d=d)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 @pytest.mark.parametrize("q", [1.0, 2.0, INF])
 def test_seq_norm_report_equals_the_per_entry_loop(p, q):
-    maps = [(_interleaved_levels_map(), 3)]
+    maps = [(_interleaved_levels_map(2), 3), (_interleaved_levels_map(1), 5)]
     for name, J in (("kink2", 3), ("bspline4_2", 3), ("exp1", 5)):
         tf = get_member(name)
         breaks = tf.factor_breaks if tf.d == 2 else tf.factor_breaks[0]
         lam = cw_analyze(tf, J=J, box=((0.0, 1.0),) * tf.d, kind="dual", f_breaks=breaks)
         maps.append((lam, J))
+    # the 1-D factor tables that norm_comparison's cw route passes in
+    for name in ("kink1", "bspline4_1", "gibbs"):
+        tf = get_member(name)
+        breaks = tf.factor_breaks[0]
+        lam = cw_analyze(tf.factors[0], J=8, kind="dual", f_breaks=breaks, prune=1e-13)
+        maps.append((lam, 8))
     for lam, J in maps:
         for r in (0.5, 1.5):
             params = BesovParams(r, p, q)
@@ -383,6 +393,32 @@ def test_block_norm_homogeneity_and_level_cap():
     assert wide.tail_bound == 0.0
 
 
+def test_block_norm_past_the_level_cap_adds_no_term():
+    # the blocks past the cap are zero, and so are blocks whose weights meet
+    # no coefficient (level 2 here): no term is kept for either
+    f = hpc_map({(0, 1): 0.5, (1, 0): -0.25, (9, 1): 0.125, (0, 9): 0.3}, d=2)
+    params = BesovParams(1.25, 1.5, 2.0)
+    at_cap = hpc_besov_norm(f, params, grid_level=7)
+    assert at_cap.J_max == 5 and at_cap.tail_bound == 0.0
+    assert (2, 0) not in at_cap.level_terms and max(map(max, at_cap.level_terms)) == 4
+    past = hpc_besov_norm(f, params, J_max=8, grid_level=7)
+    assert list(past.level_terms.items()) == list(at_cap.level_terms.items())
+    assert (past.value, past.tail_bound, past.J_max) == (at_cap.value, 0.0, 8)
+
+
+def test_block_routes_refuse_negative_frequencies():
+    # a negative key must not index the dense box from its end
+    params = BesovParams(1.5, 2.0, 2.0)
+    assert hpc_besov_norm(hpc_map({(3,): 1.0}), params).value == pytest.approx(3 * math.sqrt(2))
+    for f in (hpc_map({(-3,): 1.0}), hpc_map({(2, 0): 1.0, (1, -1): 0.5}, d=2)):
+        with pytest.raises(ConfigError, match="cosine frequencies must be >= 0"):
+            hpc_besov_norm(f, params)
+        with pytest.raises(ConfigError, match="cosine frequencies must be >= 0"):
+            hpc_block(f, (0,) * f.d, 5)
+        with pytest.raises(ConfigError, match="cosine frequencies must be >= 0"):
+            periodization_block_identity(f, (0,) * f.d, 2.0, grid_level=5)
+
+
 def test_block_norm_divergent_tail_paths():
     slow = hpc_map({(k,): 1.0 / k for k in range(1, 65)})
     params = BesovParams(1.0, 2.0, 2.0)
@@ -414,6 +450,23 @@ def test_block_routes_refuse_a_large_box_or_grid_before_allocating(monkeypatch):
         hpc_besov_norm(hpc_map({(4000, 4000): 1.0}, d=2), params)
     with pytest.raises(ConfigError, match="grid_level 13 asks for a level-13 grid in d=2"):
         hpc_block(hpc_map({(3, 3): 1.0}, d=2), (1, 1), 13)
+
+
+def test_periodization_identity_checks_p_and_the_torus_grid_first(monkeypatch):
+    import halfcos.besov as besov
+
+    f = hpc_map({(0, 0): 0.2, (1, 2): 0.5}, d=2)
+    for p in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="p must lie in"):
+            periodization_block_identity(f, (0, 1), p, grid_level=4)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("grid made before the size check")
+
+    monkeypatch.setattr(besov, "hpc_synthesize_dense", reached)
+    # the level-12 torus grid of 8192^2 points is the largest the identity makes
+    with pytest.raises(ConfigError, match="grid_level 12 asks for a level-12 grid in d=2"):
+        periodization_block_identity(f, (0, 1), 2.0, grid_level=12)
 
 
 def test_block_synthesis_is_the_weighted_mode():
@@ -589,6 +642,7 @@ _BAND = {tf.name: tf for s in (0, 2) for tf in band_family(s)}
 
 
 _SMALL = dict(m=3, J_max=5, grid_level=7)
+_SMALL4 = dict(m=4, J_max=5, grid_level=7)  # l = 4 reuses l = 2, which reuses l = 1
 _WORKLOAD = dict(m=3, J_max=8, grid_level=11)  # the band members of norms
 
 
@@ -598,7 +652,9 @@ _WORKLOAD = dict(m=3, J_max=8, grid_level=11)  # the band members of norms
     [pytest.param(name, _SMALL, id=name)
      for name in ("hat8_3@s0", "n4w16_6@s0", "dip@s2", "n4_plus_fine@s2", "kink2", "bspline4_2")]
     + [pytest.param(name, _WORKLOAD, id=f"{name}-J8")
-       for name in ("hat8_3@s0", "n4_plus_fine@s2")],
+       for name in ("hat8_3@s0", "n4_plus_fine@s2")]
+    + [pytest.param(name, _SMALL4, id=f"{name}-m4") for name in ("hat8_3@s0", "dip@s2", "kink2")]
+    + [pytest.param("n4_plus_fine@s2", dict(_WORKLOAD, m=4), id="n4_plus_fine@s2-J8-m4")],
 )
 def test_difference_tables_equal_the_former_rectangular_means(name, args, p):
     tf = _BAND[name] if "@" in name else get_member(name)
@@ -619,14 +675,15 @@ class _Counting:
 
 
 def test_difference_route_evaluates_a_factor_137_times_at_level_8():
-    # f(x) once; per level 8 nodes at l = 1 and 3, and at level 1 also l = 2,
-    # which later levels take from the l = 1 shifts of the level before:
-    # 1 + 24 + 7 * 16 = 137 evaluations in place of 1 + 8 * 32 = 257.
-    f = _Counting(_BAND["hat8_3@s0"].factors[0])
-    args = dict(m=3, J_max=8, grid_level=6)
-    rep = difference_seminorm(params=BesovParams(1.5, 2.0, 2.0), tensor_factors=[f], **args)
-    assert f.calls == 137
-    assert rep.level_terms == _former_difference_terms(None, [f], 1.5, 2.0, d=1, **args)
+    # f(x) once; per level 8 nodes at each odd l, and at level 1 also at each
+    # even l, which later levels take from the l/2 shifts of the level before:
+    # at m = 3, 1 + 24 + 7 * 16 = 137 evaluations in place of 1 + 8 * 32 = 257.
+    for m, calls in ((2, 73), (3, 137), (4, 145)):
+        f = _Counting(_BAND["hat8_3@s0"].factors[0])
+        args = dict(m=m, J_max=8, grid_level=6)
+        rep = difference_seminorm(params=BesovParams(1.5, 2.0, 2.0), tensor_factors=[f], **args)
+        assert f.calls == calls
+        assert rep.level_terms == _former_difference_terms(None, [f], 1.5, 2.0, d=1, **args)
 
 
 def test_difference_route_builds_one_table_per_distinct_factor():
@@ -658,7 +715,7 @@ def test_difference_generic_route_equals_the_former_meshgrid_loop(name, p):
 
 def test_rectangular_mean_equals_the_former_one_level_loop():
     x = np.linspace(-1.0, 1.0, 12)
-    (got,) = _rectangular_mean(np.sin, 3, [0.25], x)
+    _, _, got = _rectangular_mean(np.sin, 3, 2, x)
     assert np.array_equal(got, _former_rectangular_mean_1d(np.sin, 3, 0.25, x))
 
 
@@ -701,6 +758,17 @@ def test_difference_order_must_exceed_smoothness():
             m=2,
             tensor_factors=[lambda x: np.cos(np.pi * x)],
         )
+
+
+def test_difference_refuses_a_negative_level_or_no_difference():
+    factors = [lambda x: np.cos(np.pi * x)]
+    with pytest.raises(ConfigError, match="J_max must be >= 0, got -1"):
+        difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors, J_max=-1)
+    # with r < 0, m > r alone would admit m = 0: an L_p mean with no difference
+    with pytest.raises(ConfigError, match="m=0 must be >= 1"):
+        difference_seminorm(params=BesovParams(-0.5, 2.0, 2.0), tensor_factors=factors, m=0)
+    rep = difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors, J_max=0)
+    assert list(rep.level_terms) == [(0,)]
 
 
 def test_difference_needs_a_function():

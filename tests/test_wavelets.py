@@ -511,3 +511,15 @@ def test_analysis_rejects_a_box_that_is_not_an_interval(box):
 def test_analysis_rejects_mismatched_axes(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         cw_analyze(J=2, **kwargs)
+
+
+@pytest.mark.parametrize("side", ["bogus", "Dual", "", None])
+def test_wavelet_side_is_primal_or_dual(side):
+    # no other value may fall through to either analysis
+    with pytest.raises(ConfigError, match="kind must be 'primal' or 'dual'"):
+        cw_analyze(np.cos, J=1, kind=side)
+    with pytest.raises(ConfigError, match="kind must be 'primal' or 'dual'"):
+        cw_analyze_1d(np.cos, 1, (0.0, 1.0), kind=side)
+    lam = CoefficientMap("cw-primal", 1, {((0,), (0,)): 1.0})
+    with pytest.raises(ConfigError, match="using must be 'primal' or 'dual'"):
+        cw_synthesize(lam, 4, using=side)
