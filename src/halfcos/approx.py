@@ -90,16 +90,13 @@ def error_transfer_check(f: GridFunction, N: int, p: float):
 
 def _design_matrix(points: np.ndarray, K: IndexSet) -> np.ndarray:
     """Columns prod_i c_{k_i}(x_i) for kbar in K, multiplied in axis order;
-    each axis evaluates one cosine row per distinct frequency."""
+    each axis evaluates one table over its distinct frequencies. np.take
+    gathers its columns in C order, the layout the LS solve rounds by."""
     arr = K.as_array()
-    n, d = points.shape
-    cols = np.ones((n, len(arr)))
-    for ax in range(d):
+    for ax in range(points.shape[1]):
         ks, inverse = np.unique(arr[:, ax], return_inverse=True)
-        table = np.empty((n, len(ks)))
-        for j, k in enumerate(ks):
-            table[:, j] = hpc_basis_1d(int(k), points[:, ax])
-        cols *= table[:, inverse]
+        factor = np.take(hpc_basis_1d(ks, points[:, ax, None]), inverse, axis=1)
+        cols = factor if ax == 0 else np.multiply(cols, factor, out=cols)
     return cols
 
 
@@ -171,6 +168,8 @@ def ls_error_experiment(
     _check_size(cells, f"--N {N} with --oversample {oversample}",
                 f"a least-squares design of {n_samples} x {card} = {cells} cells")
     _check_aliasing(grid_level, N - 1)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     K = hyperbolic_cross(N, d, signed=False)
     rng = np.random.default_rng(seed)
     pts = rng.random((n_samples, d))

@@ -28,6 +28,7 @@ from .grids import (
     _check_grid_size,
     _weigh,
     hpc_analyze_dense,
+    hpc_basis_1d,
     slab_keys,
 )
 from .wavelets import bspline_value
@@ -208,7 +209,7 @@ def corpus() -> dict:
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     lin = lambda x: np.asarray(x, dtype=float)
     kink = lambda x: np.maximum(np.asarray(x, dtype=float) - KINK_A, 0.0)
-    mode4 = lambda x: SQRT2 * np.cos(np.pi * 4 * x)
+    mode4 = lambda x: hpc_basis_1d(4, x)
     sper = lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x)
     eexp = lambda x: np.exp(np.asarray(x, dtype=float))
 

@@ -290,21 +290,20 @@ def convergence_experiment(
     """
     if shifts < 0:
         raise ConfigError(f"shifts must be >= 0 (0: no shift), got {shifts}")
+    if shifts > 0 and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ns, errors = [], []
     for idx in n_indices:
         rule = rule_for_n(idx)
+        draws = [rule]
         if shifts > 0:
             rng = np.random.default_rng(seed)
-            errs = []
-            for _ in range(shifts):
-                used = random_shift(rule, rng)
-                if transform == "tent":
-                    used = tent_transform_rule(used)
-                errs.append(abs(integrate(used, f) - exact))
-            err = float(np.mean(errs))
-        else:
-            used = tent_transform_rule(rule) if transform == "tent" else rule
-            err = abs(integrate(used, f) - exact)
+            draws = (random_shift(rule, rng) for _ in range(shifts))
+        errs = []
+        for used in draws:
+            if transform == "tent":
+                used = tent_transform_rule(used)
+            errs.append(abs(integrate(used, f) - exact))
         ns.append(rule.n)
-        errors.append(err)
+        errors.append(float(np.mean(errs)))
     return fit_rate(ns, errors, log_exponent, skip_smallest)

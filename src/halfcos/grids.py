@@ -219,12 +219,12 @@ def periodize(f: GridFunction) -> GridFunction:
     return GridFunction(SYM, f.m, vals)
 
 
-def hpc_basis_1d(k: int, x):
-    """Half-period cosine c_k: 1 for k=0, sqrt(2) cos(pi k x) otherwise."""
+def hpc_basis_1d(k, x):
+    """Half-period cosine c_k(x): 1 where k = 0, sqrt(2) cos(pi k x)
+    elsewhere. An array of frequencies broadcasts against the points: k of
+    shape (K,) and x of shape (n, 1) give the (n, K) table."""
     x = np.asarray(x, dtype=float)
-    if k == 0:
-        return np.ones_like(x)
-    return np.sqrt(2.0) * np.cos(np.pi * k * x)
+    return np.where(np.asarray(k) == 0, 1.0, np.sqrt(2.0) * np.cos(np.pi * k * x))
 
 
 def cos_basis(kbar, *axes):

@@ -280,16 +280,18 @@ def dual_father_closed_form(n: int) -> float:
 _DUAL_CACHE: dict = {}
 
 
-def dual_piecewise(l: int, k: int, n_max: int = 40) -> PiecewiseLinear:
+def dual_piecewise(l: int, k: int) -> PiecewiseLinear:
     """Truncated dual wavelet as an exact piecewise-linear function: the
     dilate and shift dual_{min(l,0),0}(2^l x - k) (x - k at level -1) of a
-    generator sum_n a_n psi_{min(l,0),n}, built once per (level kind, n_max)."""
+    generator sum_n a_n psi_{min(l,0),n}, built once per level kind from
+    dual_coefficients at its default truncation."""
     if l < -1:
         return psi_piecewise(l, k)
-    key = (min(l, 0), n_max)
+    key = min(l, 0)
     if key not in _DUAL_CACHE:
-        seq = dual_coefficients(key[0], n_max=n_max)
-        gen = psi_piecewise(key[0], 0)
+        seq = dual_coefficients(key)
+        n_max = seq.n_max
+        gen = psi_piecewise(key, 0)
         step = gen.breakpoints[1]  # grid of the primal shifts: 1 or 1/2
         bp = -n_max + step * np.arange(round((2 * n_max + gen.support[1]) / step) + 1)
         vals = np.zeros_like(bp)
@@ -368,11 +370,11 @@ def _check_side(value, name: str):
         raise ConfigError(f"{name} must be 'primal' or 'dual', got {value!r}")
 
 
-def _analyze(f, J: int, box, kind: str, f_breaks, n_max: int, prune: float) -> dict:
+def _analyze(f, J: int, box, kind: str, f_breaks, prune: float) -> dict:
     """(jbar, kbar) -> 2^{|jbar_+|} <f, w_{jbar,kbar}> over |jbar|_inf <= J
     for the primal or dual tensor wavelets, keeping magnitudes above prune."""
     _check_side(kind, "kind")
-    gens = [psi_piecewise(eps, 0) if kind == "primal" else dual_piecewise(eps, 0, n_max)
+    gens = [psi_piecewise(eps, 0) if kind == "primal" else dual_piecewise(eps, 0)
             for eps in range(-1, min(J, 0) + 1)]
     axes = [[_LevelAxis(l, b, fb, gens[min(l, 0) + 1]) for l in range(-1, J + 1)]
             for b, fb in zip(box, f_breaks)]
@@ -390,7 +392,7 @@ def _analyze(f, J: int, box, kind: str, f_breaks, n_max: int, prune: float) -> d
     return entries
 
 
-def cw_analyze_1d(f, J: int, box, kind: str = "primal", f_breaks=(), n_max: int = 40) -> dict:
+def cw_analyze_1d(f, J: int, box, kind: str = "primal", f_breaks=()) -> dict:
     """Univariate coefficient table (l, k) -> 2^{l_+} <f, psi_{l,k}>.
 
     f is a vectorized callable supported in box. Panels are split at all
@@ -398,7 +400,7 @@ def cw_analyze_1d(f, J: int, box, kind: str = "primal", f_breaks=(), n_max: int 
     quadrature is exact whenever f is piecewise polynomial of moderate
     degree.
     """
-    entries = _analyze(f, J, (box,), kind, (f_breaks,), n_max, 0.0)
+    entries = _analyze(f, J, (box,), kind, (f_breaks,), 0.0)
     return {(j[0], k[0]): v for (j, k), v in entries.items()}
 
 
@@ -408,7 +410,6 @@ def cw_analyze(
     box=((0.0, 1.0),),
     kind: str = "primal",
     f_breaks=None,
-    n_max: int = 40,
     prune: float = 0.0,
 ) -> CoefficientMap:
     """Coefficients lambda_{jbar,kbar}(f) = 2^{|jbar_+|} <f, psi_{jbar,kbar}>
@@ -433,16 +434,14 @@ def cw_analyze(
     if len(f_breaks) != d:
         raise ConfigError(f"{d} axes need as many f_breaks entries; got {len(f_breaks)}")
     if d == 1:
-        table = cw_analyze_1d(f, J, box[0], kind, f_breaks[0], n_max)
+        table = cw_analyze_1d(f, J, box[0], kind, f_breaks[0])
         entries = {((l,), (k,)): v for (l, k), v in table.items() if abs(v) > prune}
     else:
-        entries = _analyze(f, J, box, kind, f_breaks, n_max, prune)
+        entries = _analyze(f, J, box, kind, f_breaks, prune)
     return CoefficientMap(basis=basis, d=d, entries=entries)
 
 
-def cw_synthesize(
-    coeffs: CoefficientMap, m: int, using: str = "primal", n_max: int = 40
-) -> GridFunction:
+def cw_synthesize(coeffs: CoefficientMap, m: int, using: str = "primal") -> GridFunction:
     """Evaluate sum of coeff * psi_{jbar,kbar} (or dual wavelets) on the
     closed unit-cube grid at level m, term by term in key order with one
     cached row per (level, shift), as hpc_synthesize sums its terms."""
@@ -451,17 +450,17 @@ def cw_synthesize(
 
     def row(key):
         l, k = key
-        return psi_eval(l, k, x) if using == "primal" else dual_piecewise(l, k, n_max)(x)
+        return psi_eval(l, k, x) if using == "primal" else dual_piecewise(l, k)(x)
 
     items = ((tuple(zip(map(int, j), map(int, k))), v) for (j, k), v in coeffs.items_sorted())
     return GridFunction(UNIT, m, _synthesize_terms(items, row, x.size, coeffs.d))
 
 
-def biorthogonality_residual_1d(levels, shifts, n_max: int = 40) -> float:
+def biorthogonality_residual_1d(levels, shifts) -> float:
     """Max deviation of exact pairings <psi_{j,k}, dual_{l,m}> from
     2^{-(j_+ + l_+)/2} delta_{j,l} delta_{k,m}."""
     worst = 0.0
-    duals = {(l, mm): dual_piecewise(l, mm, n_max) for l in levels for mm in shifts}
+    duals = {(l, mm): dual_piecewise(l, mm) for l in levels for mm in shifts}
     for j in levels:
         for k in shifts:
             pw = psi_piecewise(j, k)

@@ -84,7 +84,7 @@ def test_criterion_2_orthonormality():
 
 
 def test_criterion_3_biorthogonality():
-    res_1d = biorthogonality_residual_1d(range(-1, 3), range(-4, 5), n_max=40)
+    res_1d = biorthogonality_residual_1d(range(-1, 3), range(-4, 5))
 
     jbar, kbar = (1, 0), (1, 0)
     got = cw_analyze(
@@ -94,7 +94,6 @@ def test_criterion_3_biorthogonality():
         kind="dual",
         f_breaks=(psi_piecewise(jbar[0], kbar[0]).breakpoints,
                   psi_piecewise(jbar[1], kbar[1]).breakpoints),
-        n_max=40,
     )
     res_2d = abs(got.get((jbar, kbar)) - 1.0)
     for key, v in got.entries.items():

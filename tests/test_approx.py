@@ -24,7 +24,7 @@ from halfcos.grids import (
     hpc_basis_1d,
     hpc_synthesize,
 )
-from halfcos.indexsets import hyperbolic_cross
+from halfcos.indexsets import cross_size, hyperbolic_cross
 from closed_forms import evenization_check, hpc_coefficient
 
 INF = float("inf")
@@ -214,6 +214,32 @@ def test_design_matrix_matches_the_column_loop(d, N):
     assert np.array_equal(_design_matrix(pts, K), ref)
 
 
+def _per_frequency_design(points, K):
+    """The former design build: one cosine row per distinct frequency of an
+    axis, gathered by fancy indexing into a product started from ones."""
+    arr = K.as_array()
+    n, d = points.shape
+    cols = np.ones((n, len(arr)))
+    for ax in range(d):
+        ks, inverse = np.unique(arr[:, ax], return_inverse=True)
+        table = np.empty((n, len(ks)))
+        for j, k in enumerate(ks):
+            table[:, j] = hpc_basis_1d(int(k), points[:, ax])
+        cols *= table[:, inverse]
+    return cols
+
+
+# the LS sizes of the rates benchmark, with the samples ls_error_experiment draws
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_design_matrix_equals_the_per_frequency_loop_in_c_order(N):
+    card = cross_size(N, 2)
+    pts = np.random.default_rng(N).random((math.ceil(4.0 * card * (1.0 + math.log(card))), 2))
+    K = hyperbolic_cross(N, 2, signed=False)
+    got = _design_matrix(pts, K)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _per_frequency_design(pts, K))
+
+
 def test_rate_entry_points_reject_bad_input():
     with pytest.raises(ConfigError, match="N must be >= 1"):
         projection_error_rate(get_member("kink1"), [4, 0])
@@ -240,6 +266,11 @@ def test_ls_experiment_checks_aliasing_and_sample_count():
     for oversample in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigError, match="oversample must be finite"):
             ls_error_experiment(get_member("kink1"), N=2, seed=1, oversample=oversample)
+
+
+def test_ls_experiment_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        ls_error_experiment(get_member("kink1"), N=4, seed=-1)
 
 
 def test_ls_experiment_rejects_unknown_weights():

@@ -261,9 +261,14 @@ def test_shift_counts_below_the_minimum_raise():
     exact = (math.e - 1.0) ** 2
     with pytest.raises(ConfigError, match="shifts must be >= 0"):
         convergence_experiment(fibonacci_rule, f, exact, range(5, 9), shifts=-2)
-    # shifts=0 still means no shift
-    fit = convergence_experiment(fibonacci_rule, f, exact, range(5, 9), shifts=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        convergence_experiment(fibonacci_rule, f, exact, range(5, 9), shifts=2, seed=-1)
+    # shifts=0 still means no shift, and draws no seed
+    fit = convergence_experiment(fibonacci_rule, f, exact, range(5, 9), shifts=0, seed=-1)
     assert fit.errors == [abs(integrate(fibonacci_rule(i), f) - exact) for i in range(5, 9)]
+    fit = convergence_experiment(fibonacci_rule, f, exact, range(5, 9), transform="tent")
+    assert fit.errors == [abs(integrate(tent_transform_rule(fibonacci_rule(i)), f) - exact)
+                          for i in range(5, 9)]
 
 
 def test_rate_fit_recovers_exact_rectangle_rate():

@@ -185,6 +185,16 @@ def test_signed_fft_freqs_layout():
     assert list(signed_fft_freqs(8)) == [0, 1, 2, 3, -4, -3, -2, -1]
 
 
+def test_basis_table_over_an_array_of_frequencies_equals_the_scalar_calls():
+    x = np.random.default_rng(3).random(50)
+    ks = np.array([0, 1, 2, 5, 17, 64, 0, 3])
+    table = hpc_basis_1d(ks, x[:, None])
+    assert table.shape == (50, 8)
+    assert np.array_equal(table, np.stack([hpc_basis_1d(int(k), x) for k in ks], axis=1))
+    assert np.array_equal(hpc_basis_1d(0, x), np.ones(50))
+    assert np.array_equal(hpc_basis_1d(17, x), np.sqrt(2.0) * np.cos(np.pi * 17 * x))
+
+
 def test_cosine_reflection_of_basis():
     m = 5
     x = -1.0 + np.arange(2 ** (m + 1)) * 2.0**-m

@@ -69,6 +69,18 @@ def test_identity_suite_rejects_an_empty_sample(n_funcs):
         identity_suite(1, seed=1, n_funcs=n_funcs)
 
 
+def test_identity_suite_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        identity_suite(1, seed=-1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cubature_transfer_residual_is_exactly_zero(d):
+    # both sides integrate the same numpy-summed integrand at bit-equal nodes
+    for seed in range(16):
+        assert identity_suite(d, seed, n_funcs=2)["cubature-transfer"] == 0.0
+
+
 def test_identity_suite_is_deterministic():
     a = identity_suite(1, seed=7, n_funcs=3)
     b = identity_suite(1, seed=7, n_funcs=3)

@@ -234,7 +234,7 @@ def test_psi_support_bounds():
 
 
 def test_biorthogonality_residual_small():
-    res = biorthogonality_residual_1d(range(-1, 3), range(-3, 4), n_max=40)
+    res = biorthogonality_residual_1d(range(-1, 3), range(-3, 4))
     assert res < 1e-9
 
 
@@ -347,7 +347,7 @@ def test_dual_analysis_primal_synthesis_reconstructs_spline():
     assert np.max(np.abs(rec.values - ref.values)) < 1e-12
 
 
-def _former_cw_synthesis(coeffs, m, using, n_max=40):
+def _former_cw_synthesis(coeffs, m, using):
     """The former synthesis loop: full-grid broadcast products, term by term."""
     d = coeffs.d
     x = np.arange(2**m + 1) * 2.0**-m
@@ -359,7 +359,7 @@ def _former_cw_synthesis(coeffs, m, using, n_max=40):
             key = (int(j[ax]), int(k[ax]))
             if key not in cache:
                 primal = using == "primal"
-                cache[key] = psi_eval(*key, x) if primal else dual_piecewise(*key, n_max)(x)
+                cache[key] = psi_eval(*key, x) if primal else dual_piecewise(*key)(x)
             t = cache[key].reshape((1,) * ax + (-1,) + (1,) * (d - ax - 1))
             acc = t if acc is None else acc * t
         out += float(np.real(v)) * acc
@@ -398,7 +398,7 @@ def test_lambda_scale_invariance():
 
 
 def test_dual_piecewise_father_integer_grid():
-    w = dual_piecewise(-1, 0, n_max=30)
+    w = dual_piecewise(-1, 0)
     # sum_n a_n N_2(x - n) interpolates a at the hat peaks x = n + 1
     for n in range(-5, 6):
         assert abs(w(np.array([n + 1.0]))[0] - dual_father_closed_form(n)) < 1e-8
