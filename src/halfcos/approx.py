@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .corpus import _check_kmax
 from .cubature import fit_rate
 from .errors import ConditionError, ConfigError
 from .grids import (
@@ -25,6 +24,7 @@ from .grids import (
     GridFunction,
     _check_aliasing,
     _check_grid_size,
+    _check_kmax,
     _check_size,
     _weigh,
     fourier_analyze_dense,
@@ -113,6 +113,8 @@ def ls_recover(points: np.ndarray, values: np.ndarray, K: IndexSet):
     above _COND_LIMIT raises instead of silently regularizing.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != K.d:
+        raise ConfigError(f"points have {points.shape[1]} columns, but the index set has d={K.d}")
     values = np.asarray(values, dtype=float)
     A = _design_matrix(points, K)
     if len(values) < A.shape[1]:
@@ -220,6 +222,7 @@ def exact_projection_error(member, N: int, kmax: int) -> float:
     sum stays within about 1e-15 relative of the correctly rounded one, since
     each suffix sum adds its terms smallest first for decaying coefficients.
     """
+    _check_kmax(kmax)
     squares = [np.square(c) for c in member.coefficient_vectors(kmax)]
     # suffix[i][j] is the sum of squares[i][j:], with suffix[i][kmax + 1] = 0
     suffix = [np.append(np.cumsum(sq[::-1])[::-1], 0.0) for sq in squares]

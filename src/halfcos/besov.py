@@ -24,7 +24,6 @@ from .grids import (
     GridFunction,
     _alias_free_level,
     _check_grid_size,
-    _check_size,
     _gauss_legendre,
     _grid_axis,
     _weigh,
@@ -168,36 +167,16 @@ def _lp(values, p: float, mean: bool = False) -> float:
     return float((np.mean(a**p) if mean else np.sum(a**p)) ** (1.0 / p))
 
 
-def _max_frequency(coeffs: CoefficientMap) -> int:
-    """Largest frequency along any axis of a cosine coefficient map (0 when
-    it is empty). Refuses with ConfigError a negative frequency, and a map
-    whose dense box, of side one more, would hold over _MAX_GRID_POINTS
-    entries."""
-    ks = [int(t) for key in coeffs.entries for t in key]
-    if min(ks, default=0) < 0:
-        raise ConfigError(f"cosine frequencies must be >= 0, got {min(ks)}")
-    kmax = max(ks, default=0)
-    box = (kmax + 1) ** coeffs.d
-    _check_size(box, f"a cosine map of top frequency {kmax}",
-                f"a dense box of {box} entries in d={coeffs.d}")
-    return kmax
-
-
-def _hpc_dense(coeffs: CoefficientMap, kmax: int) -> np.ndarray:
-    """Dense nonnegative-frequency tensor of side kmax + 1 (kmax from
-    _max_frequency) from a cosine coefficient map, in one pass over the keys."""
-    keys = np.array(list(coeffs.entries), dtype=np.int64).reshape(-1, coeffs.d)
-    out = np.zeros((kmax + 1,) * coeffs.d)
-    out[tuple(keys.T)] = np.real(np.array(list(coeffs.entries.values())))
-    return out
-
-
 def hpc_block(f_coeffs: CoefficientMap, jbar, grid_level: int) -> GridFunction:
     """Weighted cosine sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid.
-    The dense box and the grid are size-checked before either is made."""
-    kmax = _max_frequency(f_coeffs)
+    The box and the grid are size-checked before CoefficientMap.dense runs."""
+    kmax = f_coeffs.top_frequency()
     _check_grid_size(grid_level, f_coeffs.d, UNIT, f"grid_level {grid_level}")
-    dense = _hpc_dense(f_coeffs, kmax)
+    return _dense_block(f_coeffs.dense(kmax), jbar, grid_level)
+
+
+def _dense_block(dense: np.ndarray, jbar, grid_level: int) -> GridFunction:
+    """hpc_block of a cosine map from its dense box."""
     ks = np.arange(dense.shape[0], dtype=float)
     return hpc_synthesize_dense(_weigh(dense, [phi(int(j), ks) for j in jbar]), grid_level)
 
@@ -296,25 +275,23 @@ def hpc_besov_norm(
     is exact and the tail bound is zero. Otherwise the per-level sums are
     fitted geometrically; a non-decaying fit raises unless strict=False, in
     which case the value is the bare truncation and the tail bound is inf.
-    The dense box and the grid are size-checked before either is made.
+    The box and the grid are size-checked before CoefficientMap.dense runs.
     Every block is synthesized on the full d-dimensional grid;
     norm_comparison multiplies the 1-D tables of a product's factors instead.
     """
     d = f_coeffs.d
-    kmax = _max_frequency(f_coeffs)
+    kmax = f_coeffs.top_frequency()
     exact_cap = _level_cap(kmax)
     J = exact_cap if J_max is None else int(J_max)
     if grid_level is None:
         kmax_used = min(2 ** (J + 1), max(kmax, 1))
         grid_level = _alias_free_level(kmax_used, 4)
     _check_grid_size(grid_level, d, UNIT, f"grid_level {grid_level}")
-    base = _hpc_dense(f_coeffs, kmax)
+    base = f_coeffs.dense(kmax)
 
-    ks = np.arange(kmax + 1, dtype=float)
-    axis_w = [phi(j, ks) for j in range(J + 1)]
     level_terms = {}
     for jbar in np.ndindex(*([J + 1] * d)):
-        g = hpc_synthesize_dense(_weigh(base, [axis_w[j] for j in jbar]), grid_level)
+        g = _dense_block(base, jbar, grid_level)
         term = 2.0 ** (params.r * sum(jbar)) * g.lp_norm(params.p)
         if term != 0.0:
             level_terms[tuple(int(t) for t in jbar)] = term
@@ -371,7 +348,8 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     if not 0.0 < p <= INF:
         raise ConfigError(f"p must lie in (0, inf], got {p}")
     _check_grid_size(grid_level, d, SYM, f"grid_level {grid_level}")
-    g_unit = hpc_synthesize_dense(_hpc_dense(f_coeffs, _max_frequency(f_coeffs)), grid_level)
+    box = f_coeffs.dense(f_coeffs.top_frequency())
+    g_unit = hpc_synthesize_dense(box, grid_level)
     freqs = signed_fft_freqs(2 ** (grid_level + 1)).astype(float)  # phi_j is even: phi_j(|k|)
     weights = [phi(int(j), freqs) for j in jbar]
     slots = [w != 0.0 for w in weights]
@@ -379,7 +357,7 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     weighted = _weigh(dense, [w[keep] for w, keep in zip(weights, slots)])
     block_t = fourier_synthesize_dense(weighted, grid_level, slots)
 
-    block_u = hpc_block(f_coeffs, jbar, grid_level)
+    block_u = _dense_block(box, jbar, grid_level)
     if p == INF:
         return block_t.lp_norm(INF), block_u.lp_norm(INF)
     return block_t.lp_norm(p) ** p, 2.0**d * block_u.lp_norm(p) ** p
@@ -443,6 +421,7 @@ def difference_seminorm(
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
     if J_max < 0:
         raise ConfigError(f"truncation level J_max must be >= 0, got {J_max}")
+    _check_grid_size(grid_level, 1, SYM, f"grid_level {grid_level}")  # the 1-D axes it makes
     x1 = _grid_axis(SYM, grid_level)
 
     def table(i):

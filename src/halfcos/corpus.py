@@ -26,10 +26,10 @@ from .grids import (
     _alias_free_level,
     _check_aliasing,
     _check_grid_size,
+    _check_kmax,
     _weigh,
     hpc_analyze_dense,
     hpc_basis_1d,
-    slab_keys,
 )
 from .wavelets import bspline_value
 
@@ -73,11 +73,6 @@ def smoothper_coeff(k: int) -> float:
     if k % 2 == 0:
         return 0.0
     return 2.0 * SQRT2 / (math.pi * (4.0 - k * k))
-
-
-def _check_kmax(kmax: int) -> None:
-    if kmax < 0:
-        raise ConfigError(f"coefficient box kmax must be >= 0, got {kmax}")
 
 
 @dataclass
@@ -139,9 +134,7 @@ class TestFunction:
         """Closed-form coefficients on the full box |kbar|_inf <= kmax."""
         _check_kmax(kmax)
         box = _weigh(np.ones((kmax + 1,) * self.d), self.coefficient_vectors(kmax))
-        keep = box != 0.0
-        entries = dict(zip(slab_keys(keep), box[keep].tolist()))
-        return CoefficientMap(basis="hpc", d=self.d, entries=entries)
+        return CoefficientMap.from_box(box, box != 0.0)
 
     def sample(self, kmax: int, grid_level: int = None) -> GridFunction:
         """Samples on the level-grid_level unit-cube grid, by default the
@@ -161,9 +154,7 @@ class TestFunction:
         """Coefficients by aliasing-checked dense transform on the box."""
         _check_kmax(kmax)
         box = hpc_analyze_dense(self.sample(kmax, grid_level))[(slice(0, kmax + 1),) * self.d]
-        keep = np.abs(box) > 1e-15
-        entries = dict(zip(slab_keys(keep), box[keep].tolist()))
-        return CoefficientMap(basis="hpc", d=self.d, entries=entries)
+        return CoefficientMap.from_box(box, np.abs(box) > 1e-15)
 
 
 def _spline(order: int, width: float, shift: float):

@@ -46,7 +46,6 @@ __all__ = [
     "fourier_synthesize_dense",
     "signed_fft_freqs",
     "coefficient_decay_report",
-    "slab_keys",
 ]
 
 UNIT = "unit"
@@ -255,21 +254,41 @@ class CoefficientMap:
 
     basis: 'hpc' (keys in N_0^d) or 'cw-primal'/'cw-dual' (keys are
     (jbar, kbar) pairs over N_{-1}^d x Z^d). Absent key means
-    coefficient zero.
+    coefficient zero. Cosine maps and their dense boxes (entry [kbar] holds
+    the coefficient of kbar) convert here only: from_box reads a box, and
+    top_frequency then dense write one, with a grid check between if need be.
     """
 
     basis: str
     d: int
     entries: dict
 
-    def get(self, key):
-        return self.entries.get(self._norm_key(key), 0.0)
+    @classmethod
+    def from_box(cls, box: np.ndarray, keep: np.ndarray) -> "CoefficientMap":
+        """Cosine map of the entries of box where the mask keep is True,
+        keyed in lexicographic order; keys and values are Python numbers."""
+        keys = zip(*(ix.tolist() for ix in np.nonzero(keep)))
+        return cls(basis="hpc", d=box.ndim, entries=dict(zip(keys, box[keep].tolist())))
 
-    def _norm_key(self, key):
-        if self.basis in ("cw-primal", "cw-dual"):
-            j, k = key
-            return (tuple(int(x) for x in j), tuple(int(x) for x in k))
-        return tuple(int(x) for x in key)
+    def top_frequency(self) -> int:
+        """Largest frequency on any axis of a cosine map (0 when it is empty).
+        ConfigError for a negative frequency, and for a map whose dense box,
+        of side one more, would hold over _MAX_GRID_POINTS entries."""
+        ks = [int(t) for key in self.entries for t in key]
+        if min(ks, default=0) < 0:
+            raise ConfigError(f"cosine frequencies must be >= 0, got {min(ks)}")
+        kmax = max(ks, default=0)
+        box = (kmax + 1) ** self.d
+        _check_size(box, f"a cosine map of top frequency {kmax}",
+                    f"a dense box of {box} entries in d={self.d}")
+        return kmax
+
+    def dense(self, kmax: int) -> np.ndarray:
+        """The dense box of side kmax + 1 (kmax from top_frequency), in one pass over the keys."""
+        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, self.d)
+        out = np.zeros((kmax + 1,) * self.d)
+        out[tuple(keys.T)] = np.real(np.array(list(self.entries.values())))
+        return out
 
     def items_sorted(self):
         return sorted(self.entries.items())
@@ -284,6 +303,11 @@ def _check_size(count, source: str, what: str):
     that chose it) asks for, exceeds _MAX_GRID_POINTS."""
     if count > _MAX_GRID_POINTS:
         raise ConfigError(f"{source} asks for {what}, over the limit of {_MAX_GRID_POINTS} = 2^24")
+
+
+def _check_kmax(kmax: int) -> None:
+    if kmax < 0:
+        raise ConfigError(f"coefficient box kmax must be >= 0, got {kmax}")
 
 
 def _check_grid_size(m: int, d: int, domain: str, source: str):
@@ -434,6 +458,7 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     """
     if coeffs.basis != "hpc":
         raise ConfigError("expected half-period cosine coefficients")
+    _check_grid_size(m, coeffs.d, UNIT, f"grid level m={m}")
     x = _grid_axis(UNIT, m)
     row = lambda k: hpc_basis_1d(k, x)
     return GridFunction(UNIT, m, _synthesize_terms(coeffs.items_sorted(), row, x.size, coeffs.d))
@@ -558,12 +583,6 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
     return GridFunction(SYM, m, vals)
 
 
-def slab_keys(mask: np.ndarray) -> list:
-    """Multi-indices of the True entries of mask, in lexicographic order,
-    as tuples of Python ints."""
-    return list(zip(*(ix.tolist() for ix in np.nonzero(mask))))
-
-
 def coefficient_decay_report(f: GridFunction, k_max: int):
     """Rows (kbar, |coef| * prod max(1,|k_i|)^2) over the box |kbar|_inf <= k_max.
 
@@ -571,6 +590,7 @@ def coefficient_decay_report(f: GridFunction, k_max: int):
     second column is bounded in terms of derivative sup-norms up to order
     2 per axis.
     """
+    _check_kmax(k_max)
     _check_aliasing(f.m, k_max)
     box = np.abs(hpc_analyze_dense(f)[(slice(0, k_max + 1),) * f.d])
     weight = np.maximum(1, np.arange(k_max + 1)) ** 2

@@ -17,7 +17,6 @@ import numpy as np
 from .besov import (
     BesovParams,
     _level_cap,
-    _max_frequency,
     _per_factor,
     _tensor_report,
     difference_seminorm,
@@ -183,7 +182,7 @@ def norm_comparison(
             f1 = member.factor_member(i)
             coeffs = f1.hpc_map(kmax) if f1.factor_coeff is not None else f1.hpc_map_numeric(kmax)
             terms = hpc_besov_norm(coeffs, bare, J_max=J, strict=False).level_terms
-            return terms, J >= _level_cap(_max_frequency(coeffs))
+            return terms, J >= _level_cap(coeffs.top_frequency())
 
         tables, exact = zip(*_per_factor(member.factors, hpc_table))
         out["hpc"] = _tensor_report("hpc", params, J, tables, params.r, all(exact), strict)

@@ -95,7 +95,7 @@ def test_criterion_3_biorthogonality():
         f_breaks=(psi_piecewise(jbar[0], kbar[0]).breakpoints,
                   psi_piecewise(jbar[1], kbar[1]).breakpoints),
     )
-    res_2d = abs(got.get((jbar, kbar)) - 1.0)
+    res_2d = abs(got.entries.get((jbar, kbar), 0.0) - 1.0)
     for key, v in got.entries.items():
         if key != (jbar, kbar):
             res_2d = max(res_2d, abs(v))

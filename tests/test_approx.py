@@ -114,7 +114,7 @@ def test_ls_recovers_span_members_exactly():
     got, info = ls_recover(pts, f(pts[:, 0], pts[:, 1]), K)
     for kbar in K.as_array():
         key = tuple(int(t) for t in kbar)
-        assert got.get(key) == pytest.approx(cf.get(key), abs=1e-10)
+        assert got.entries.get(key, 0.0) == pytest.approx(cf.entries.get(key, 0.0), abs=1e-10)
     assert info["normal_residual"] < 1e-9
     assert info["condition"] < 1e3
     assert info["rank"] == len(K.members)
@@ -286,3 +286,17 @@ def test_ls_recover_names_an_underdetermined_design():
     for n in (0, 3):
         with pytest.raises(ConditionError, match="underdetermined design"):
             ls_recover(np.full((n, 1), 0.3), np.ones(n), K)
+
+
+def test_ls_recover_refuses_points_of_another_dimension():
+    # one column used to end in a ConditionError, three in an IndexError
+    K = hyperbolic_cross(4, 2, signed=False)
+    for cols in (1, 3):
+        pts = np.full((50, cols), 0.3)
+        with pytest.raises(ConfigError, match=f"points have {cols} columns, but the index set has d=2"):
+            ls_recover(pts, np.ones(50), K)
+
+
+def test_exact_projection_error_refuses_a_negative_box():
+    with pytest.raises(ConfigError, match="kmax must be >= 0, got -1"):
+        exact_projection_error(get_member("kink2"), 4, kmax=-1)

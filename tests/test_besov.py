@@ -437,7 +437,7 @@ def test_block_routes_refuse_a_large_box_or_grid_before_allocating(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("dense box or grid made before the size check")
 
-    monkeypatch.setattr(besov, "_hpc_dense", reached)
+    monkeypatch.setattr(besov.CoefficientMap, "dense", reached)
     monkeypatch.setattr(besov, "hpc_synthesize_dense", reached)
     params = BesovParams(1.5, 2.0, 2.0)
     # 5001^2 entries in the box; at J_max=6 the grid itself would be small
@@ -769,6 +769,19 @@ def test_difference_refuses_a_negative_level_or_no_difference():
         difference_seminorm(params=BesovParams(-0.5, 2.0, 2.0), tensor_factors=factors, m=0)
     rep = difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors, J_max=0)
     assert list(rep.level_terms) == [(0,)]
+
+
+def test_difference_refuses_a_large_grid_before_allocating(monkeypatch):
+    import halfcos.besov as besov
+
+    def reached(*args, **kwargs):
+        raise AssertionError("grid axis made before the size check")
+
+    monkeypatch.setattr(besov, "_grid_axis", reached)
+    factors = [lambda x: np.cos(np.pi * x)]
+    with pytest.raises(ConfigError, match="grid_level 40 asks for a level-40 grid in d=1"):
+        difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors,
+                            grid_level=40)
 
 
 def test_difference_needs_a_function():

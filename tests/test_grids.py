@@ -139,7 +139,7 @@ def test_hpc_round_trip_exact_on_cosine_polynomials():
         f = hpc_synthesize(coeffs, 5)
         dense = hpc_analyze_dense(f)
         for k in K.members:
-            assert abs(dense[k] - coeffs.get(k)) < 1e-12
+            assert abs(dense[k] - coeffs.entries[k]) < 1e-12
         total = sum(abs(v) for v in coeffs.entries.values())
         outside = float(np.sum(np.abs(dense))) - sum(
             abs(dense[k]) for k in K.members
@@ -214,6 +214,21 @@ def test_aliasing_guard():
     assert len(gibbs_demo(get_member("exp1"), 4, grid_level=4)) == 4
     with pytest.raises(AliasingError, match="m=4 too low for frequencies up to 5"):
         gibbs_demo(get_member("exp1"), 5, grid_level=4)
+
+
+def test_decay_report_refuses_a_negative_box():
+    f = GridFunction.from_callable(np.exp, 1, 4, UNIT)
+    with pytest.raises(ConfigError, match="kmax must be >= 0, got -1"):
+        coefficient_decay_report(f, -1)
+
+
+def test_synthesis_refuses_a_large_grid_before_allocating(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("grid axis made before the size check")
+
+    monkeypatch.setattr(grids, "_grid_axis", reached)
+    with pytest.raises(ConfigError, match="grid level m=40 asks for a level-40 grid in d=1"):
+        hpc_synthesize(CoefficientMap("hpc", 1, {(3,): 1.0}), 40)
 
 
 def test_grid_size_limit_admits_the_largest_grids_in_use():

@@ -255,7 +255,7 @@ def test_biorthogonality_2d_generic_route():
                   psi_piecewise(*map(int, (jbar[1], kbar[1]))).breakpoints),
         prune=1e-9,
     )
-    assert abs(got.get((jbar, kbar)) - 1.0) < 1e-9
+    assert abs(got.entries.get((jbar, kbar), 0.0) - 1.0) < 1e-9
     others = [v for key, v in got.entries.items() if key != (jbar, kbar)]
     assert not others
 
@@ -274,7 +274,7 @@ def test_tensor_route_matches_generic_2d():
         f_breaks=((0.25, 0.5, 0.75), ()),
     )
     keys = set(tens) | set(gen.entries)
-    worst = max(abs(tens.get(key, 0.0) - gen.get(key)) for key in keys)
+    worst = max(abs(tens.get(key, 0.0) - gen.entries.get(key, 0.0)) for key in keys)
     assert worst < 1e-12
 
 
@@ -392,8 +392,8 @@ def test_lambda_scale_invariance():
     lam2 = cw_analyze(f2, J=2, box=((0.0, 0.5),), kind="dual", f_breaks=b2)
     for l in (0, 1):
         for k in range(-2, 8):
-            a = lam1.get(((l,), (k,)))
-            b = lam2.get(((l + 1,), (k,)))
+            a = lam1.entries.get(((l,), (k,)), 0.0)
+            b = lam2.entries.get(((l + 1,), (k,)), 0.0)
             assert abs(a - b) < 1e-10
 
 
@@ -421,7 +421,7 @@ def test_analyze_accepts_array_breakpoints():
     )
     for (l, k), v in lam_f.entries.items():
         for (l2, k2), v2 in lam_f.entries.items():
-            got = lam2.get(((l[0], l2[0]), (k[0], k2[0])))
+            got = lam2.entries.get(((l[0], l2[0]), (k[0], k2[0])), 0.0)
             assert abs(got - v * v2) < 1e-9
 
 
