@@ -12,6 +12,7 @@ mirrored sample values coincide node by node.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,11 +58,12 @@ def _cross_mask(freqs, N: int) -> np.ndarray:
 
 def project_dense(f: GridFunction, N: int):
     """Dense-transform projection onto the cross of order N; returns the
-    approximant on f's grid and the retained dense coefficient tensor."""
-    dense = hpc_analyze_dense(f)
-    freqs = [np.arange(size, dtype=float) for size in dense.shape]
-    dense = np.where(_cross_mask(freqs, N), dense, 0.0)
-    return hpc_synthesize_dense(dense, f.m), dense
+    approximant on f's grid and the retained coefficients on the box
+    k_i < N that holds the cross (cut at the grid), the only box analysed."""
+    box = hpc_analyze_dense(f, N)
+    freqs = [np.arange(size, dtype=float) for size in box.shape]
+    box = np.where(_cross_mask(freqs, N), box, 0.0)
+    return hpc_synthesize_dense(box, f.m), box
 
 
 def _torus_projection(g: GridFunction, N: int) -> GridFunction:
@@ -264,5 +266,7 @@ def projection_error_rate(
         _check_size(bound, f"--N-list {N}",
                     f"a cross of up to N (1 + ln N)^(d-1) members in d={member.d}")
     dims = [cross_size(N, member.d) for N in N_list]
-    errors = [exact_projection_error(member, N, kmax) for N in N_list]
+    vectors = member.coefficient_vectors(kmax)  # once for the table, read by each N
+    table = SimpleNamespace(d=member.d, coefficient_vectors=lambda _: vectors)
+    errors = [exact_projection_error(table, N, kmax) for N in N_list]
     return fit_rate(dims, errors, log_exponent, skip_smallest)

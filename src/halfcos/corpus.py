@@ -27,6 +27,7 @@ from .grids import (
     _check_aliasing,
     _check_grid_size,
     _check_kmax,
+    _check_size,
     _weigh,
     hpc_analyze_dense,
     hpc_basis_1d,
@@ -153,7 +154,7 @@ class TestFunction:
     def hpc_map_numeric(self, kmax: int, grid_level: int = None) -> CoefficientMap:
         """Coefficients by aliasing-checked dense transform on the box."""
         _check_kmax(kmax)
-        box = hpc_analyze_dense(self.sample(kmax, grid_level))[(slice(0, kmax + 1),) * self.d]
+        box = hpc_analyze_dense(self.sample(kmax, grid_level), kmax + 1)
         return CoefficientMap.from_box(box, np.abs(box) > 1e-15)
 
 
@@ -256,6 +257,7 @@ def band_family(scale: int = 0) -> list:
     w8 = 8 * 2**scale
     w4 = 4 * 2**scale
     w16 = 16 * 2**scale
+    _check_size(w16 + 1, f"band_family scale {scale}", f"{w16 + 1} breakpoints per member")
     specs = []
     for k in range(1, 6):
         specs.append((f"hat8_{k}", [(1.0, 2, w8, k)]))
@@ -305,7 +307,7 @@ def gibbs_demo(member: TestFunction, k_max: int, grid_level: int = 12) -> list:
     g = member.sample(k_max, grid_level)
     x, vals = g.axis_points(), g.values
     w = g.axis_weights()
-    dense = hpc_analyze_dense(g)
+    dense = hpc_analyze_dense(g, k_max + 1)
     rows = []
     for k in range(1, k_max + 1):
         sine = 2.0 * float(np.sum(w * vals * np.sin(2.0 * np.pi * k * x)))

@@ -10,6 +10,7 @@ non-periodic integrands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,10 +125,12 @@ def _direction_integers(dim: int) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _generating_integers(d: int, alpha: int) -> np.ndarray:
     """Generating integers v_k of a d-dimensional net, shape (_NBITS, d):
     the direction integers for alpha=1, and for alpha=2 the digit-interlaced
-    pairs of those of a 2d-dimensional net."""
+    pairs of those of a 2d-dimensional net. Built once per (d, alpha) and
+    returned read-only."""
     dims = alpha * d
     if not 1 <= dims <= len(_NET_TABLE) + 1:
         raise ConfigError(
@@ -136,7 +139,9 @@ def _generating_integers(d: int, alpha: int) -> np.ndarray:
     v = np.zeros((_NBITS, dims), dtype=np.uint64)
     for axis in range(dims):
         v[:, axis] = _direction_integers(axis)
-    return v if alpha == 1 else _interlace_pairs(v)
+    v = v if alpha == 1 else _interlace_pairs(v)
+    v.flags.writeable = False
+    return v
 
 
 def _net_points_int(m: int, v: np.ndarray) -> np.ndarray:

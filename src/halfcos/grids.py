@@ -331,24 +331,30 @@ def _alias_free_level(kmax: int, floor: int) -> int:
     return max(floor, (4 * max(kmax, 1) - 1).bit_length())
 
 
-def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
-    """Full tensor of half-period cosine coefficients up to the grid cutoff.
+def hpc_analyze_dense(f: GridFunction, size: int = None) -> np.ndarray:
+    """Half-period cosine coefficients of f on the box of the first size
+    per axis (ConfigError below 1), or up to the grid cutoff by default.
 
     The closed-grid trapezoidal quadrature of f against c_kbar coincides
     with a type-I DCT, so the whole tensor costs O(M^d log M). Entry [kbar]
     approximates the integral of f times c_kbar; exact to round-off for
     cosine polynomials with per-axis frequency below 2^m. The DCT-I runs
-    one axis at a time in axis order (see _dct1), so the values are those
-    of pocketfft's d-dimensional DCT-I.
+    one axis at a time in axis order (see _dct1), and each axis keeps its
+    first size outputs only, so later axes transform only the lines that
+    feed the box (FFT pruning). Each such line is transformed as in the
+    full transform: the values are pocketfft's d-dimensional DCT-I, sliced.
     """
     if f.domain != UNIT:
         raise DomainError("hpc_analyze_dense expects a unit-cube grid function")
+    if size is not None and size < 1:
+        raise ConfigError(f"coefficient box size must be >= 1, got {size}")
+    size = f.axis_size if size is None else min(size, f.axis_size)
     h = 2.0**-f.m
     coeff = f.values
     for ax in range(f.d):
-        coeff = _dct1(coeff, ax)
+        coeff = _dct1(coeff, ax, keep=size)
     coeff = coeff * (h / 2.0) ** f.d
-    norm = np.ones(f.axis_size)
+    norm = np.ones(size)
     norm[1:] = np.sqrt(2.0)
     return _weigh(coeff, [norm] * f.d)
 
@@ -357,10 +363,11 @@ def hpc_analyze_dense(f: GridFunction) -> np.ndarray:
 _DCT_BATCH_BYTES = 256 * 1024
 
 
-def _dct1(x: np.ndarray, axis: int, n: int = None) -> np.ndarray:
+def _dct1(x: np.ndarray, axis: int, n: int = None, keep: int = None) -> np.ndarray:
     """Unnormalized DCT-I, y_k = x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1}
     x_j cos(pi j k / (n-1)), of every line of x along axis, each line
-    zero-padded to length n >= its length first (n defaults to it).
+    zero-padded to length n >= its length first (n defaults to it); only
+    y_0, ..., y_{keep-1} are returned (keep defaults to n).
 
     With x seen as (lead, axis, trail), lines go a box of lead and trail
     indices at a time, about _DCT_BATCH_BYTES once extended. The box's
@@ -375,11 +382,12 @@ def _dct1(x: np.ndarray, axis: int, n: int = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     size = x.shape[axis]
     n = size if n is None else n
+    keep = n if keep is None else keep
     lead, trail = x.shape[:axis], x.shape[axis + 1 :]
     pre, post = math.prod(lead), math.prod(trail)
     x3 = x.reshape(pre, size, post)
-    out = np.zeros(lead + (n,) + trail)
-    out3 = out.reshape(pre, n, post)
+    out = np.zeros(lead + (keep,) + trail)
+    out3 = out.reshape(pre, keep, post)
     live = np.any(x3.view(np.uint64), axis=1)  # live[p, c]: line x3[p, :, c] has a bit set
     if not live.any():
         return out
@@ -404,7 +412,7 @@ def _dct1(x: np.ndarray, axis: int, n: int = None) -> np.ndarray:
             b.reshape(rows + (ext,))[..., :size] = x3[box].transpose(order)
             b[:, ext - top + 1 :] = b[:, top - 1 : 0 : -1]
             np.fft.rfft(b, axis=-1, out=s)
-            out3[box] = s.real.reshape(rows + (n,)).transpose(order)
+            out3[box] = s.real[:, :keep].reshape(rows + (keep,)).transpose(order)
     return out
 
 
@@ -417,31 +425,52 @@ def _synthesize_terms(items, row, n: int, d: int) -> np.ndarray:
     (keys, v) of items, on the (n,)^d tensor grid.
 
     row(key) is one 1-D row of n values, computed once per key. Terms are
-    added one at a time in items order, each outer product multiplied left
-    to right and then scaled by the real part of v. The sum runs in blocks
-    of leading-axis rows, each about _SYNTH_BLOCK_BYTES of the output, so a
-    block and its scratch buffer stay in cache through the term loop; each
-    grid value gets the same operations in the same order either way.
+    added one at a time in items order, each product of rows taken left to
+    right and then scaled by the real part of v. A row exactly 1.0
+    everywhere (c_0) multiplies exactly, so it is kept as None: _sum_terms
+    broadcasts along its axis instead, with the same values.
     """
     rows, terms = {}, []
     for keys, v in items:
         for key in keys:
             if key not in rows:
-                rows[key] = row(key)
-        terms.append((keys[0], [rows[key] for key in keys[1:]], np.real(v)))
+                r = row(key)
+                rows[key] = None if np.all(r == 1.0) else r
+        terms.append(([rows[key] for key in keys], np.real(v)))
+    return _sum_terms(terms, n, d)
+
+
+def _sum_terms(terms, n: int, d: int) -> np.ndarray:
+    """The sum of _synthesize_terms over its terms (rows, v).
+
+    The leading run of terms with no row on axis 0 is equal on every axis-0
+    slice: it is summed once, by this routine, on the (d-1)-dim slab that
+    starts every slice. The other terms are added in blocks of leading-axis
+    rows, each about _SYNTH_BLOCK_BYTES of the output, so a block and its
+    scratch buffer stay in cache through the term loop. A term with a row
+    on every axis is formed in the buffer, any other broadcast. Each grid
+    value gets the same operations in the same order as in a plain sum.
+    """
     out = np.zeros((n,) * d)
+    run = next((i for i, (r, _) in enumerate(terms) if r[0] is not None), len(terms))
+    run = run if d > 1 else 0
+    if run:
+        out[...] = _sum_terms([(rows[1:], v) for rows, v in terms[:run]], n, d - 1)
     step = max(1, _SYNTH_BLOCK_BYTES // (out.itemsize * n ** (d - 1)))
     for lo in range(0, n, step):
         block = out[lo : lo + step]
         buf = np.empty_like(block)
-        # the leading-axis rows of this block, sliced once per key
-        lead = rows if step >= n else {key: r[lo : lo + step] for key, r in rows.items()}
-        for key, factors, v in terms:
-            piece = lead[key]
-            for factor in factors[:-1]:
+        for rows, v in terms[run:]:
+            lead = None if rows[0] is None else rows[0][lo : lo + step]  # this block's rows
+            if any(r is None for r in rows):
+                factors = [_along(r, ax, d) for ax, r in enumerate([lead] + rows[1:]) if r is not None]
+                block += functools.reduce(np.multiply, factors, 1.0) * v
+                continue
+            piece = lead
+            for factor in rows[1:-1]:
                 piece = np.multiply.outer(piece, factor)
-            if factors:  # the same correctly rounded products as multiply.outer, faster
-                piece = np.einsum("...,j->...j", piece, factors[-1], out=buf)
+            if d > 1:  # the same correctly rounded products as multiply.outer, faster
+                piece = np.einsum("...,j->...j", piece, rows[-1], out=buf)
             np.multiply(piece, v, out=buf)
             block += buf
     return out
@@ -451,7 +480,9 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     """Evaluate the finite expansion sum of coeff * c_kbar on the closed grid.
 
     _synthesize_terms adds the terms one at a time in key order, from one
-    basis row per frequency. This per-term sum is kept on purpose:
+    basis row per frequency, on the structure of a cross: c_0 rows are not
+    multiplied, and the terms with k_0 = 0 (first in key order) are summed
+    once on a (d-1)-dim slab. This per-term sum is kept on purpose:
     scattering the coefficients into a dense tensor and running one DCT-I
     would be faster, but it rounds differently, and `halfcos identities`
     prints residuals at exactly that round-off.
@@ -592,7 +623,7 @@ def coefficient_decay_report(f: GridFunction, k_max: int):
     """
     _check_kmax(k_max)
     _check_aliasing(f.m, k_max)
-    box = np.abs(hpc_analyze_dense(f)[(slice(0, k_max + 1),) * f.d])
+    box = np.abs(hpc_analyze_dense(f, k_max + 1))
     weight = np.maximum(1, np.arange(k_max + 1)) ** 2
     vals = box * _weigh(np.ones(box.shape), [weight] * f.d)
     return list(zip(np.ndindex(vals.shape), vals.ravel().tolist()))

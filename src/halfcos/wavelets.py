@@ -21,6 +21,7 @@ from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
+    _check_size,
     _gauss_legendre,
     _grid_axis,
     _synthesize_terms,
@@ -324,8 +325,6 @@ class _LevelAxis:
 
     def __init__(self, l: int, box, f_breaks, gen: PiecewiseLinear):
         lo, hi = box
-        if not -math.inf < lo <= hi < math.inf:
-            raise ConfigError(f"analysis box {box} is not a finite interval")
         self.level, self.shifts = l, _shift_range(l, box)
         self.stride = 1 if l == -1 else 2
         self.gen = np.asarray(gen.values)
@@ -374,6 +373,11 @@ def _analyze(f, J: int, box, kind: str, f_breaks, prune: float) -> dict:
     """(jbar, kbar) -> 2^{|jbar_+|} <f, w_{jbar,kbar}> over |jbar|_inf <= J
     for the primal or dual tensor wavelets, keeping magnitudes above prune."""
     _check_side(kind, "kind")
+    for b in box:  # each axis's finest grid, 2^(J+1) cells per unit, before any is made
+        if not -math.inf < b[0] <= b[1] < math.inf:
+            raise ConfigError(f"analysis box {b} is not a finite interval")
+        cells = (b[1] - b[0]) * 2.0 ** min(J + 1, 1023)  # a larger J is refused all the same
+        _check_size(cells, f"analysis level J={J}", f"a grid of about {cells:.3g} cells on {b}")
     gens = [psi_piecewise(eps, 0) if kind == "primal" else dual_piecewise(eps, 0)
             for eps in range(-1, min(J, 0) + 1)]
     axes = [[_LevelAxis(l, b, fb, gens[min(l, 0) + 1]) for l in range(-1, J + 1)]

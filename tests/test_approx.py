@@ -1,6 +1,7 @@
 """Cross projection and least-squares recovery against span membership,
 mask predicates, and closed-form coefficient tails."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from halfcos.approx import (
     project_dense,
     projection_error_rate,
 )
-from halfcos.corpus import get_member
+from halfcos.corpus import KINK_A, get_member, kink_coeff
 from halfcos.errors import AliasingError, ConditionError, ConfigError
 from halfcos.grids import (
     UNIT,
@@ -57,6 +58,7 @@ def test_retained_tensor_obeys_the_cross_predicate():
     from halfcos.grids import hpc_analyze_dense
 
     full = hpc_analyze_dense(g)
+    assert dense.shape == (6, 6)  # the box k_i < N that holds the cross
     for kbar in np.ndindex(*dense.shape):
         prod = 1.0
         for k in kbar:
@@ -166,6 +168,21 @@ def test_projection_rate_recovers_coefficient_decay():
     assert fit.residual < 0.05
     errs = fit.errors
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+def test_projection_rate_evaluates_the_closed_forms_once_per_table():
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return kink_coeff(KINK_A, k)
+
+    member = dataclasses.replace(get_member("kink2"), factor_coeff=[counted] * 2)
+    N_list = [2, 4, 8, 16]
+    fit = projection_error_rate(member, N_list, kmax=64)
+    assert len(calls) == 65  # one vector for both axes and every N
+    ref = [exact_projection_error(get_member("kink2"), N, 64) for N in N_list]
+    assert [e.hex() for e in fit.errors] == [e.hex() for e in ref]
 
 
 def box_walk_terms(member, kmax):

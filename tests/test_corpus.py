@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from halfcos import corpus as corpus_module
 from halfcos.errors import AliasingError, ConfigError
 from halfcos.cubature import digital_net, integrate
 from halfcos.grids import UNIT, GridFunction, hpc_analyze_dense
@@ -238,6 +239,15 @@ def test_band_family_members(scale):
         assert self_check(tf) < 1e-12, tf.name
         # boundary-vanishing: supports sit inside the open interval
         assert tf(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0], abs=1e-15)
+
+
+def test_band_family_refuses_a_large_scale_before_allocating(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("breakpoints made before the size check")
+
+    monkeypatch.setattr(corpus_module, "_dyadic_breaks", reached)
+    with pytest.raises(ConfigError, match="band_family scale 40 asks for 17592186044417 breakpoints"):
+        band_family(40)
 
 
 def test_band_family_scaling_relation():

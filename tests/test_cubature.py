@@ -9,6 +9,7 @@ import pytest
 from halfcos.cubature import (
     _NET_TABLE,
     _direction_integers,
+    _generating_integers,
     CubatureRule,
     convergence_experiment,
     digital_net,
@@ -132,6 +133,14 @@ def test_digital_net_matches_the_per_point_reference(reference_nets):
             for d in range(1, ref.shape[1] + 1):
                 got = digital_net(m, d, alpha).nodes
                 assert np.array_equal(got, ref[: 2**m, :d]), (m, d, alpha)
+
+
+def test_generating_integers_are_built_once_and_read_only():
+    for d, alpha in ((2, 1), (3, 2)):
+        v = _generating_integers(d, alpha)
+        assert _generating_integers(d, alpha) is v
+        assert not v.flags.writeable
+        assert np.array_equal(v, _generating_integers.__wrapped__(d, alpha))
 
 
 def test_net_argument_guards():

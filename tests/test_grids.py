@@ -35,6 +35,7 @@ from halfcos.grids import (
     tent,
 )
 from halfcos import approx, besov, grids
+from halfcos.wavelets import cw_synthesize, psi_eval
 from halfcos.corpus import corpus, get_member, gibbs_demo
 from halfcos.indexsets import hyperbolic_cross
 from closed_forms import evenize
@@ -343,21 +344,57 @@ def _former_synthesize_terms(items, row, n, d):
     return out
 
 
+def _cw_keys(d, rng):
+    """Twelve random (levels, shifts) keys of a d-dimensional wavelet map,
+    with repeated rows."""
+    return [(tuple(int(l) for l in rng.integers(-1, 3, size=d)),
+             tuple(int(k) for k in rng.integers(-2, 4, size=d))) for _ in range(12)]
+
+
 # (2, 10) and (3, 7) span several blocks of the synthesis; the others fit in one.
 @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3), (2, 10), (3, 7)])
-@pytest.mark.parametrize("keys", ["random", "cross"])
+@pytest.mark.parametrize("keys", ["random", "cross", "leading", "negzero", "cw"])
 def test_synthesis_is_bit_identical_to_the_former_outer_products(d, m, keys):
     rng = np.random.default_rng(20 + d)
+    x = np.arange(2**m + 1) * 2.0**-m
+    if keys == "cw":  # wavelet rows, none of them all ones
+        coeffs = CoefficientMap("cw-primal", d, {key: float(rng.normal()) for key in _cw_keys(d, rng)})
+        items = [(tuple(zip(j, k)), v) for (j, k), v in coeffs.items_sorted()]
+        ref = _former_synthesize_terms(items, lambda key: psi_eval(*key, x), x.size, d)
+        assert not any(np.all(psi_eval(*key, x) == 1.0) for pairs, _ in items for key in pairs)
+        got = cw_synthesize(coeffs, m).values
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        return
     if keys == "random":  # with repeated rows, the Nyquist row and aliased keys
         kbars = [tuple(int(k) for k in rng.integers(0, 3 * 2**m, size=d)) for _ in range(12)]
         kbars += [(0,) * d, (2**m,) * d]
-    else:
+    elif keys == "leading":  # every k_0 = 0: the map is one leading run
+        kbars = [(0,) + tuple(int(k) for k in rng.integers(0, 2**m, size=d - 1)) for _ in range(12)]
+    else:  # the cross, for negzero too; it spans several blocks at (3, 7)
         kbars = [tuple(int(k) for k in kbar) for kbar in hyperbolic_cross(9, d, signed=False).as_array()]
-    coeffs = CoefficientMap("hpc", d, {kbar: float(rng.normal()) for kbar in kbars})
-    x = np.arange(2**m + 1) * 2.0**-m
+    vals = rng.normal(size=len(kbars))
+    if keys == "negzero":  # -0.0 terms, whose products are signed zeros
+        vals[::2] = -0.0
+    coeffs = CoefficientMap("hpc", d, dict(zip(kbars, vals.tolist())))
     ref = _former_synthesize_terms(coeffs.items_sorted(), lambda k: hpc_basis_1d(k, x), x.size, d)
     got = hpc_synthesize(coeffs, m).values
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_synthesis_sums_the_leading_run_once_on_the_slab(monkeypatch):
+    # k_0 = 0 terms come first in key order; each run is summed one axis down
+    calls = []
+    sum_terms = grids._sum_terms
+
+    def recorded(terms, n, d):
+        calls.append((len(terms), d))
+        return sum_terms(terms, n, d)
+
+    monkeypatch.setattr(grids, "_sum_terms", recorded)
+    coeffs = CoefficientMap("hpc", 3, {(0, 0, 1): 1.0, (0, 0, 2): 1.0, (0, 1, 1): 1.0,
+                                       (1, 0, 0): 1.0, (2, 2, 2): 1.0})
+    hpc_synthesize(coeffs, 3)
+    assert calls == [(5, 3), (3, 2), (2, 1)]
 
 
 @pytest.mark.parametrize("d, m, kmax", [(1, 7, 32), (2, 6, 16), (3, 4, 4)])
@@ -486,6 +523,21 @@ def test_dense_cosine_transforms_match_cosine_sums(d, m, size):
     assert np.allclose(back[(slice(0, keep.shape[0]),) * d], keep, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (3, 3)])
+def test_pruned_cosine_analysis_is_the_slice_of_the_full_one(d, m):
+    rng = np.random.default_rng(30 + d)
+    n = 2**m + 1
+    g = GridFunction(UNIT, m, _with_zero_lines(rng.normal(size=(n,) * d), rng))
+    full = hpc_analyze_dense(g)
+    for size in (1, n // 2, n, n + 3):
+        got = hpc_analyze_dense(g, size)
+        assert got.shape == (min(size, n),) * d
+        assert np.array_equal(_bits(got), _bits(full[(slice(0, size),) * d]))
+    for size in (0, -1):
+        with pytest.raises(ConfigError, match=f"box size must be >= 1, got {size}"):
+            hpc_analyze_dense(g, size)
+
+
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 4), (3, 2), (3, 5)])
 def test_fourier_dense_signs_match_the_sign_vector(d, m):
     rng = np.random.default_rng(d)
@@ -603,6 +655,36 @@ def test_torus_projection_transforms_only_the_cross_slots(monkeypatch):
     approx._torus_projection(g, N)
     assert calls == [("fft", 0, 64 * 64), ("fft", 1, 64 * 7), ("fft", 2, 7 * 7),
                      ("ifft", 0, 7 * 7), ("ifft", 1, 64 * 7), ("ifft", 2, 64 * 64)]
+
+
+def _dct_lines(monkeypatch):
+    """Record [axis, lines transformed] of every _dct1 call: the rows of
+    the real FFTs it runs."""
+    calls = []
+    rfft, dct1 = np.fft.rfft, grids._dct1
+
+    def counted_rfft(a, *args, **kwargs):
+        calls[-1][1] += a.shape[0]
+        return rfft(a, *args, **kwargs)
+
+    def counted_dct1(x, axis, *args, **kwargs):
+        calls.append([axis, 0])
+        return dct1(x, axis, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    monkeypatch.setattr(grids, "_dct1", counted_dct1)
+    return calls
+
+
+def test_cosine_projection_transforms_only_the_lines_of_the_box(monkeypatch):
+    d, m, N = 3, 5, 4  # k_i <= 3: 4 of 33 slots per axis
+    g = GridFunction(UNIT, m, np.random.default_rng(3).normal(size=(33,) * d))
+    calls = _dct_lines(monkeypatch)
+    approx.project_dense(g, N)
+    # analysis keeps 4 slots per axis; the synthesis transforms the 8 live
+    # lines of the cross box, (1 + k_1)(1 + k_2) <= 4, then pads
+    assert calls == [[0, 33 * 33], [1, 4 * 33], [2, 4 * 4],
+                     [0, 8], [1, 33 * 4], [2, 33 * 33]]
 
 
 def test_block_identity_transforms_only_the_support_of_the_blocks(monkeypatch):

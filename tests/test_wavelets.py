@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import sympy as sp
 
-from halfcos import grids
+from halfcos import grids, wavelets
 from halfcos.besov import BesovParams, seq_norm_report
 from halfcos.corpus import get_member
 from halfcos.errors import ConfigError, DivergentTailError, TruncationError
@@ -496,6 +496,19 @@ def test_dual_piecewise_is_the_dual_sequence_expansion(l, k):
 def test_analysis_rejects_a_box_that_is_not_an_interval(box):
     with pytest.raises(ConfigError, match="not a finite interval"):
         cw_analyze_1d(np.cos, 2, box)
+
+
+def test_analysis_refuses_a_large_level_before_allocating(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("level axis made before the size check")
+
+    monkeypatch.setattr(wavelets, "_LevelAxis", reached)
+    with pytest.raises(ConfigError, match="level J=40 asks for a grid of about 2.2e[+]12 cells"):
+        cw_analyze(np.cos, 40)
+    with pytest.raises(ConfigError, match="level J=5000 asks"):
+        cw_analyze_1d(np.cos, 5000, (0.0, 1.0))
+    with pytest.raises(ConfigError, match="level J=30 asks"):
+        cw_analyze(lambda x, y: x * y, 30, box=((0.0, 1.0), (0.0, 0.5)))
 
 
 @pytest.mark.parametrize(
