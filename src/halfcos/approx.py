@@ -23,7 +23,6 @@ from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
-    _check_aliasing,
     _check_grid_size,
     _check_kmax,
     _check_size,
@@ -171,7 +170,6 @@ def ls_error_experiment(
     cells = n_samples * card
     _check_size(cells, f"--N {N} with --oversample {oversample}",
                 f"a least-squares design of {n_samples} x {card} = {cells} cells")
-    _check_aliasing(grid_level, N - 1)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     K = hyperbolic_cross(N, d, signed=False)
@@ -179,7 +177,7 @@ def ls_error_experiment(
     pts = rng.random((n_samples, d))
     vals = member(*[pts[:, i] for i in range(d)])
     coeffs, info = ls_recover(pts, vals, K)
-    g = GridFunction.from_callable(member, d, grid_level, UNIT)
+    g = member.sample(N - 1, grid_level)
     ls_err = (g - hpc_synthesize(coeffs, grid_level)).lp_norm(2.0)
     approx, _ = project_dense(g, N)
     proj_err = (g - approx).lp_norm(2.0)

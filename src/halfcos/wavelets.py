@@ -320,7 +320,11 @@ class _LevelAxis:
     clipped to the box and split at the breakpoints of f, give every M_p
     with the panels a per-coefficient quadrature would use. The shifts of
     the generator w_{l,0} then turn M into coefficients by one correlation
-    with stride 2 (1 at level -1).
+    with stride 2 (1 at level -1): a strided view of M times the generator
+    fills a C-ordered table, tap axis outermost, summed over that axis from 0
+    in the order of a per-tap loop, by chunks of taps that each start from
+    the running sum and hold at most as many products as the samples or as
+    one line's taps (so one chunk in 1-D).
     """
 
     def __init__(self, l: int, box, f_breaks, gen: PiecewiseLinear):
@@ -328,11 +332,8 @@ class _LevelAxis:
         self.level, self.shifts = l, _shift_range(l, box)
         self.stride = 1 if l == -1 else 2
         self.gen = np.asarray(gen.values)
-        self.gen_first = round(self.stride * gen.breakpoints[0])
         h = 1.0 if l == -1 else 2.0 ** -(l + 1)
-        self.first = math.floor(lo / h)
-        self.size = math.ceil(hi / h) - self.first + 1
-        grid = h * np.arange(self.first, self.first + self.size)
+        grid = h * np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)
         cuts = np.unique(np.concatenate(([lo, hi], grid, np.asarray(f_breaks, dtype=float))))
         a, b = cuts[(cuts >= lo) & (cuts < hi)], cuts[(cuts > lo) & (cuts <= hi)]
         xg, wg = _gauss_legendre(_GAUSS_ORDER)
@@ -340,7 +341,10 @@ class _LevelAxis:
         self.weights = (0.5 * (b - a)[:, None] * wg).ravel()
         cell = np.repeat(np.floor(0.5 * (a + b) / h), _GAUSS_ORDER)
         self.frac = self.nodes / h - cell
-        self.cells, self.starts = np.unique(cell.astype(int) - self.first, return_index=True)
+        # apply's window[i] = M_p at p = base + i; base lies below the box's first cell (the
+        # shift range reaches past the box), so cells, each panel's window index, are >= 0
+        base = self.stride * self.shifts.start + round(self.stride * gen.breakpoints[0])
+        self.cells, self.starts = np.unique(cell.astype(int) - base, return_index=True)
 
     def apply(self, vals: np.ndarray, axis: int) -> np.ndarray:
         """Replace axis of vals, the samples of f at self.nodes, by the
@@ -349,18 +353,20 @@ class _LevelAxis:
         col = (-1,) + (1,) * (vals.ndim - 1)
         wf = self.weights.reshape(col) * vals
         frac = self.frac.reshape(col)
-        moments = np.zeros((self.size,) + vals.shape[1:])
-        moments[self.cells] += np.add.reduceat(wf * (1.0 - frac), self.starts, axis=0)
-        moments[self.cells + 1] += np.add.reduceat(wf * frac, self.starts, axis=0)
-        # window[i] = M_p at p = stride * shifts[0] + gen_first + i; it
-        # covers every node of the box, since the shift range reaches past it
-        n, s = len(self.shifts), self.stride
-        start = s * self.shifts.start + self.gen_first - self.first
-        window = np.zeros((s * n + len(self.gen),) + vals.shape[1:])
-        window[-start : self.size - start] = moments
-        out = np.zeros((n,) + vals.shape[1:])
-        for t, g in enumerate(self.gen):
-            out += g * window[t : t + s * n : s]
+        n, s, G = len(self.shifts), self.stride, len(self.gen)
+        window = np.zeros((s * n + G,) + vals.shape[1:])
+        window[self.cells] += np.add.reduceat(wf * (1.0 - frac), self.starts, axis=0)
+        window[self.cells + 1] += np.add.reduceat(wf * frac, self.starts, axis=0)
+        out, st = np.zeros((n,) + vals.shape[1:]), window.strides
+        # taps[t, i] = window[t + s * i], a view (as_strided views held memory over long runs)
+        taps = np.ndarray((G,) + out.shape, buffer=window, strides=(st[0], s * st[0]) + st[1:])
+        step = max(vals.size, G * n, out.size) // max(out.size, 1)
+        table = np.empty((min(step, G) + 1,) + out.shape)
+        for t in range(0, G, step):
+            rows = table[: min(step, G - t) + 1]
+            rows[0] = out
+            np.multiply(taps[t : t + step].T, self.gen[t : t + step], out=rows[1:].T)
+            np.add.reduce(rows, axis=0, out=out)
         return np.moveaxis(out, 0, axis)
 
 

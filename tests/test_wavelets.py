@@ -1,6 +1,7 @@
 """Spline wavelet machinery against exact rational (sympy) oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from halfcos.errors import ConfigError, DivergentTailError, TruncationError
 from halfcos.grids import CoefficientMap, GridFunction, UNIT
 from halfcos.wavelets import (
     PiecewiseLinear,
+    _LevelAxis,
     _shift_range,
     biorthogonality_residual_1d,
     bspline_value,
@@ -490,6 +492,79 @@ def test_dual_piecewise_is_the_dual_sequence_expansion(l, k):
     x = np.random.default_rng(5).uniform(lo, hi, 200)
     expansion = sum(seq.a(n) * psi_eval(l, k + n, x) for n in range(-40, 41))
     assert np.max(np.abs(dual_piecewise(l, k)(x) - expansion)) <= 1e-14
+
+
+def _former_apply(self, vals, axis):
+    """_LevelAxis.apply as the former loop with one numpy step per tap of the
+    generator: out += g * window[t : t + stride * n : stride]."""
+    vals = np.moveaxis(vals, axis, 0)
+    col = (-1,) + (1,) * (vals.ndim - 1)
+    wf = self.weights.reshape(col) * vals
+    frac = self.frac.reshape(col)
+    n, s = len(self.shifts), self.stride
+    window = np.zeros((s * n + len(self.gen),) + vals.shape[1:])
+    window[self.cells] += np.add.reduceat(wf * (1.0 - frac), self.starts, axis=0)
+    window[self.cells + 1] += np.add.reduceat(wf * frac, self.starts, axis=0)
+    out = np.zeros((n,) + vals.shape[1:])
+    for t, g in enumerate(self.gen):
+        out += g * window[t : t + s * n : s]
+    return np.moveaxis(out, 0, axis)
+
+
+def _level_axis(l, box, kind, f_breaks=()):
+    eps = min(l, 0)
+    gen = psi_piecewise(eps, 0) if kind == "primal" else dual_piecewise(eps, 0)
+    return _LevelAxis(l, box, f_breaks, gen)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _kinked(x):
+    # zero off (0.2, 0.7), negative on part of it, kinked at 0.45
+    return np.where((x > 0.2) & (x < 0.7), np.cos(7.0 * x) - np.abs(x - 0.45), 0.0)
+
+
+@pytest.mark.parametrize("kind", ["primal", "dual"])
+@pytest.mark.parametrize("box", [(0.0, 1.0), (0.0, 0.5), (-1.0, 2.0), (0.3, 0.3 + 2.0**-11)],
+                         ids=["unit", "half", "wide", "sub-cell"])
+def test_level_correlation_keeps_the_bits_of_the_per_tap_loop(kind, box):
+    for l in range(-1, 9):
+        axis = _level_axis(l, box, kind, (0.2, 0.45, 0.7))
+        vals = _kinked(axis.nodes)
+        _assert_same_bits(axis.apply(vals, 0), _former_apply(axis, vals, 0))
+
+
+@pytest.mark.parametrize("kind", ["primal", "dual"])
+@pytest.mark.parametrize("levels", [(5, 2), (0, 5), (-1, 3), (4, 4)])
+def test_level_correlation_keeps_the_bits_in_2d(kind, levels):
+    first, second = (_level_axis(l, (0.0, 1.0), kind) for l in levels)
+    vals = np.exp(first.nodes)[:, None] * np.sin(3.0 * second.nodes) + np.abs(
+        first.nodes[:, None] - 0.3) * second.nodes
+    if kind == "dual":  # the rule gives chunks of len(nodes) // len(shifts) taps: four or more
+        assert len(first.nodes) // len(first.shifts) < len(first.gen) // 4
+    lam = first.apply(vals, 0)
+    _assert_same_bits(lam, _former_apply(first, vals, 0))
+    _assert_same_bits(second.apply(lam, 1), _former_apply(second, lam, 1))
+
+
+def _analysis_peak():
+    f2d = lambda x, y: np.exp(x) * np.sin(3.0 * y) + np.abs(x - 0.3) * y
+    cw_analyze(f2d, J=1, box=((0.0, 1.0), (0.0, 1.0)), kind="dual")  # builds the dual once
+    tracemalloc.start()
+    try:
+        cw_analyze(f2d, J=5, box=((0.0, 1.0), (0.0, 1.0)), kind="dual")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunked_correlation_keeps_the_memory_of_the_per_tap_loop(monkeypatch):
+    peak = _analysis_peak()
+    monkeypatch.setattr(_LevelAxis, "apply", _former_apply)
+    assert peak <= 1.5 * _analysis_peak()
 
 
 @pytest.mark.parametrize("box", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
