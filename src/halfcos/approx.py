@@ -5,8 +5,8 @@ least-squares recovery from point samples.
 Projections of sampled functions are computed by aliasing-checked dense
 transforms; the exact projection error of a corpus member is a tail sum of
 its closed-form coefficients, read from per-axis suffix sums. The transfer
-identity is tested on matched grids where it holds to round-off because
-mirrored sample values coincide node by node.
+identity holds to round-off on matched grids: the torus side reads the
+unit samples through their mirror index, so the values coincide node by node.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ def project_dense(f: GridFunction, N: int):
 
 
 def _torus_projection(g: GridFunction, N: int) -> GridFunction:
-    """FFT-masking projection of a torus grid function onto the signed
-    cross. The cross lies in |k_i| <= N - 1 per axis, so only those slots
-    are transformed."""
-    freqs = signed_fft_freqs(g.axis_size)
+    """FFT-masking projection onto the signed cross of a torus grid function
+    or of the periodization of a unit-cube one (never built). The cross lies
+    in |k_i| <= N - 1 per axis, so only those slots are transformed."""
+    freqs = signed_fft_freqs(2 ** (g.m + 1))
     slots = [np.abs(freqs) <= N - 1] * g.d
     dense = fourier_analyze_dense(g, slots)
     kept = [freqs[keep].astype(float) for keep in slots]
@@ -82,8 +82,7 @@ def error_transfer_check(f: GridFunction, N: int, p: float):
     samples, project onto the signed cross by FFT masking, and take the
     normalized-measure L_p error. Equal to round-off on matched grids."""
     lhs = (f - project_dense(f, N)[0]).lp_norm(p)
-    g = periodize(f)
-    rhs = (g - _torus_projection(g, N)).lp_norm(p)
+    rhs = (periodize(f) - _torus_projection(f, N)).lp_norm(p)
     if p != math.inf:
         rhs *= 2.0 ** (-f.d / p)
     return lhs, rhs

@@ -30,7 +30,6 @@ from .grids import (
     fourier_analyze_dense,
     fourier_synthesize_dense,
     hpc_synthesize_dense,
-    periodize,
     signed_fft_freqs,
 )
 from .indexsets import plus_l1
@@ -247,18 +246,21 @@ def _per_factor(factors, table) -> list:
 def _tensor_report(kind: str, params: BesovParams, J_max: int, axis_terms, slope: float,
                    exact: bool, strict: bool) -> NormReport:
     """_norm_report of a tensor-product function from one table per axis:
-    axis_terms[i] maps (j,), j >= -1, to factor i's level term with no
-    level weight. The term of jbar, in the order of nested loops over the
-    tables, is 2^{slope |jbar_+|_1} times the product of axis_terms[i][(j_i,)]
-    in axis order; terms <= 0 are dropped. Strictness and the tail fit act
-    on the combined level sums."""
+    axis_terms[i] maps (j,), j >= -1, to factor i's level term with no level
+    weight. The term of jbar, in the order of nested loops over the tables, is
+    2^{slope |jbar_+|_1} times the product of axis_terms[i][(j_i,)] in axis
+    order; terms <= 0 are dropped. Strictness and the tail fit act on the
+    combined level sums. A weight or sum past the float range is a ConfigError."""
     level_terms = {}
-    for keys in itertools.product(*axis_terms):
-        jbar = tuple(j for (j,) in keys)
-        term = 2.0 ** (slope * plus_l1(jbar)) * math.prod(t[k] for t, k in zip(axis_terms, keys))
-        if term > 0.0:
-            level_terms[jbar] = term
-    return _norm_report(kind, params, J_max, level_terms, exact, strict)
+    try:
+        for keys in itertools.product(*axis_terms):
+            jbar = tuple(j for (j,) in keys)
+            term = 2.0 ** (slope * plus_l1(jbar)) * math.prod(t[k] for t, k in zip(axis_terms, keys))
+            if term > 0.0:
+                level_terms[jbar] = term
+        return _norm_report(kind, params, J_max, level_terms, exact, strict)
+    except OverflowError:  # float powers raise; a product of floats gives inf instead
+        raise ConfigError(f"r={params.r}: the terms up to level {jbar} leave the float range") from None
 
 
 def hpc_besov_norm(
@@ -340,10 +342,10 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     FFT analysis, symmetric weights and FFT synthesis. Right:
     2^d ||cosine block||^p over the unit cube, via weighted DCT synthesis.
     The pipelines share no transform code; equality is the periodization
-    principle for blocks. The torus side transforms only the slots where
-    phi_{j_i} is nonzero (pruned FFTs), but never goes through the DCT-I.
-    p = inf compares sup values (no 2^d factor). p and the torus grid, the
-    largest, are checked before any grid is made."""
+    principle for blocks. The torus side reads the unit samples through
+    their mirror index and transforms only the slots where phi_{j_i} is
+    nonzero (pruned FFTs), never the DCT-I. p = inf compares sup values (no
+    2^d factor). p and the torus grid, the largest, are checked first."""
     d = f_coeffs.d
     if not 0.0 < p <= INF:
         raise ConfigError(f"p must lie in (0, inf], got {p}")
@@ -353,7 +355,7 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     freqs = signed_fft_freqs(2 ** (grid_level + 1)).astype(float)  # phi_j is even: phi_j(|k|)
     weights = [phi(int(j), freqs) for j in jbar]
     slots = [w != 0.0 for w in weights]
-    dense = fourier_analyze_dense(periodize(g_unit), slots)
+    dense = fourier_analyze_dense(g_unit, slots)
     weighted = _weigh(dense, [w[keep] for w, keep in zip(weights, slots)])
     block_t = fourier_synthesize_dense(weighted, grid_level, slots)
 
@@ -419,6 +421,9 @@ def difference_seminorm(
         raise ConfigError(f"difference order m={m} must be >= 1")
     if m <= params.r:
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
+    top = np.finfo(float)  # C(m, m // 2) >= 2^m / (m + 1) > top.max once m >= 2 top.maxexp
+    if m >= 2 * top.maxexp or math.comb(m, m // 2) > float(top.max):
+        raise ConfigError(f"difference order m={m} has binomial weights past the float range")
     if J_max < 0:
         raise ConfigError(f"truncation level J_max must be >= 0, got {J_max}")
     _check_grid_size(grid_level, 1, SYM, f"grid_level {grid_level}")  # the 1-D axes it makes

@@ -254,10 +254,9 @@ def band_family(scale: int = 0) -> list:
 
     Each part is (coef, order, width, shift): coef * N_order(width x - shift),
     supported in (0,1), with exact integral coef / width."""
-    w8 = 8 * 2**scale
-    w4 = 4 * 2**scale
-    w16 = 16 * 2**scale
-    _check_size(w16 + 1, f"band_family scale {scale}", f"{w16 + 1} breakpoints per member")
+    count = 16 * 2**scale + 1 if scale <= 64 else math.inf  # 2^scale takes scale bits
+    _check_size(count, f"band_family scale {scale}", f"{count} breakpoints per member")
+    w4, w8, w16 = 4 * 2**scale, 8 * 2**scale, 16 * 2**scale
     specs = []
     for k in range(1, 6):
         specs.append((f"hat8_{k}", [(1.0, 2, w8, k)]))

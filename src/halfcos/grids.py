@@ -201,20 +201,21 @@ class GridFunction:
         return GridFunction(self.domain, self.m, self.values - other.values)
 
 
-def periodize(f: GridFunction) -> GridFunction:
-    """Reflection periodization P: f -> f o rho restricted to [-1,1]^d.
+def _mirror(vals: np.ndarray, ax: int, m: int) -> np.ndarray:
+    """vals with unit-cube axis ax read onto the torus: torus index i holds
+    unit index |i - 2^m|, the reversed slice 2^m..1, then the slice 0..2^m - 1."""
+    parts = vals[_axis_index(ax, slice(2**m, 0, -1))], vals[_axis_index(ax, slice(0, 2**m))]
+    return np.concatenate(parts, axis=ax)
 
-    Exact index mirroring: the torus node -1 + i 2^-m reflects onto the
-    unit node |i - 2^m| 2^-m, so each axis is the reversed slice 2^m..1
-    followed by the slice 0..2^m - 1.
-    """
+
+def periodize(f: GridFunction) -> GridFunction:
+    """Reflection periodization P: f -> f o rho restricted to [-1,1]^d, by
+    exact index mirroring of each axis (_mirror)."""
     if f.domain != UNIT:
         raise DomainError("periodize expects a unit-cube grid function")
-    n = 2**f.m
     vals = f.values
     for ax in range(f.d):
-        mirror = vals[_axis_index(ax, slice(n, 0, -1))]
-        vals = np.concatenate((mirror, vals[_axis_index(ax, slice(0, n))]), axis=ax)
+        vals = _mirror(vals, ax, f.m)
     return GridFunction(SYM, f.m, vals)
 
 
@@ -545,29 +546,29 @@ def _negate_odd(a: np.ndarray, slots) -> None:
 
 
 def fourier_analyze_dense(g: GridFunction, slots=None) -> np.ndarray:
-    """Torus Fourier coefficients in FFT layout, at the kept slots only.
+    """Torus Fourier coefficients in FFT layout, at the kept slots only, of
+    a torus grid function or of the periodization of a unit-cube one.
 
-    slots holds, per axis, a boolean mask of the 2^(m+1) slots that are
-    kept; None keeps every slot, which gives the full tensor. Entry
-    [i_1, ..., i_d] of the result is the coefficient at the i_1-th kept
-    slot of axis 0, and so on. The FFT runs in place along axis
-    0 on every line, then only that axis's kept slots stay before axis 1
-    is transformed, and so on in axis order (FFT pruning). The scaling and
-    the node sign (-1)^k, with k the slot and not the position, are applied
-    to the kept tensor. numpy's FFT computes each line on its own, so every
-    kept line, and with it every value, has the same bits as in the full
-    transform.
+    slots holds, per axis, a boolean mask of the 2^(m+1) slots kept; None
+    keeps every slot. Entry [i_1, ..., i_d] is the coefficient at the i_1-th
+    kept slot of axis 0, and so on. Axis by axis, in axis order, the FFT
+    runs in place on every line and only the kept slots stay (FFT pruning).
+    A unit-cube axis is mirrored onto the torus (_mirror) just before its
+    own FFT, so until then it holds only its 2^m + 1 distinct lines. The
+    scaling and the node sign (-1)^k, k the slot, act on the kept tensor.
+    numpy's FFT computes each line on its own, and each line holds the
+    values of its line of the torus tensor, so every value has the bits of
+    the full transform of that tensor.
     """
-    if g.domain != SYM:
-        raise DomainError("fourier_analyze_dense expects a torus grid function")
-    slots = _check_slots(slots, g.d, g.axis_size)
-    h = 2.0**-g.m
+    m, unit = g.m, g.domain == UNIT
+    slots = _check_slots(slots, g.d, 2 ** (m + 1))
     coeff = np.array(g.values, dtype=complex)
     for ax, keep in enumerate(slots):  # in place, then one copy of the kept slots per axis
+        if unit:
+            coeff = _mirror(coeff, ax, m)
         np.fft.fft(coeff, axis=ax, out=coeff)
         coeff = coeff[_axis_index(ax, keep)]
-    coeff *= h**g.d
-    coeff *= 2.0 ** (-g.d / 2.0)
+    coeff *= 2.0 ** (-m * g.d) * 2.0 ** (-g.d / 2.0)  # h^d 2^(-d/2), h = 2^-m: exact
     # Node offset -1 per axis contributes the alternating sign (-1)^k.
     _negate_odd(coeff, slots)
     return coeff
@@ -580,18 +581,15 @@ def signed_fft_freqs(n: int) -> np.ndarray:
 
 def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunction:
     """Inverse of fourier_analyze_dense: the torus grid function whose
-    coefficients are coeff at the kept slots and zero elsewhere.
-
-    slots is as in fourier_analyze_dense, and coeff holds one entry per
-    kept slot of each axis; None means the full FFT-layout tensor. The
-    sign (-1)^k of each slot k is applied to coeff. Then each axis, in axis
-    order 0, ..., d-1 as in the full transform, is scattered to its full
-    length of zeros just before its own unnormalized inverse FFT runs in
-    place, so the earlier axes never transform the lines that would hold
-    only zeros. The other lines are transformed as the full transform would
-    transform them, each on its own, so the values are identical to that
-    transform. The 1/n^d follows as one multiplication; n^d is a power of
-    two, so that is exact.
+    coefficients are coeff at the kept slots (slots as there) and zero
+    elsewhere. The sign (-1)^k of each slot k is applied to coeff; then,
+    in axis order, each axis is scattered to its full length of zeros just
+    before its own unnormalized inverse FFT runs in place, so earlier axes
+    never transform the lines that would hold only zeros. Every other line
+    is transformed on its own as in the full transform, so the values are
+    identical to it. One division by h^d 2^(-d/2) n^d, h = 2^-m, scales
+    exactly, as n^d is a power of two. The output is full-grid: its lines
+    are not bit-symmetric, so none can be mirrored.
     """
     d = coeff.ndim
     n = 2 ** (m + 1)
@@ -601,7 +599,6 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
         raise ResolutionMismatchError(
             f"dense Fourier tensor has shape {coeff.shape}, expected {kept} for the kept slots"
         )
-    h = 2.0**-m
     vals = np.array(coeff, dtype=complex)  # coeff is not touched
     _negate_odd(vals, slots)
     for ax, keep in enumerate(slots):
@@ -609,8 +606,7 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
         full[_axis_index(ax, keep)] = vals
         vals = full
         np.fft.ifft(vals, axis=ax, norm="forward", out=vals)
-    vals *= 1.0 / vals.size
-    vals /= h**d * 2.0 ** (-d / 2.0)
+    vals /= 2.0 ** (-m * d) * 2.0 ** (-d / 2.0) * vals.size
     return GridFunction(SYM, m, vals)
 
 

@@ -9,6 +9,7 @@ from halfcos.besov import (
     _lp,
     _norm_report,
     _rectangular_mean,
+    _tensor_report,
     BesovParams,
     difference_seminorm,
     holder_pairing_check,
@@ -782,6 +783,42 @@ def test_difference_refuses_a_large_grid_before_allocating(monkeypatch):
     with pytest.raises(ConfigError, match="grid_level 40 asks for a level-40 grid in d=1"):
         difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors,
                             grid_level=40)
+
+
+def test_difference_refuses_binomial_weights_past_the_float_range(monkeypatch):
+    import halfcos.besov as besov
+
+    comb = math.comb
+
+    def bounded_comb(n, k):
+        assert n < 2048, "a binomial past every float formed"
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", bounded_comb)
+    monkeypatch.setattr(besov, "_grid_axis", lambda *a: pytest.fail("grid axis made first"))
+    factors = [lambda x: np.cos(np.pi * x)]
+    for m in (1030, 2047, 2048, 10**12):
+        with pytest.raises(ConfigError, match=f"m={m} has binomial weights past the float range"):
+            difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors, m=m)
+    monkeypatch.undo()
+    # C(1029, 514) is the last largest weight that is a float
+    rep = difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors,
+                              m=1029, J_max=0)
+    assert list(rep.level_terms) == [(0,)]
+
+
+@pytest.mark.parametrize("r, q", [(200.0, 1.0), (100.0, 2.0)])
+def test_tensor_report_refuses_terms_past_the_float_range(r, q):
+    # r = 200: the weight 2^(200 * 6) of level (3, 3), the last one, overflows;
+    # r = 100: every weight is a float, but the squares in the ell_2 sum are not
+    table = {(j,): 1.5**-j for j in range(4)}
+    rep = _tensor_report("hpc", BesovParams(100.0, 2.0, 1.0), 3, [table, table], 100.0,
+                         exact=True, strict=False)
+    assert len(rep.level_terms) == 16
+    for jbar, term in rep.level_terms.items():  # finite terms keep the bits of the formula
+        assert term == 2.0 ** (100.0 * plus_l1(jbar)) * math.prod(table[(j,)] for j in jbar)
+    with pytest.raises(ConfigError, match=rf"r={r}: the terms up to level \(3, 3\) leave the float"):
+        _tensor_report("hpc", BesovParams(r, 2.0, q), 3, [table, table], r, exact=True, strict=False)
 
 
 def test_difference_needs_a_function():

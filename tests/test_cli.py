@@ -299,6 +299,13 @@ def test_gnuplot_companion(tmp_path, capsys):
         # gibbs mode samples as decay mode does: a negative level is a config error
         (["coeffs", "--fn", "kink1", "--mode", "gibbs", "--grid-level", "-1"], 2,
          "grid level m must be >= 0, got -1"),
+        # numbers past the float range: binomial weights of --m, level weights of --r
+        (["norms", "--fn", "bspline2", "--m", "1030", "--compare", "diff"], 2,
+         "difference order m=1030 has binomial weights past the float range"),
+        (["norms", "--fn", "bspline2", "--r", "1200", "--compare", "hpc"], 2,
+         "r=1200.0: the terms up to level (1,) leave the float range"),
+        (["norms", "--fn", "bspline2", "--r", "100", "--m", "101", "--compare", "diff"], 2,
+         "r=100.0: the terms up to level (6,) leave the float range"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):

@@ -2,6 +2,11 @@
 
 import dataclasses
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +253,23 @@ def test_band_family_refuses_a_large_scale_before_allocating(monkeypatch):
     monkeypatch.setattr(corpus_module, "_dyadic_breaks", reached)
     with pytest.raises(ConfigError, match="band_family scale 40 asks for 17592186044417 breakpoints"):
         band_family(40)
+
+
+def test_band_family_refuses_a_huge_scale_before_forming_its_power():
+    # 2^(2^40) alone would take 2^40 bits: the call runs in a child process
+    # capped at 1 GiB of address space and 60 s, so a regression fails, not hangs
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(corpus_module.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    code = "from halfcos.corpus import band_family; band_family(2**40)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(
+        "ConfigError: band_family scale 1099511627776 asks for inf breakpoints per member,"
+        " over the limit of 16777216 = 2^24\n")
 
 
 def test_band_family_scaling_relation():

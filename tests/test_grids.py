@@ -585,6 +585,50 @@ def test_pruned_fourier_transforms_equal_the_full_ones_bit_for_bit(d, m):
         assert np.array_equal(_bits(pruned), _bits(fourier_synthesize_dense(scattered, m).values))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_unit_input_is_analysed_as_its_periodization_bit_for_bit(d, m):
+    rng = np.random.default_rng(100 + 10 * d + m)
+    n = 2**m + 1
+    values = _with_zero_lines(rng.normal(size=(n,) * d), rng)
+    values[rng.random(values.shape) < 0.1] = -0.0
+    values[rng.random(values.shape) < 0.1] = 0.0
+    f = GridFunction(UNIT, m, values)
+    for slots in [None] + _slot_cases(2 * n - 2, d, rng):
+        got = fourier_analyze_dense(f, slots)
+        assert np.array_equal(_bits(got), _bits(fourier_analyze_dense(periodize(f), slots)))
+
+
+def _former_synthesize(coeff, m, slots):
+    """fourier_synthesize_dense as it was with the scaling in two passes,
+    1/n^d and then 1/(h^d 2^(-d/2)): the reference for its one division."""
+    d, n, h = coeff.ndim, 2 ** (m + 1), 2.0**-m
+    vals = np.array(coeff, dtype=complex)
+    grids._negate_odd(vals, slots)
+    for ax, keep in enumerate(slots):
+        full = np.zeros(vals.shape[:ax] + (n,) + vals.shape[ax + 1 :], dtype=complex)
+        full[grids._axis_index(ax, keep)] = vals
+        vals = full
+        np.fft.ifft(vals, axis=ax, norm="forward", out=vals)
+    vals *= 1.0 / vals.size
+    vals /= h**d * 2.0 ** (-d / 2.0)
+    return vals
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_synthesis_scales_as_the_two_pass_form_bit_for_bit(d, m):
+    rng = np.random.default_rng(200 + 10 * d + m)
+    n = 2 ** (m + 1)
+    for slots in _slot_cases(n, d, rng):
+        shape = tuple(np.count_nonzero(keep) for keep in slots)
+        coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coeff[rng.random(shape) < 0.2] = 0.0
+        coeff[rng.random(shape) < 0.2] = -0.0
+        got = fourier_synthesize_dense(coeff, m, slots).values
+        assert np.array_equal(_bits(got), _bits(_former_synthesize(coeff, m, slots)))
+
+
 @pytest.mark.parametrize("d, m", [(1, 2), (2, 3), (3, 5)])
 def test_cosine_polynomial_inside_the_slots_round_trips(d, m):
     rng = np.random.default_rng(d + m)
@@ -657,6 +701,19 @@ def test_torus_projection_transforms_only_the_cross_slots(monkeypatch):
                      ("ifft", 0, 7 * 7), ("ifft", 1, 64 * 7), ("ifft", 2, 64 * 64)]
 
 
+def test_torus_projection_of_unit_samples_transforms_only_their_distinct_lines(monkeypatch):
+    # each axis is mirrored just before its own FFT, so until then it holds
+    # its 33 distinct lines; the synthesis is full-grid, as for torus input
+    d, m, N = 3, 5, 4
+    f = hpc_synthesize(CoefficientMap("hpc", d, {(1, 2, 0): 1.0}), m)
+    ref = approx._torus_projection(periodize(f), N)
+    calls = _fft_lines(monkeypatch)
+    got = approx._torus_projection(f, N)
+    assert calls == [("fft", 0, 33 * 33), ("fft", 1, 7 * 33), ("fft", 2, 7 * 7),
+                     ("ifft", 0, 7 * 7), ("ifft", 1, 64 * 7), ("ifft", 2, 64 * 64)]
+    assert np.array_equal(_bits(got.values), _bits(ref.values))
+
+
 def _dct_lines(monkeypatch):
     """Record [axis, lines transformed] of every _dct1 call: the rows of
     the real FFTs it runs."""
@@ -688,12 +745,13 @@ def test_cosine_projection_transforms_only_the_lines_of_the_box(monkeypatch):
 
 
 def test_block_identity_transforms_only_the_support_of_the_blocks(monkeypatch):
-    # phi_0 keeps 3 and phi_3 keeps 22 of the 64 slots
+    # phi_0 keeps 3 and phi_3 keeps 22 of the 64 slots; the unit samples
+    # are analysed through their mirror index, so axis 0 has 33 lines
     calls = _fft_lines(monkeypatch)
     besov.periodization_block_identity(
         CoefficientMap("hpc", 2, {(0, 6): 1.0, (1, 9): 0.5}), (0, 3), 2.0, grid_level=5
     )
-    assert calls == [("fft", 0, 64), ("fft", 1, 3), ("ifft", 0, 22), ("ifft", 1, 64)]
+    assert calls == [("fft", 0, 33), ("fft", 1, 3), ("ifft", 0, 22), ("ifft", 1, 64)]
 
 
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2)])

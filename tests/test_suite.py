@@ -81,6 +81,24 @@ def test_cubature_transfer_residual_is_exactly_zero(d):
         assert identity_suite(d, seed, n_funcs=2)["cubature-transfer"] == 0.0
 
 
+# float.hex of identity_suite(3, seed, n_funcs=2, m=5): the 3-D torus side
+# (pruned FFTs of the mirrored unit samples) keeps its bits to the last one
+_D3_RESIDUALS = {
+    1: {"cosine-reflection": "0x1.6a09e667f3bccp-52", "scalar-product": "0x1.a107a2b3d06e2p-51",
+        "coefficient-relation": "0x1.3852debb7887cp-59", "approx-transfer": "0x1.2fa25e223cac2p-53",
+        "cubature-transfer": "0x0.0p+0", "block-identity": "0x1.159960a126c22p-113"},
+    2: {"cosine-reflection": "0x1.ffffffffffffep-54", "scalar-product": "0x1.32cbe70f46251p-50",
+        "coefficient-relation": "0x1.063618e57bf3ap-58", "approx-transfer": "0x1.4d49946d4afcfp-53",
+        "cubature-transfer": "0x0.0p+0", "block-identity": "0x1.aa34669e3c98cp-54"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_D3_RESIDUALS))
+def test_identity_suite_in_three_dimensions_keeps_its_bits(seed):
+    res = identity_suite(3, seed, n_funcs=2, m=5)
+    assert {name: value.hex() for name, value in res.items()} == _D3_RESIDUALS[seed]
+
+
 def test_identity_suite_is_deterministic():
     a = identity_suite(1, seed=7, n_funcs=3)
     b = identity_suite(1, seed=7, n_funcs=3)
