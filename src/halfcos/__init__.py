@@ -50,7 +50,6 @@ from .besov import (
     BesovParams,
     NormReport,
     hpc_besov_norm,
-    hpc_block,
     seq_norm,
     seq_norm_report,
     holder_pairing_check,

@@ -40,7 +40,6 @@ __all__ = [
     "phi",
     "BesovParams",
     "NormReport",
-    "hpc_block",
     "hpc_besov_norm",
     "seq_norm",
     "seq_norm_report",
@@ -166,16 +165,9 @@ def _lp(values, p: float, mean: bool = False) -> float:
     return float((np.mean(a**p) if mean else np.sum(a**p)) ** (1.0 / p))
 
 
-def hpc_block(f_coeffs: CoefficientMap, jbar, grid_level: int) -> GridFunction:
-    """Weighted cosine sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid.
-    The box and the grid are size-checked before CoefficientMap.dense runs."""
-    kmax = f_coeffs.top_frequency()
-    _check_grid_size(grid_level, f_coeffs.d, UNIT, f"grid_level {grid_level}")
-    return _dense_block(f_coeffs.dense(kmax), jbar, grid_level)
-
-
 def _dense_block(dense: np.ndarray, jbar, grid_level: int) -> GridFunction:
-    """hpc_block of a cosine map from its dense box."""
+    """Block jbar of a cosine map from its dense box: the weighted cosine
+    sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid of grid_level."""
     ks = np.arange(dense.shape[0], dtype=float)
     return hpc_synthesize_dense(_weigh(dense, [phi(int(j), ks) for j in jbar]), grid_level)
 
@@ -203,23 +195,33 @@ def _tail_from_level_sums(level_sums: dict, q: float):
     return tail_q ** (1.0 / q), rho
 
 
-def _norm_report(
-    kind: str, params: BesovParams, J_max: int, level_terms: dict, exact: bool, strict: bool
-) -> NormReport:
-    """NormReport of one route from its level terms, keyed by jbar.
+def _norm_report(kind: str, params: BesovParams, J_max: int, bare_terms: dict, slope: float,
+                 exact: bool, strict: bool) -> NormReport:
+    """NormReport of one route from its bare level terms, keyed by jbar.
 
-    The value is the ell_q norm of the terms. Unless the truncation is
-    exact, the tail is fitted to the per-|jbar_+|_1 level sums (level
-    maxima at q = inf); a non-decaying fit raises when strict, and is
-    reported as an infinite tail bound otherwise."""
-    q = params.q
-    level_sums: dict = {}
-    for j, t in level_terms.items():
+    The term of jbar is 2^{slope |jbar_+|_1} times its bare term; exact
+    zeros are dropped. A NaN term, or a running ell_q sum of the terms past
+    the float range, is a ConfigError naming its level. The value is the
+    ell_q norm of the terms. Unless the truncation is exact, the tail is
+    fitted to the per-|jbar_+|_1 level sums (level maxima at q = inf); a
+    non-decaying fit raises when strict, and an infinite tail bound otherwise."""
+    q, total = params.q, 0.0
+    level_terms, level_sums = {}, {}
+    for j, t in bare_terms.items():
         L = plus_l1(j)
-        if q == INF:
-            level_sums[L] = max(level_sums.get(L, 0.0), t)
-        else:
-            level_sums[L] = level_sums.get(L, 0.0) + t**q
+        try:
+            t = 2.0 ** (slope * L) * t
+            s = t if q == INF else t**q
+        except OverflowError:  # float powers raise; a product of floats gives inf instead
+            s = INF
+        total = max(total, s) if q == INF else total + s
+        if math.isnan(s):
+            raise ConfigError(f"{kind}: the term of level {j} is NaN")
+        if total == INF:
+            raise ConfigError(f"r={params.r}: the terms up to level {j} leave the float range")
+        if t != 0.0:
+            level_terms[j], acc = t, level_sums.get(L, 0.0)
+            level_sums[L] = max(acc, s) if q == INF else acc + s
     if q != INF:
         level_sums = {L: s ** (1.0 / q) for L, s in level_sums.items()}
     tail = 0.0
@@ -246,21 +248,12 @@ def _per_factor(factors, table) -> list:
 def _tensor_report(kind: str, params: BesovParams, J_max: int, axis_terms, slope: float,
                    exact: bool, strict: bool) -> NormReport:
     """_norm_report of a tensor-product function from one table per axis:
-    axis_terms[i] maps (j,), j >= -1, to factor i's level term with no level
-    weight. The term of jbar, in the order of nested loops over the tables, is
-    2^{slope |jbar_+|_1} times the product of axis_terms[i][(j_i,)] in axis
-    order; terms <= 0 are dropped. Strictness and the tail fit act on the
-    combined level sums. A weight or sum past the float range is a ConfigError."""
-    level_terms = {}
-    try:
-        for keys in itertools.product(*axis_terms):
-            jbar = tuple(j for (j,) in keys)
-            term = 2.0 ** (slope * plus_l1(jbar)) * math.prod(t[k] for t, k in zip(axis_terms, keys))
-            if term > 0.0:
-                level_terms[jbar] = term
-        return _norm_report(kind, params, J_max, level_terms, exact, strict)
-    except OverflowError:  # float powers raise; a product of floats gives inf instead
-        raise ConfigError(f"r={params.r}: the terms up to level {jbar} leave the float range") from None
+    axis_terms[i] maps (j,), j >= -1, to factor i's bare level term. The bare
+    term of jbar, in the order of nested loops over the tables, is the
+    product of axis_terms[i][(j_i,)] in axis order."""
+    bare = {tuple(j for (j,) in keys): math.prod(t[k] for t, k in zip(axis_terms, keys))
+            for keys in itertools.product(*axis_terms)}
+    return _norm_report(kind, params, J_max, bare, slope, exact, strict)
 
 
 def hpc_besov_norm(
@@ -291,13 +284,9 @@ def hpc_besov_norm(
     _check_grid_size(grid_level, d, UNIT, f"grid_level {grid_level}")
     base = f_coeffs.dense(kmax)
 
-    level_terms = {}
-    for jbar in np.ndindex(*([J + 1] * d)):
-        g = _dense_block(base, jbar, grid_level)
-        term = 2.0 ** (params.r * sum(jbar)) * g.lp_norm(params.p)
-        if term != 0.0:
-            level_terms[tuple(int(t) for t in jbar)] = term
-    return _norm_report("hpc", params, J, level_terms, exact=J >= exact_cap, strict=strict)
+    bare = {jbar: _dense_block(base, jbar, grid_level).lp_norm(params.p)
+            for jbar in np.ndindex(*([J + 1] * d))}
+    return _norm_report("hpc", params, J, bare, params.r, J >= exact_cap, strict)
 
 
 def seq_norm(coeffs: CoefficientMap, params: BesovParams) -> float:
@@ -317,14 +306,11 @@ def seq_norm_report(
     entry reaches level J the expansion is finite and the tail is 0."""
     groups: dict = {}  # levels in first-appearance order, values in entry order
     for (j, _), v in coeffs.entries.items():
-        groups.setdefault(j, []).append(v)
-    level_terms, top = {}, -1
-    for j, vals in groups.items():
-        j = tuple(int(t) for t in j)
-        top = max(top, *j)
-        level_terms[j] = 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(vals, params.p)
-    exact = J is not None and top < J
-    return _norm_report("cw-seq", params, top, level_terms, exact=exact, strict=strict)
+        groups.setdefault(tuple(int(t) for t in j), []).append(v)
+    top = max((max(j) for j in groups), default=-1)
+    bare = {j: _lp(vals, params.p) for j, vals in groups.items()}
+    return _norm_report("cw-seq", params, top, bare, params.r - params.inv_p,
+                        J is not None and top < J, strict)
 
 
 def holder_pairing_check(lam: CoefficientMap, mu: CoefficientMap, params: BesovParams):

@@ -155,7 +155,7 @@ class TestFunction:
         """Coefficients by aliasing-checked dense transform on the box."""
         _check_kmax(kmax)
         box = hpc_analyze_dense(self.sample(kmax, grid_level), kmax + 1)
-        return CoefficientMap.from_box(box, np.abs(box) > 1e-15)
+        return CoefficientMap.from_box(box, ~(np.abs(box) <= 1e-15))  # keeps NaN
 
 
 def _spline(order: int, width: float, shift: float):
@@ -253,7 +253,10 @@ def band_family(scale: int = 0) -> list:
     composed with x -> 2^s x (supports shrink, shapes persist).
 
     Each part is (coef, order, width, shift): coef * N_order(width x - shift),
-    supported in (0,1), with exact integral coef / width."""
+    supported in (0,1), with exact integral coef / width. A negative scale
+    would move supports off [0, 1], and is refused."""
+    if scale < 0:
+        raise ConfigError(f"band_family scale must be >= 0, got {scale}")
     count = 16 * 2**scale + 1 if scale <= 64 else math.inf  # 2^scale takes scale bits
     _check_size(count, f"band_family scale {scale}", f"{count} breakpoints per member")
     w4, w8, w16 = 4 * 2**scale, 8 * 2**scale, 16 * 2**scale

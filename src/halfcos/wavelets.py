@@ -377,7 +377,8 @@ def _check_side(value, name: str):
 
 def _analyze(f, J: int, box, kind: str, f_breaks, prune: float) -> dict:
     """(jbar, kbar) -> 2^{|jbar_+|} <f, w_{jbar,kbar}> over |jbar|_inf <= J
-    for the primal or dual tensor wavelets, keeping magnitudes above prune."""
+    for the primal or dual tensor wavelets, keeping magnitudes above prune
+    and NaN values, which the norm routes refuse."""
     _check_side(kind, "kind")
     for b in box:  # each axis's finest grid, 2^(J+1) cells per unit, before any is made
         if not -math.inf < b[0] <= b[1] < math.inf:
@@ -397,7 +398,7 @@ def _analyze(f, J: int, box, kind: str, f_breaks, prune: float) -> dict:
             lam = a.apply(lam, ax)
         lam *= 2.0 ** sum(max(a.level, 0) for a in level)
         jbar = tuple(a.level for a in level)
-        for pos in zip(*np.nonzero(np.abs(lam) > prune)):
+        for pos in zip(*np.nonzero(~(np.abs(lam) <= prune))):
             entries[(jbar, tuple(a.shifts[i] for a, i in zip(level, pos)))] = float(lam[pos])
     return entries
 
@@ -445,7 +446,7 @@ def cw_analyze(
         raise ConfigError(f"{d} axes need as many f_breaks entries; got {len(f_breaks)}")
     if d == 1:
         table = cw_analyze_1d(f, J, box[0], kind, f_breaks[0])
-        entries = {((l,), (k,)): v for (l, k), v in table.items() if abs(v) > prune}
+        entries = {((l,), (k,)): v for (l, k), v in table.items() if not abs(v) <= prune}
     else:
         entries = _analyze(f, J, box, kind, f_breaks, prune)
     return CoefficientMap(basis=basis, d=d, entries=entries)

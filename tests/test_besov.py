@@ -1,20 +1,24 @@
 """Dyadic block norms against hand-weighted quadrature and closed forms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from halfcos.besov import (
+    _dense_block,
+    _level_cap,
     _lp,
     _norm_report,
     _rectangular_mean,
+    _tail_from_level_sums,
     _tensor_report,
     BesovParams,
+    NormReport,
     difference_seminorm,
     holder_pairing_check,
     hpc_besov_norm,
-    hpc_block,
     periodization_block_identity,
     phi,
     phi0_eval,
@@ -22,9 +26,9 @@ from halfcos.besov import (
     seq_norm_report,
     smooth_sigma,
 )
-from halfcos.corpus import band_family, get_member
+from halfcos.corpus import band_family, corpus, get_member
 from halfcos.errors import ConfigError, DivergentTailError
-from halfcos.grids import SYM, UNIT, CoefficientMap, _grid_axis, signed_fft_freqs
+from halfcos.grids import SYM, UNIT, CoefficientMap, _alias_free_level, _grid_axis, signed_fft_freqs
 from halfcos.indexsets import plus_l1
 from halfcos.wavelets import cw_analyze
 from closed_forms import partition_sum
@@ -189,7 +193,7 @@ def _seq_norm_report_by_entry(coeffs, params, strict, J):
         for j, block in groups.items()
     }
     exact = J is not None and top < J
-    return _norm_report("cw-seq", params, top, level_terms, exact=exact, strict=strict)
+    return _norm_report("cw-seq", params, top, level_terms, 0.0, exact=exact, strict=strict)
 
 
 def _interleaved_levels_map(d):
@@ -415,8 +419,6 @@ def test_block_routes_refuse_negative_frequencies():
         with pytest.raises(ConfigError, match="cosine frequencies must be >= 0"):
             hpc_besov_norm(f, params)
         with pytest.raises(ConfigError, match="cosine frequencies must be >= 0"):
-            hpc_block(f, (0,) * f.d, 5)
-        with pytest.raises(ConfigError, match="cosine frequencies must be >= 0"):
             periodization_block_identity(f, (0,) * f.d, 2.0, grid_level=5)
 
 
@@ -444,13 +446,9 @@ def test_block_routes_refuse_a_large_box_or_grid_before_allocating(monkeypatch):
     # 5001^2 entries in the box; at J_max=6 the grid itself would be small
     with pytest.raises(ConfigError, match="a dense box of 25010001 entries in d=2"):
         hpc_besov_norm(hpc_map({(5000, 5000): 1.0}, d=2), params, J_max=6)
-    with pytest.raises(ConfigError, match="a dense box of 33554433 entries in d=1"):
-        hpc_block(hpc_map({(2**25,): 1.0}), (0,), 6)
     # a 4001^2 box fits; its level cap 13 asks for a level-14 grid of 16385^2 points
     with pytest.raises(ConfigError, match="grid_level 14 asks for a level-14 grid in d=2"):
         hpc_besov_norm(hpc_map({(4000, 4000): 1.0}, d=2), params)
-    with pytest.raises(ConfigError, match="grid_level 13 asks for a level-13 grid in d=2"):
-        hpc_block(hpc_map({(3, 3): 1.0}, d=2), (1, 1), 13)
 
 
 def test_periodization_identity_checks_p_and_the_torus_grid_first(monkeypatch):
@@ -471,7 +469,7 @@ def test_periodization_identity_checks_p_and_the_torus_grid_first(monkeypatch):
 
 
 def test_block_synthesis_is_the_weighted_mode():
-    g = hpc_block(hpc_map({(3,): 1.0}), (2,), 6)
+    g = _dense_block(hpc_map({(3,): 1.0}).dense(3), (2,), 6)
     x = g.axis_points()
     expect = float(phi(2, 3.0)) * np.sqrt(2.0) * np.cos(3.0 * np.pi * x)
     assert np.max(np.abs(g.values - expect)) < 1e-12
@@ -821,6 +819,172 @@ def test_tensor_report_refuses_terms_past_the_float_range(r, q):
         _tensor_report("hpc", BesovParams(r, 2.0, q), 3, [table, table], r, exact=True, strict=False)
 
 
+def test_every_route_refuses_terms_past_the_float_range():
+    # hpc: level 6 of frequency 40 weighs 2^(100 * 6), a float whose square is not
+    with pytest.raises(ConfigError, match=r"r=100: the terms up to level \(6,\) leave the float"):
+        hpc_besov_norm(hpc_map({(40,): 1.0}), BesovParams(100, 2, 2))
+    # cw-seq: the weight 2^(5 * 1199.5) of level 5 is past the float range
+    with pytest.raises(ConfigError, match=r"r=1200: the terms up to level \(5,\) leave the float"):
+        seq_norm_report(cw_map({((5,), (3,)): 1.0}), BesovParams(1200, 2, 2))
+    # a product of two float factors is inf, where a float power would raise
+    with pytest.raises(ConfigError, match=r"r=1.0: the terms up to level \(0, 0\) leave the float"):
+        _tensor_report("diff", BesovParams(1.0, 2.0, 1.0), 0, [{(0,): 1e200}, {(0,): 1e200}], 1.0,
+                       exact=True, strict=False)
+    # each term 1e308 is a float, but the ell_1 sum of the first two, up to level (0, 1), is not
+    table = {(0,): 1e154, (1,): 1e154}
+    with pytest.raises(ConfigError, match=r"r=1.0: the terms up to level \(0, 1\) leave the float"):
+        _tensor_report("diff", BesovParams(1.0, 2.0, 1.0), 1, [table, table], 0.0,
+                       exact=True, strict=False)
+
+
 def test_difference_needs_a_function():
     with pytest.raises(ConfigError, match="zero axes"):
         difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=[])
+
+
+# The three weighting loops that _norm_report took over, and the summation
+# they handed their terms to: the oracles of its parity tests.
+def _former_norm_report(kind, params, J_max, level_terms, exact, strict):
+    q = params.q
+    level_sums = {}
+    for j, t in level_terms.items():
+        L = plus_l1(j)
+        if q == INF:
+            level_sums[L] = max(level_sums.get(L, 0.0), t)
+        else:
+            level_sums[L] = level_sums.get(L, 0.0) + t**q
+    if q != INF:
+        level_sums = {L: s ** (1.0 / q) for L, s in level_sums.items()}
+    tail = 0.0
+    if not exact:
+        tail, rho = _tail_from_level_sums(level_sums, q)
+        if tail == INF and strict:
+            raise DivergentTailError(f"{kind} level sums do not decay")
+    value = _lp(list(level_terms.values()), q)
+    return NormReport(kind, params.r, params.p, q, J_max, value, tail, level_terms)
+
+
+def _former_hpc_besov_norm(f_coeffs, params, J_max=None, grid_level=None, strict=True):
+    """hpc drops terms != 0."""
+    kmax = f_coeffs.top_frequency()
+    exact_cap = _level_cap(kmax)
+    J = exact_cap if J_max is None else int(J_max)
+    if grid_level is None:
+        grid_level = _alias_free_level(min(2 ** (J + 1), max(kmax, 1)), 4)
+    base = f_coeffs.dense(kmax)
+    level_terms = {}
+    for jbar in np.ndindex(*([J + 1] * f_coeffs.d)):
+        g = _dense_block(base, jbar, grid_level)
+        term = 2.0 ** (params.r * sum(jbar)) * g.lp_norm(params.p)
+        if term != 0.0:
+            level_terms[tuple(int(t) for t in jbar)] = term
+    return _former_norm_report("hpc", params, J, level_terms, J >= exact_cap, strict)
+
+
+def _former_seq_norm_report(coeffs, params, strict=True, J=None):
+    """seq keeps every level, all-zero ones too."""
+    groups = {}
+    for (j, _), v in coeffs.entries.items():
+        groups.setdefault(j, []).append(v)
+    level_terms, top = {}, -1
+    for j, vals in groups.items():
+        j = tuple(int(t) for t in j)
+        top = max(top, *j)
+        level_terms[j] = 2.0 ** (plus_l1(j) * (params.r - params.inv_p)) * _lp(vals, params.p)
+    return _former_norm_report("cw-seq", params, top, level_terms, J is not None and top < J, strict)
+
+
+def _former_tensor_report(kind, params, J_max, axis_terms, slope, exact, strict):
+    """tensor drops terms that are not > 0."""
+    level_terms = {}
+    for keys in itertools.product(*axis_terms):
+        jbar = tuple(j for (j,) in keys)
+        term = 2.0 ** (slope * plus_l1(jbar)) * math.prod(t[k] for t, k in zip(axis_terms, keys))
+        if term > 0.0:
+            level_terms[jbar] = term
+    return _former_norm_report(kind, params, J_max, level_terms, exact, strict)
+
+
+def _bits(rep):
+    """A report as uint64 words: value, tail bound, then each level term in order."""
+    floats = [rep.value, rep.tail_bound, *rep.level_terms.values()]
+    return (rep.norm_kind, rep.J_max, list(rep.level_terms),
+            np.array(floats, dtype=float).view(np.uint64).tolist())
+
+
+def _signed_zeros(rng, values):
+    """values with about a third of them set to +0.0 or -0.0."""
+    return [v if u > 1 / 3 else (0.0 if u > 1 / 6 else -0.0) for v, u in zip(values, rng.random(len(values)))]
+
+
+PARITY_PARAMS = [(1.25, 2.0, 2.0), (0.5, 1.0, 1.0), (1.5, 1.5, 3.0), (0.75, INF, 2.0),
+                 (1.0, 2.0, INF), (-0.5, 0.5, 0.75)]
+
+
+@pytest.mark.parametrize("r, p, q", PARITY_PARAMS)
+def test_the_builder_keeps_the_bits_of_the_former_tensor_and_hpc_loops(r, p, q):
+    rng = np.random.default_rng(29)
+    params = BesovParams(r, p, q)
+    for d in (1, 2, 3):
+        for _ in range(4):
+            tables = []
+            for _axis in range(d):
+                values = _signed_zeros(rng, rng.exponential(size=6))
+                values[rng.integers(6)] = 0.0  # a level that is zero on this axis
+                tables.append({(j,): v for j, v in zip(range(-1, 5), values)})
+            slope, exact = rng.uniform(-1.0, 2.0), bool(rng.integers(2))
+            got = _tensor_report("t", params, 4, tables, slope, exact, strict=False)
+            assert _bits(got) == _bits(_former_tensor_report("t", params, 4, tables, slope, exact, False))
+    for d, kmax in ((1, 40), (2, 9)):
+        for J_max in (None, 2):
+            keys = list(np.ndindex(*([kmax + 1] * d)))
+            values = _signed_zeros(rng, rng.standard_normal(len(keys)))
+            f = hpc_map(dict(zip(keys, values)), d=d)
+            got = hpc_besov_norm(f, params, J_max=J_max, strict=False)
+            assert _bits(got) == _bits(_former_hpc_besov_norm(f, params, J_max=J_max, strict=False))
+
+
+@pytest.mark.parametrize("r, p, q", PARITY_PARAMS)
+def test_the_builder_keeps_the_former_seq_loop_but_drops_all_zero_levels(r, p, q):
+    rng = np.random.default_rng(30)
+    params = BesovParams(r, p, q)
+    for d in (1, 2):
+        levels = list(itertools.product(range(-1, 4), repeat=d))
+        for _ in range(4):
+            entries, zero = {}, set()
+            for j in levels:
+                shifts = range(int(rng.integers(1, 4)))
+                values = _signed_zeros(rng, rng.standard_normal(len(shifts)))
+                if rng.random() < 0.3:  # an all-zero level, besides those the zeros make
+                    values = [0.0 if s else -0.0 for s in shifts]
+                if not any(values):
+                    zero.add(j)
+                entries.update({(j, (k,) * d): v for k, v in zip(shifts, values)})
+            lam = cw_map(entries, d=d)
+            got = seq_norm_report(lam, params, strict=False, J=3)
+            old = _former_seq_norm_report(lam, params, strict=False, J=3)
+            assert all(old.level_terms[j] == 0.0 for j in zero)
+            old.level_terms = {j: t for j, t in old.level_terms.items() if j not in zero}
+            # the value sums fewer zeros, in numpy's pairwise order: equal up to that order
+            assert got.value == pytest.approx(old.value, rel=1e-15, abs=0.0)
+            old.value = got.value
+            assert _bits(got) == _bits(old)
+
+
+def test_norm_comparison_keeps_the_bits_of_the_former_loops(monkeypatch):
+    import halfcos.besov as besov
+    import halfcos.suite as suite
+
+    members = [m for m in corpus().values() if m.d <= 2] + band_family(0) + band_family(1)
+    params = [BesovParams(*rpq) for rpq in (PARITY_PARAMS[0], *PARITY_PARAMS[3:5])]
+
+    def reports():
+        return [_bits(rep) for m in members for prm in params
+                for rep in suite.norm_comparison(m, prm, J=5, strict=False).values()]
+
+    new = reports()
+    monkeypatch.setattr(suite, "hpc_besov_norm", _former_hpc_besov_norm)
+    monkeypatch.setattr(suite, "seq_norm_report", _former_seq_norm_report)
+    monkeypatch.setattr(suite, "_tensor_report", _former_tensor_report)
+    monkeypatch.setattr(besov, "_tensor_report", _former_tensor_report)
+    assert new == reports()

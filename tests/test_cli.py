@@ -305,7 +305,7 @@ def test_gnuplot_companion(tmp_path, capsys):
         (["norms", "--fn", "bspline2", "--r", "1200", "--compare", "hpc"], 2,
          "r=1200.0: the terms up to level (1,) leave the float range"),
         (["norms", "--fn", "bspline2", "--r", "100", "--m", "101", "--compare", "diff"], 2,
-         "r=100.0: the terms up to level (6,) leave the float range"),
+         "r=100.0: the terms up to level (5,) leave the float range"),
     ],
 )
 def test_boundary_inputs_exit_with_a_message(capsys, argv, code, message):

@@ -232,7 +232,7 @@ def test_registry_contents():
     assert all(tf.name == name for name, tf in reg.items())
 
 
-@pytest.mark.parametrize("scale", [0, 1])
+@pytest.mark.parametrize("scale", [0, 1, 2])
 def test_band_family_members(scale):
     fam = band_family(scale)
     assert len(fam) == 20
@@ -253,6 +253,18 @@ def test_band_family_refuses_a_large_scale_before_allocating(monkeypatch):
     monkeypatch.setattr(corpus_module, "_dyadic_breaks", reached)
     with pytest.raises(ConfigError, match="band_family scale 40 asks for 17592186044417 breakpoints"):
         band_family(40)
+
+
+def test_band_family_refuses_a_negative_scale_before_any_arithmetic(monkeypatch):
+    # at scale -1, hat8_5 would sit in [1.25, 1.75], off [0, 1], against its
+    # integral 0.25; at -2000, 2^scale underflows to a zero width
+    def reached(*args, **kwargs):
+        raise AssertionError("the breakpoint count was formed before the scale check")
+
+    monkeypatch.setattr(corpus_module, "_check_size", reached)
+    for scale in (-1, -2000):
+        with pytest.raises(ConfigError, match=f"band_family scale must be >= 0, got {scale}"):
+            band_family(scale)
 
 
 def test_band_family_refuses_a_huge_scale_before_forming_its_power():

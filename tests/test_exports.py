@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,63 @@ def test_library_stays_within_its_line_budget():
     # ROADMAP item 8 caps src/halfcos at 3,300 lines, counted as wc -l does
     lines = sum(path.read_bytes().count(b"\n") for path in Path(halfcos.__file__).parent.glob("*.py"))
     assert lines <= 3300, f"src/halfcos holds {lines} lines, over the 3,300 of ROADMAP item 8"
+
+
+# Public names that only tests call, each kept for the ROADMAP item or the
+# acceptance criterion named beside it. Any other public name needs a caller
+# in the library, a demo, the benchmark or the README.
+TEST_ONLY_PUBLIC = {
+    "halfcos.besov.in_cw_regime": "ROADMAP item 3(c), the verdicts' parameter window",
+    "halfcos.besov.in_hpc_regime": "ROADMAP item 3(c), the verdicts' parameter window",
+    "halfcos.besov.holder_pairing_check": "acceptance criterion 9",
+    "halfcos.wavelets.psi_support": "ROADMAP item 3(a), the support test of the analysis",
+    "halfcos.wavelets.biorthogonality_residual_1d": "acceptance criterion 3",
+}
+
+
+def _used_names(path) -> set:
+    """Identifiers, attribute names and string constants that a file uses,
+    less its __all__ entries; a def's own name is not a use."""
+    tree = ast.parse(path.read_text())
+    exported = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for n in ast.walk(node.value)}
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def _public_names():
+    """module.name for every name in a module's __all__, and for each public
+    method of an exported class."""
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            yield f"{module_name}.{name}", name
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and obj.__module__ == module_name:
+                body = ast.parse(inspect.getsource(obj)).body[0].body
+                for node in body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield f"{module_name}.{node.name}", node.name
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    src = Path(halfcos.__file__).parent
+    repo = src.parents[1]
+    files = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    files += [*(repo / "demos").glob("*.py"), *(repo / "perfbench").glob("*.py")]
+    used = set().union(*(_used_names(p) for p in files))
+    readme = (repo / "README.md").read_text()
+    test_only = {full for full, name in _public_names()
+                 if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)}
+    assert test_only - set(TEST_ONLY_PUBLIC) == set(), "public names that only tests call"
+    assert set(TEST_ONLY_PUBLIC) - test_only == set(), "allow-list entries that now have a caller"

@@ -129,6 +129,25 @@ def test_norm_comparison_subset_and_guard():
         norm_comparison(get_member("exp1"), BesovParams(1.0, 2.0, 2.0), J=-1)
 
 
+def test_a_nan_factor_is_refused_on_every_route():
+    # the prunes keep NaN coefficients, and the report builder refuses a NaN
+    # term, so no route reports a silent zero
+    from halfcos.corpus import TestFunction  # imported here, so pytest does not collect it
+
+    nan = lambda x: np.full(np.shape(x), np.nan)
+    params = BesovParams(1.25, 2.0, 2.0)
+    for d in (1, 2):
+        member = TestFunction(f"nan{d}", d, [nan] * d, 0.0, "NaN everywhere")
+        assert math.isnan(member.hpc_map_numeric(4).entries[(0,) * d])
+        for kind, route in (("cw", "cw-seq"), ("diff", "diff"), ("hpc", "hpc")):
+            with pytest.raises(ConfigError, match=rf"{route}: the term of level \(.*\) is NaN"):
+                norm_comparison(member, params, compare=(kind,), J=4, strict=False)
+    lam = cw_analyze(nan, J=2, kind="dual", prune=1e-13)
+    assert lam.entries and all(math.isnan(v) for v in lam.entries.values())
+    with pytest.raises(ConfigError, match=r"diff: the term of level \(0,\) is NaN"):
+        difference_seminorm(params=params, tensor_factors=[nan])
+
+
 def test_norm_comparison_finite_expansion_is_not_divergent():
     # hat8_1 at scale 1 lies in the level-3 spline space: levels 4..8 are
     # exact zeros that the prune drops, and the tail is exactly zero
