@@ -183,7 +183,9 @@ def gram_sequence(eps: int) -> dict:
 @dataclass
 class DualCoefficientSequence:
     """Two-sided coefficient sequence, a_n for |n| <= n_max, of a dual
-    generator expanded in primal shifts, plus its fitted geometric decay."""
+    generator expanded in primal shifts, with the exact decay base of the
+    bi-infinite sequence and a closed-form bound on sum_{|n|>n_max} |a_n|,
+    the part that the truncation drops."""
 
     eps: int
     n_max: int
@@ -198,79 +200,41 @@ class DualCoefficientSequence:
 
 
 def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoefficientSequence:
-    """Solve the truncated biorthogonality system sum_n a_n g_{m-n} = delta_{m,0}.
+    """The bi-infinite solution of sum_n a_n g_{m-n} = delta_{m,0}, kept for
+    |n| <= n_max, by partial fractions of the Gram symbol (Chui, An
+    Introduction to Wavelets, 1992, ch. 6).
 
-    The Gram sequence g is banded and symmetric positive definite, so the
-    truncated Toeplitz solve converges geometrically in n_max; the fitted
-    decay base yields the reported tail bound, fitted over 2 <= |n| <=
-    n_max // 2; that window needs two values of |n|, so n_max >= 6.
+    With w = max{n : g_n != 0} (1 for the hat, 2 for the mother) and
+    P(z) = z^w G(z) = sum_n g_n z^(n+w), the dual symbol is
+    1/G(z) = z^w / P(z). Its residues at the roots r of P inside the unit
+    disc give a_n = sum_r r^(w+|n|-1) / P'(r), so the decay base is
+    1 / max|r| and the dropped tail is at most
+    2 sum_r |r^(w-1) / P'(r)| |r|^(n_max+1) / (1 - |r|), with equality for
+    the hat's single root. Raises TruncationError when that bound is at or
+    above tol.
     """
-    if n_max < 6:
-        raise ConfigError(
-            f"n_max must be >= 6 for the tail fit over 2 <= |n| <= n_max // 2, got {n_max}"
-        )
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ConfigError(f"n_max must be an int >= 0, got {n_max!r}")
+    _check_size(2 * n_max + 1, f"n_max={n_max}", f"{2 * n_max + 1} dual coefficients")
     if eps < -1:
         raise ConfigError(f"level {eps} is identically zero and has no dual")
     g = gram_sequence(eps)
-    size = 2 * n_max + 1
-    col = np.array([g.get(n, 0.0) for n in range(size)])
-    rhs = np.zeros(size)
-    rhs[n_max] = 1.0
-    a = _solve_toeplitz(col, rhs)
-    ns = np.arange(-n_max, n_max + 1)
-    window = (np.abs(ns) >= 2) & (np.abs(ns) <= n_max // 2) & (np.abs(a) > 0)
-    slope, logc = np.polyfit(np.abs(ns[window]), np.log(np.abs(a[window])), 1)
-    base = math.exp(-slope)
-    amp = math.exp(logc)
-    tail = amp * base ** (-(n_max + 1)) / (1.0 - 1.0 / base) if base > 1 else math.inf
+    w = max(g)
+    poly = np.array([g[n] for n in range(w, -w - 1, -1)])  # P, highest power first
+    roots = np.roots(poly)
+    r = roots[np.abs(roots) < 1.0]
+    dp = np.polyval(np.polyder(poly), r)
+    ns = np.abs(np.arange(-n_max, n_max + 1))
+    a = np.sum(r[:, None] ** (w - 1 + ns) / dp[:, None], axis=0).real
+    mod = np.abs(r)
+    tail = 2.0 * float(np.sum(np.abs(r ** (w - 1) / dp) * mod ** (n_max + 1) / (1.0 - mod)))
     if tail >= tol:
         raise TruncationError(
             f"dual tail {tail:.3e} above tolerance {tol:.1e} at n_max={n_max}"
         )
     return DualCoefficientSequence(
-        eps=eps, n_max=n_max, coefficients=a, decay_base=base, tail_bound=tail
+        eps=eps, n_max=n_max, coefficients=a, decay_base=1.0 / float(mod.max()), tail_bound=tail
     )
-
-
-def _solve_toeplitz(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve T x = rhs for the symmetric Toeplitz T with first column col,
-    by Levinson recursion (Golub-Van Loan, Matrix Computations, section 4.7).
-
-    The recursion, its operation order and its plain double arithmetic
-    are those of scipy.linalg.solve_toeplitz, so the solution is
-    bit-identical to it, in O(n^2) Python float operations.
-    """
-    a = np.concatenate((col[-1:0:-1], col)).tolist()  # a[n - 1 + i] = col[|i|]
-    b = rhs.tolist()
-    n = len(b)
-    x, g, h = [0.0] * n, [0.0] * n, [0.0] * n
-    x[0] = b[0] / a[n - 1]
-    if n > 1:
-        g[0] = a[n - 2] / a[n - 1]
-        h[0] = a[n] / a[n - 1]
-    for m in range(1, n):
-        x_num, x_den = -b[m], -a[n - 1]
-        for j in range(m):
-            x_num = x_num + a[n + m - j - 1] * x[j]
-            x_den = x_den + a[n + m - j - 1] * g[m - j - 1]
-        x[m] = x_num / x_den
-        for j in range(m):
-            x[j] = x[j] - x[m] * g[m - j - 1]
-        if m == n - 1:
-            break
-        g_num, h_num, g_den = -a[n - m - 2], -a[n + m], -a[n - 1]
-        for j in range(m):
-            g_num = g_num + a[n + j - m - 1] * g[j]
-            h_num = h_num + a[n + m - j - 1] * h[j]
-            g_den = g_den + a[n + j - m - 1] * h[m - j - 1]
-        g[m] = c1 = g_num / g_den
-        h[m] = c2 = h_num / x_den
-        for j in range((m + 1) // 2):
-            k = m - 1 - j
-            gj, gk, hj, hk = g[j], g[k], h[j], h[k]
-            g[j], g[k] = gj - c1 * hk, gk - c1 * hj
-            h[j], h[k] = hj - c2 * gk, hk - c2 * gj
-    return np.array(x)
 
 
 def dual_father_closed_form(n: int) -> float:
