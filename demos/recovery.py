@@ -2,8 +2,8 @@
 
 The projection error of the kink family decays like dim^{-3/2}, matching
 the r = 3/2 smoothness of the kink in the L2 scale. Sampling at iid-uniform
-points with logarithmic oversampling and solving weighted least squares on
-the same cross reproduces that error up to a small factor.
+points with logarithmic oversampling and solving unweighted least squares
+on the same cross reproduces that error up to a small factor.
 """
 
 from halfcos import get_member, ls_error_experiment, projection_error_rate

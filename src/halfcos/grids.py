@@ -165,6 +165,7 @@ class GridFunction:
         points rather than n^d, and the broadcast product gives the same
         values as on a full meshgrid.
         """
+        _check_level(m, d, domain)
         ax = _grid_axis(domain, m)
         vals = f(*np.ix_(*([ax] * d)))
         vals = np.broadcast_to(np.asarray(vals), (ax.size,) * d).copy()
@@ -319,6 +320,17 @@ def _check_grid_size(m: int, d: int, domain: str, source: str):
     _check_size(count, source, f"a level-{m} grid in d={d}")
 
 
+def _check_level(m, d: int, domain: str):
+    """ConfigError, before any array is made, unless m is an int >= 0 and
+    the level-m grid on the domain in d >= 1 dimensions passes _check_grid_size."""
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        need = ">= 0" if isinstance(m, (int, np.integer)) else "an int"
+        raise ConfigError(f"grid level m must be {need}, got {m!r}")
+    if d < 1:
+        raise ConfigError(f"a grid needs d >= 1 axes, got d={d}")
+    _check_grid_size(m, d, domain, f"grid level m={m}")
+
+
 def _check_aliasing(m: int, kmax: int):
     # Margin factor 4 guards quadrature of products of basis functions.
     if 2**m < 4 * max(kmax, 1):
@@ -334,21 +346,21 @@ def _alias_free_level(kmax: int, floor: int) -> int:
 
 def hpc_analyze_dense(f: GridFunction, size: int = None) -> np.ndarray:
     """Half-period cosine coefficients of f on the box of the first size
-    per axis (ConfigError below 1), or up to the grid cutoff by default.
+    per axis (ConfigError unless an int >= 1), or up to the grid cutoff.
 
-    The closed-grid trapezoidal quadrature of f against c_kbar coincides
-    with a type-I DCT, so the whole tensor costs O(M^d log M). Entry [kbar]
-    approximates the integral of f times c_kbar; exact to round-off for
-    cosine polynomials with per-axis frequency below 2^m. The DCT-I runs
-    one axis at a time in axis order (see _dct1), and each axis keeps its
-    first size outputs only, so later axes transform only the lines that
-    feed the box (FFT pruning). Each such line is transformed as in the
-    full transform: the values are pocketfft's d-dimensional DCT-I, sliced.
+    The closed-grid trapezoidal quadrature of f against c_kbar is a DCT-I,
+    so the tensor costs O(M^d log M). Entry [kbar] approximates the
+    integral of f times c_kbar; exact to round-off for cosine polynomials
+    with per-axis frequency below 2^m. _dct1 runs one axis at a time in
+    axis order and keeps the first size outputs, so later axes transform
+    only the lines that feed the box (FFT pruning), each as the full
+    transform would: the values are pocketfft's DCT-I, sliced.
     """
     if f.domain != UNIT:
         raise DomainError("hpc_analyze_dense expects a unit-cube grid function")
-    if size is not None and size < 1:
-        raise ConfigError(f"coefficient box size must be >= 1, got {size}")
+    if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):
+        need = ">= 1" if isinstance(size, (int, np.integer)) else "an int"
+        raise ConfigError(f"coefficient box size must be {need}, got {size!r}")
     size = f.axis_size if size is None else min(size, f.axis_size)
     h = 2.0**-f.m
     coeff = f.values
@@ -360,7 +372,7 @@ def hpc_analyze_dense(f: GridFunction, size: int = None) -> np.ndarray:
     return _weigh(coeff, [norm] * f.d)
 
 
-# Bytes of the even-extension buffer of _dct1: one box of lines stays in L2.
+# Bytes of one batch of _dct1, even extensions and spectra: it stays in L2.
 _DCT_BATCH_BYTES = 256 * 1024
 
 
@@ -370,51 +382,35 @@ def _dct1(x: np.ndarray, axis: int, n: int = None, keep: int = None) -> np.ndarr
     zero-padded to length n >= its length first (n defaults to it); only
     y_0, ..., y_{keep-1} are returned (keep defaults to n).
 
-    With x seen as (lead, axis, trail), lines go a box of lead and trail
-    indices at a time, about _DCT_BATCH_BYTES once extended. The box's
-    lines are written with their even extension [x, x[n-2:0:-1]] into one
-    buffer, and the real part of the buffer's real FFT is kept: the same
-    pocketfft plan and arithmetic as scipy.fft.dct(type=1), so the values
-    are bit-identical to it. The padding and its mirror image stay zero in
-    the buffer from box to box. Lines whose bits are all zero (+0.0 only)
-    are not transformed: their DCT-I is +0.0, which the output holds. A
-    box with no such line is moved by slices, any other by index.
+    With x seen as (lead, axis, trail), the lines with a bit set are
+    gathered by index, a batch at a time, into one buffer with their even
+    extensions [x, x[n-2:0:-1]], and the real part of its real FFT is
+    scattered back: pocketfft's plan and arithmetic for scipy.fft.dct(type=1),
+    bit for bit. A batch's extensions and spectra take about
+    _DCT_BATCH_BYTES. The padding and its mirror stay zero in the buffer
+    from batch to batch. A line of +0.0 only is not transformed: its DCT-I
+    is +0.0, which the output holds.
     """
     x = np.asarray(x, dtype=float)
     size = x.shape[axis]
     n = size if n is None else n
     keep = n if keep is None else keep
-    lead, trail = x.shape[:axis], x.shape[axis + 1 :]
-    pre, post = math.prod(lead), math.prod(trail)
-    x3 = x.reshape(pre, size, post)
-    out = np.zeros(lead + (keep,) + trail)
-    out3 = out.reshape(pre, keep, post)
-    live = np.any(x3.view(np.uint64), axis=1)  # live[p, c]: line x3[p, :, c] has a bit set
-    if not live.any():
-        return out
+    x3 = x.reshape(math.prod(x.shape[:axis]), size, math.prod(x.shape[axis + 1 :]))
+    out3 = np.zeros((x3.shape[0], keep, x3.shape[2]))
+    p, c = np.nonzero(x3.view(np.uint64).any(axis=1))  # the live lines x3[p, :, c]
     ext = 2 * (n - 1)
     top = min(size, n - 1)  # the extension ends with x[top-1:0:-1]; zeros come before it
-    batch = max(1, _DCT_BATCH_BYTES // (ext * x.itemsize))
-    height, width = max(1, batch // post), min(post, batch)
-    buf = np.zeros((min(batch, pre * post), ext))
+    batch = max(1, _DCT_BATCH_BYTES // ((ext + 2 * n) * x.itemsize))
+    buf = np.zeros((min(batch, p.size), ext))
     spec = np.empty((buf.shape[0], n), dtype=complex)
-    for p in range(0, pre, height):
-        for c in range(0, post, width):
-            lines = live[p : p + height, c : c + width]
-            k = np.count_nonzero(lines)
-            if k == lines.size:  # the whole box, by slices
-                box, rows, order = np.s_[p : p + height, :, c : c + width], lines.shape, (0, 2, 1)
-            elif k:  # its live lines only, by index
-                i, j = np.nonzero(lines)
-                box, rows, order = (i + p, slice(None), j + c), (k,), (0, 1)
-            else:
-                continue
-            b, s = buf[:k], spec[:k]
-            b.reshape(rows + (ext,))[..., :size] = x3[box].transpose(order)
-            b[:, ext - top + 1 :] = b[:, top - 1 : 0 : -1]
-            np.fft.rfft(b, axis=-1, out=s)
-            out3[box] = s.real[:, :keep].reshape(rows + (keep,)).transpose(order)
-    return out
+    for lo in range(0, p.size, batch):
+        i, j = p[lo : lo + batch], c[lo : lo + batch]
+        b, s = buf[: i.size], spec[: i.size]
+        b[:, :size] = x3[i, :, j]
+        b[:, ext - top + 1 :] = b[:, top - 1 : 0 : -1]
+        np.fft.rfft(b, axis=-1, out=s)
+        out3[i, :, j] = s.real[:, :keep]
+    return out3.reshape(x.shape[:axis] + (keep,) + x.shape[axis + 1 :])
 
 
 # Output bytes per block of _synthesize_terms: a block and its buffer fit in L2.
@@ -490,7 +486,7 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
     """
     if coeffs.basis != "hpc":
         raise ConfigError("expected half-period cosine coefficients")
-    _check_grid_size(m, coeffs.d, UNIT, f"grid level m={m}")
+    _check_level(m, coeffs.d, UNIT)
     x = _grid_axis(UNIT, m)
     row = lambda k: hpc_basis_1d(k, x)
     return GridFunction(UNIT, m, _synthesize_terms(coeffs.items_sorted(), row, x.size, coeffs.d))
@@ -498,22 +494,21 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
 
 def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     """The sum of coeff[kbar] c_kbar on the closed level-m grid, for a full
-    coefficient tensor (padded or truncated to the grid size); used by the
-    block machinery. hpc_analyze_dense gives coeff back only where no axis
-    holds slot 2^m: the trapezoid rule gives c_{2^m} the squared norm 2,
-    so an entry comes back doubled once per axis at that slot.
+    coefficient tensor of d >= 1 axes, padded or truncated to the grid.
+    hpc_analyze_dense gives coeff back only where no axis holds slot 2^m:
+    the trapezoid rule gives c_{2^m} the squared norm 2, so an entry comes
+    back doubled once per axis at that slot.
 
-    Sum_k z_k cos(pi k j / 2^m) equals an unnormalized DCT-I after halving
-    the interior coefficients. The d-dimensional DCT-I is run one axis at
-    a time by _dct1, which zero-pads each axis to the grid only in its own
-    transform, so the earlier axes never see the lines that would hold
-    only padding (FFT pruning). _dct1 also skips every line that is
-    exactly +0.0, padded or not: such a line transforms to +0.0. Every
-    other line is transformed as one DCT-I of the whole padded tensor
-    would transform it, in the same axis order, so the values are
-    identical to that transform.
+    Sum_k z_k cos(pi k j / 2^m) is an unnormalized DCT-I after halving the
+    interior coefficients. _dct1 runs it one axis at a time in axis order
+    and zero-pads each axis to the grid only in its own transform, so the
+    earlier axes never see the lines of padding (FFT pruning); it skips
+    every line of +0.0, which transforms to +0.0. Every other line is
+    transformed as the DCT-I of the whole padded tensor would transform
+    it, so the values are identical to that transform.
     """
     d = coeff.ndim
+    _check_level(m, d, UNIT)
     n = 2**m + 1
     work = np.asarray(coeff[(slice(0, n),) * d], dtype=float)
     weight = np.full(n, np.sqrt(2.0) * 0.5)  # c_k normalization times the halving
@@ -592,6 +587,7 @@ def fourier_synthesize_dense(coeff: np.ndarray, m: int, slots=None) -> GridFunct
     are not bit-symmetric, so none can be mirrored.
     """
     d = coeff.ndim
+    _check_level(m, d, SYM)
     n = 2 ** (m + 1)
     slots = _check_slots(slots, d, n)
     kept = tuple(np.count_nonzero(keep) for keep in slots)

@@ -211,11 +211,13 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
     1 / max|r| and the dropped tail is at most
     2 sum_r |r^(w-1) / P'(r)| |r|^(n_max+1) / (1 - |r|), with equality for
     the hat's single root. Raises TruncationError when that bound is at or
-    above tol.
+    above tol; ConfigError for a non-int eps or a tol not > 0, NaN included.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ConfigError(f"n_max must be an int >= 0, got {n_max!r}")
     _check_size(2 * n_max + 1, f"n_max={n_max}", f"{2 * n_max + 1} dual coefficients")
+    if not isinstance(eps, (int, np.integer)) or not tol > 0:
+        raise ConfigError(f"a dual needs an int level and a tol > 0, got eps={eps!r}, tol={tol!r}")
     if eps < -1:
         raise ConfigError(f"level {eps} is identically zero and has no dual")
     g = gram_sequence(eps)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,31 @@ def test_synthesis_refuses_a_large_grid_before_allocating(monkeypatch):
     monkeypatch.setattr(grids, "_grid_axis", reached)
     with pytest.raises(ConfigError, match="grid level m=40 asks for a level-40 grid in d=1"):
         hpc_synthesize(CoefficientMap("hpc", 1, {(3,): 1.0}), 40)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hpc_synthesize_dense(np.ones((3, 3)), -1), "grid level m must be >= 0, got -1"),
+    (lambda: hpc_synthesize_dense(np.ones((3, 3)), 2.5), "grid level m must be an int, got 2.5"),
+    (lambda: hpc_synthesize_dense(np.ones((3, 3)), 40), "m=40 asks for a level-40 grid in d=2"),
+    (lambda: hpc_synthesize_dense(np.array(1.0), 3), "a grid needs d >= 1 axes, got d=0"),
+    (lambda: fourier_synthesize_dense(np.ones((3, 3)), 40), "m=40 asks for a level-40 grid in d=2"),
+    (lambda: fourier_synthesize_dense(np.ones(3), 2.5), "grid level m must be an int, got 2.5"),
+    (lambda: hpc_analyze_dense(GridFunction(UNIT, 1, np.ones(3)), 2.5),
+     "coefficient box size must be an int, got 2.5"),
+    (lambda: GridFunction.from_callable(np.cos, 1, 40), "m=40 asks for a level-40 grid in d=1"),
+    (lambda: GridFunction.from_callable(np.cos, 0, 3), "a grid needs d >= 1 axes, got d=0"),
+], ids=["synth-m-1", "synth-m2.5", "synth-m40", "synth-0d", "fourier-m40", "fourier-m2.5",
+        "analyze-size2.5", "sample-m40", "sample-0d"])
+def test_dense_layer_refuses_bad_input_before_allocating(call, message):
+    # each refusal comes before any grid-sized array: an 8 TiB request would
+    # be a MemoryError, and nothing past a few KB is traced
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=message):
+            call()
+        assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 def test_grid_size_limit_admits_the_largest_grids_in_use():
@@ -752,6 +778,101 @@ def test_block_identity_transforms_only_the_support_of_the_blocks(monkeypatch):
         CoefficientMap("hpc", 2, {(0, 6): 1.0, (1, 9): 0.5}), (0, 3), 2.0, grid_level=5
     )
     assert calls == [("fft", 0, 33), ("fft", 1, 3), ("ifft", 0, 22), ("ifft", 1, 64)]
+
+
+def _former_dct1(x, axis, n=None, keep=None):
+    """The DCT-I kernel before batches of live lines by index: a 2-D tiling
+    of (lead, trail) boxes, each moved by slices when all its lines are
+    live, by index when some are, and skipped when none are."""
+    x = np.asarray(x, dtype=float)
+    size = x.shape[axis]
+    n = size if n is None else n
+    keep = n if keep is None else keep
+    lead, trail = x.shape[:axis], x.shape[axis + 1 :]
+    pre, post = math.prod(lead), math.prod(trail)
+    x3 = x.reshape(pre, size, post)
+    out = np.zeros(lead + (keep,) + trail)
+    out3 = out.reshape(pre, keep, post)
+    live = np.any(x3.view(np.uint64), axis=1)
+    if not live.any():
+        return out
+    ext = 2 * (n - 1)
+    top = min(size, n - 1)
+    batch = max(1, 256 * 1024 // (ext * x.itemsize))
+    height, width = max(1, batch // post), min(post, batch)
+    buf = np.zeros((min(batch, pre * post), ext))
+    spec = np.empty((buf.shape[0], n), dtype=complex)
+    for p in range(0, pre, height):
+        for c in range(0, post, width):
+            lines = live[p : p + height, c : c + width]
+            k = np.count_nonzero(lines)
+            if k == lines.size:
+                box, rows, order = np.s_[p : p + height, :, c : c + width], lines.shape, (0, 2, 1)
+            elif k:
+                i, j = np.nonzero(lines)
+                box, rows, order = (i + p, slice(None), j + c), (k,), (0, 1)
+            else:
+                continue
+            b, s = buf[:k], spec[:k]
+            b.reshape(rows + (ext,))[..., :size] = x3[box].transpose(order)
+            b[:, ext - top + 1 :] = b[:, top - 1 : 0 : -1]
+            np.fft.rfft(b, axis=-1, out=s)
+            out3[box] = s.real[:, :keep].reshape(rows + (keep,)).transpose(order)
+    return out
+
+
+@pytest.mark.parametrize("batch_bytes", [1024, grids._DCT_BATCH_BYTES])
+@pytest.mark.parametrize("shape", [(7,), (9, 6), (5, 6, 7), (33, 33, 9)])
+def test_batched_dct1_equals_the_former_kernel_bit_for_bit(monkeypatch, batch_bytes, shape):
+    # every axis, padded (n > size) and truncated (keep < n), with a line of
+    # +0.0 (skipped) and one of -0.0 (transformed), and an all-zero input;
+    # 1 KiB batches split the lines into several, the last one partial
+    monkeypatch.setattr(grids, "_DCT_BATCH_BYTES", batch_bytes)
+    rng = np.random.default_rng(len(shape) + shape[0])
+    x = _with_zero_lines(rng.normal(size=shape), rng)
+    x[x < -1.2] = 0.0
+    rows, rfft = [], np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    batches = []  # the rows of each batch, per call
+    for ax, size in enumerate(shape):
+        live = np.count_nonzero(np.any(np.moveaxis(x, ax, -1).view(np.uint64), axis=-1))
+        for n, keep in [(None, None), (None, 2), (size + 4, None), (size + 4, 3)]:
+            for values, lines in ((x, live), (np.zeros(shape), 0)):
+                rows.clear()
+                got = grids._dct1(values, ax, n, keep)
+                batches.append(list(rows))
+                assert sum(rows) == lines, (ax, n, keep)
+                assert _same_bits(got, _former_dct1(values, ax, n, keep)), (ax, n, keep)
+    if batch_bytes == 1024 and len(shape) > 1:
+        assert any(len(b) > 2 and b[-1] < b[0] for b in batches)  # a partial last batch
+
+
+def _scratch_bytes(run):
+    """Peak traced bytes of run() less those of the array it returns."""
+    run()  # plans and caches are made once, outside the measurement
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_cosine_transforms_keep_their_scratch_to_a_few_batches():
+    # a 1025^2 analysis kept to 64^2 and a 64^2 synthesis onto the 1025^2
+    # grid: the 64 x 1025 tensor between the two axes and a few batches
+    # of lines, where a transform of all 1025 lines at once takes 16 MB
+    rng = np.random.default_rng(5)
+    g = GridFunction(UNIT, 10, rng.normal(size=(1025, 1025)))
+    coeff = rng.normal(size=(64, 64))
+    limit = 4 * grids._DCT_BATCH_BYTES
+    assert _scratch_bytes(lambda: hpc_analyze_dense(g, 64)) <= limit
+    assert _scratch_bytes(lambda: hpc_synthesize_dense(coeff, 10).values) <= limit
 
 
 @pytest.mark.parametrize("d, m", [(1, 5), (2, 3), (3, 2)])

@@ -216,16 +216,22 @@ def test_dual_decay_base():
 
 
 @pytest.mark.parametrize(
-    "n_max, error, message",
-    [(-1, ConfigError, "n_max must be an int >= 0"), (2.5, ConfigError, "n_max must be an int >= 0")]
-    + [(n, TruncationError, f"above tolerance 1.0e-10 at n_max={n}") for n in range(6)],
-    ids=[str(n) for n in (-1, 2.5, *range(6))],
+    "kwargs, error, message",
+    [({"n_max": -1}, ConfigError, "n_max must be an int >= 0"),
+     ({"n_max": 2.5}, ConfigError, "n_max must be an int >= 0")]
+    + [({"n_max": n}, TruncationError, f"above tolerance 1.0e-10 at n_max={n}") for n in range(6)]
+    + [({"n_max": 0, "tol": tol}, ConfigError, f"a tol > 0, got eps=-1, tol={tol}")
+       for tol in (math.nan, -1.0, 0.0)]
+    + [({"eps": 0.5, "n_max": 20, "tol": 1.0}, ConfigError,
+        "an int level and a tol > 0, got eps=0.5")],
+    ids=[str(n) for n in (-1, 2.5, *range(6))] + ["tol-nan", "tol-1", "tol0", "eps0.5"],
 )
-def test_dual_n_max_contract(n_max, error, message):
-    # not an int >= 0 is a config error; fewer than six terms a side leave a
-    # tail above the default tolerance
+def test_dual_n_max_contract(kwargs, error, message):
+    # n_max not an int >= 0, a level that is not an int and a tol that is
+    # not > 0 (NaN too) are config errors; fewer than six terms a side leave
+    # a tail above the default tolerance
     with pytest.raises(error, match=message):
-        dual_coefficients(-1, n_max=n_max)
+        dual_coefficients(**{"eps": -1, **kwargs})
 
 
 def test_dual_refuses_a_large_n_max_before_allocating(monkeypatch):
