@@ -24,6 +24,7 @@ from .grids import (
     CoefficientMap,
     GridFunction,
     _check_grid_size,
+    _check_int,
     _check_kmax,
     _check_size,
     _weigh,
@@ -126,10 +127,7 @@ def ls_recover(points: np.ndarray, values: np.ndarray, K: IndexSet):
             f"design matrix condition {cond:.3e} exceeds {_COND_LIMIT:.1e}"
         )
     normal_resid = float(np.max(np.abs(A.T @ (A @ coef - values))))
-    entries = {
-        tuple(int(t) for t in kbar): float(c)
-        for kbar, c in zip(K.as_array(), coef)
-    }
+    entries = dict(zip(K.members, coef.tolist()))
     info = {"condition": cond, "normal_residual": normal_resid, "rank": int(rank)}
     return CoefficientMap(basis="hpc", d=points.shape[1], entries=entries), info
 
@@ -146,8 +144,7 @@ def ls_error_experiment(
     against the projection error of the same cross; returns a dict with both
     errors, the sample count, and the design condition number. weights
     names the sampling weights; only 'uniform' is implemented."""
-    if N < 1:
-        raise ConfigError(f"cross order N must be >= 1, got {N}")
+    _check_int(N, 1, "cross order N")
     _check_grid_size(grid_level, member.d, UNIT, f"--grid-level {grid_level}")
     if weights != "uniform":
         raise ConfigError(
@@ -195,16 +192,14 @@ def _cross_tail(squares, suffix, rest, bound: int, ax: int) -> float:
     """Sum of prod_{i >= ax} squares[i][k_i] over the box indices of axes
     ax.. with prod_{i >= ax} (1 + k_i) > bound, for an integer bound >= 0.
 
-    Indices k_ax >= bound leave a bound of 0 below them, which every later
-    index exceeds, so they give suffix[ax][bound] times the total rest[ax + 1]
-    of the later axes. Each k_ax < bound leaves the bound // (1 + k_ax); on
-    the last axis that bound picks a suffix sum."""
+    The last axis gives its suffix sum from k = bound (cut at the box). On
+    another, indices k_ax >= bound leave a bound of 0 that every later index
+    exceeds: suffix[ax][bound] times the total rest[ax + 1] of later axes.
+    Each k_ax < bound recurses on the next axis with bound // (1 + k_ax)."""
     n = min(bound, len(squares[ax]))
-    inner = bound // np.arange(1, n + 1)
-    if ax + 2 == len(squares):
-        inner = suffix[-1][np.minimum(inner, len(suffix[-1]) - 1)]
-    else:
-        inner = np.array([_cross_tail(squares, suffix, rest, int(b), ax + 1) for b in inner])
+    if ax + 1 == len(squares):
+        return suffix[ax][n]
+    inner = np.array([_cross_tail(squares, suffix, rest, bound // a, ax + 1) for a in range(1, n + 1)])
     return float(np.sum(squares[ax][:n] * inner)) + suffix[ax][n] * rest[ax + 1]
 
 
@@ -213,21 +208,19 @@ def exact_projection_error(member, N: int, kmax: int) -> float:
     ell_2 norm over the complement of the cross, computed on a box large
     enough that the remainder beyond kmax is negligible for k^{-2} decay.
 
-    The tail sum over prod (1 + k_i) > N of prod c_i(k_i)^2 recurses over
-    the leading axes with the integer bounds N // prod (1 + k_i), and on the
-    last axis reads a suffix sum of c_d^2, accumulated from the largest k
-    down; once a bound is 0 the rest is the product of the per-axis totals.
-    The work is O(d kmax + size of the cross), not O((kmax + 1)^d), and the
-    sum stays within about 1e-15 relative of the correctly rounded one, since
-    each suffix sum adds its terms smallest first for decaying coefficients.
+    The tail sum over prod (1 + k_i) > N of prod c_i(k_i)^2 is one recursion
+    (_cross_tail) for every d: each axis passes the integer bounds N // prod
+    (1 + k_i) on, the last reads a suffix sum of c_d^2, accumulated from the
+    largest k down, and once a bound is 0 the rest is the product of the
+    per-axis totals. The work is O(d kmax + size of the cross), not
+    O((kmax + 1)^d), and for decaying coefficients the sum stays within about
+    1e-15 relative of the correctly rounded one, as suffix sums add smallest first.
     """
     _check_kmax(kmax)
     squares = [np.square(c) for c in member.coefficient_vectors(kmax)]
     # suffix[i][j] is the sum of squares[i][j:], with suffix[i][kmax + 1] = 0
     suffix = [np.append(np.cumsum(sq[::-1])[::-1], 0.0) for sq in squares]
     rest = [math.prod(float(s[0]) for s in suffix[i:]) for i in range(member.d + 1)]
-    if member.d == 1:
-        return math.sqrt(suffix[0][min(N, kmax + 1)])
     return math.sqrt(_cross_tail(squares, suffix, rest, N, 0))
 
 
@@ -241,18 +234,12 @@ def projection_error_rate(
 ):
     """L2 errors against dim(cross) with a least-squares slope fit in log2
     coordinates; a positive log_exponent divides (log2 n)^e out first."""
-    if member.factor_coeff is None:
-        raise ConfigError(
-            f"{member.name} has no closed-form coefficients, which the "
-            "projection error table needs"
-        )
     if p != 2:
         raise ConfigError(
             f"p={p}: the closed-form projection error is an L2 quantity (Parseval); use p=2"
         )
-    bad = [N for N in N_list if N < 1]
-    if bad:
-        raise ConfigError(f"cross order N must be >= 1, got {bad[0]}")
+    for N in N_list:
+        _check_int(N, 1, "cross order N")
     _check_kmax(kmax)
     # an input bound on --kmax; the tail walks the cross, not this box
     box = (kmax + 1) ** member.d

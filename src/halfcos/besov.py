@@ -26,6 +26,7 @@ from .grids import (
     _check_grid_size,
     _gauss_legendre,
     _grid_axis,
+    _per_factor,
     _weigh,
     fourier_analyze_dense,
     fourier_synthesize_dense,
@@ -233,16 +234,6 @@ def _norm_report(kind: str, params: BesovParams, J_max: int, bare_terms: dict, s
             )
     value = _lp(list(level_terms.values()), q)
     return NormReport(kind, params.r, params.p, q, J_max, value, tail, level_terms)
-
-
-def _per_factor(factors, table) -> list:
-    """[table(i) for each axis i], calling table once per distinct factor
-    (by id): the 2-D corpus members repeat one factor on both axes."""
-    built = {}
-    for i, fi in enumerate(factors):
-        if id(fi) not in built:
-            built[id(fi)] = table(i)
-    return [built[id(fi)] for fi in factors]
 
 
 def _tensor_report(kind: str, params: BesovParams, J_max: int, axis_terms, slope: float,

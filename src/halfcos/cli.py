@@ -124,8 +124,6 @@ def _fit_lines(fit) -> list:
 def _require_seed(cfg: dict):
     if cfg["seed"] is None:
         raise ConfigError("this path is randomized: --seed is mandatory")
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be >= 0")
 
 
 def _member(cfg: dict):

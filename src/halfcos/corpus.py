@@ -7,8 +7,8 @@ Closed forms used (a in (0,1), k >= 1, all by integration by parts):
     (x - a)_+   -> sqrt(2) ((-1)^k - cos(pi k a)) / (pi k)^2, mean (1-a)^2/2
     e^x         -> sqrt(2) (e (-1)^k - 1) / (1 + (pi k)^2),   mean e - 1
     1+sin(2pi x)/2 -> 2 sqrt(2) / (pi (4 - k^2)) for odd k,   mean 1
-B-spline members use the translated-kink representation of N_2 and exact
-integrals; their coefficients are obtained by aliasing-checked transforms.
+B-spline members are evaluated by Cox-de Boor recursion (bspline_value) and
+have exact integrals; aliasing-checked transforms give their coefficients.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .grids import (
     _check_grid_size,
     _check_kmax,
     _check_size,
+    _per_factor,
     _weigh,
     hpc_analyze_dense,
     hpc_basis_1d,
@@ -125,11 +126,8 @@ class TestFunction:
         it share its vector."""
         if self.factor_coeff is None:
             raise ConfigError(f"{self.name} has no closed-form coefficients")
-        vectors = {}
-        for c in self.factor_coeff:
-            if c not in vectors:
-                vectors[c] = np.array([c(k) for k in range(kmax + 1)], dtype=float)
-        return [vectors[c] for c in self.factor_coeff]
+        return _per_factor(self.factor_coeff, lambda i: np.array(
+            [self.factor_coeff[i](k) for k in range(kmax + 1)], dtype=float))
 
     def hpc_map(self, kmax: int) -> CoefficientMap:
         """Closed-form coefficients on the full box |kbar|_inf <= kmax."""

@@ -67,6 +67,16 @@ def _weigh(t: np.ndarray, vectors) -> np.ndarray:
     return out
 
 
+def _per_factor(factors, table) -> list:
+    """[table(i) for each axis i], calling table once per distinct factor
+    (by id): the 2-D corpus members repeat one factor on both axes."""
+    built = {}
+    for i, fi in enumerate(factors):
+        if id(fi) not in built:
+            built[id(fi)] = table(i)
+    return [built[id(fi)] for fi in factors]
+
+
 def _grid_axis(domain: str, m: int) -> np.ndarray:
     """Node coordinates of one axis of the level-m grid on the domain."""
     if domain == UNIT:
@@ -167,8 +177,12 @@ class GridFunction:
         """
         _check_level(m, d, domain)
         ax = _grid_axis(domain, m)
-        vals = f(*np.ix_(*([ax] * d)))
-        vals = np.broadcast_to(np.asarray(vals), (ax.size,) * d).copy()
+        vals, shape = np.asarray(f(*np.ix_(*([ax] * d)))), (ax.size,) * d
+        try:
+            vals = np.broadcast_to(vals, shape).copy()
+        except ValueError:
+            raise ResolutionMismatchError(
+                f"f gave shape {vals.shape}, not broadcastable to {shape}") from None
         return cls(domain=domain, m=m, values=vals)
 
     def integrate(self) -> complex:
@@ -188,7 +202,7 @@ class GridFunction:
     def lp_norm(self, p) -> float:
         """L_p quadrature norm; p = inf is the grid maximum of |f|."""
         a = np.abs(self.values)
-        if p == np.inf or p == "inf":
+        if p == np.inf:
             return float(a.max())
         if a.dtype.kind == "f":
             a **= float(p)  # in place: one grid-sized temporary per call, not two
@@ -307,9 +321,16 @@ def _check_size(count, source: str, what: str):
         raise ConfigError(f"{source} asks for {what}, over the limit of {_MAX_GRID_POINTS} = 2^24")
 
 
+def _check_int(value, least: int, what: str) -> None:
+    """ConfigError unless value is an int (numpy's included) >= least."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {value}")
+
+
 def _check_kmax(kmax: int) -> None:
-    if kmax < 0:
-        raise ConfigError(f"coefficient box kmax must be >= 0, got {kmax}")
+    _check_int(kmax, 0, "coefficient box kmax")
 
 
 def _check_grid_size(m: int, d: int, domain: str, source: str):
@@ -323,9 +344,7 @@ def _check_grid_size(m: int, d: int, domain: str, source: str):
 def _check_level(m, d: int, domain: str):
     """ConfigError, before any array is made, unless m is an int >= 0 and
     the level-m grid on the domain in d >= 1 dimensions passes _check_grid_size."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        need = ">= 0" if isinstance(m, (int, np.integer)) else "an int"
-        raise ConfigError(f"grid level m must be {need}, got {m!r}")
+    _check_int(m, 0, "grid level m")
     if d < 1:
         raise ConfigError(f"a grid needs d >= 1 axes, got d={d}")
     _check_grid_size(m, d, domain, f"grid level m={m}")
@@ -345,7 +364,7 @@ def _alias_free_level(kmax: int, floor: int) -> int:
 
 
 def hpc_analyze_dense(f: GridFunction, size: int = None) -> np.ndarray:
-    """Half-period cosine coefficients of f on the box of the first size
+    """Half-period cosine coefficients of a real f on the box of the first size
     per axis (ConfigError unless an int >= 1), or up to the grid cutoff.
 
     The closed-grid trapezoidal quadrature of f against c_kbar is a DCT-I,
@@ -358,9 +377,10 @@ def hpc_analyze_dense(f: GridFunction, size: int = None) -> np.ndarray:
     """
     if f.domain != UNIT:
         raise DomainError("hpc_analyze_dense expects a unit-cube grid function")
-    if size is not None and not (isinstance(size, (int, np.integer)) and size >= 1):
-        need = ">= 1" if isinstance(size, (int, np.integer)) else "an int"
-        raise ConfigError(f"coefficient box size must be {need}, got {size!r}")
+    if np.iscomplexobj(f.values):
+        raise ConfigError("hpc_analyze_dense needs real samples, got a complex grid function")
+    if size is not None:
+        _check_int(size, 1, "coefficient box size")
     size = f.axis_size if size is None else min(size, f.axis_size)
     h = 2.0**-f.m
     coeff = f.values
@@ -494,7 +514,7 @@ def hpc_synthesize(coeffs: CoefficientMap, m: int) -> GridFunction:
 
 def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     """The sum of coeff[kbar] c_kbar on the closed level-m grid, for a full
-    coefficient tensor of d >= 1 axes, padded or truncated to the grid.
+    real coefficient tensor of d >= 1 axes, padded or truncated to the grid.
     hpc_analyze_dense gives coeff back only where no axis holds slot 2^m:
     the trapezoid rule gives c_{2^m} the squared norm 2, so an entry comes
     back doubled once per axis at that slot.
@@ -508,6 +528,8 @@ def hpc_synthesize_dense(coeff: np.ndarray, m: int) -> GridFunction:
     it, so the values are identical to that transform.
     """
     d = coeff.ndim
+    if np.iscomplexobj(coeff):
+        raise ConfigError("hpc_synthesize_dense needs real coefficients, got a complex tensor")
     _check_level(m, d, UNIT)
     n = 2**m + 1
     work = np.asarray(coeff[(slice(0, n),) * d], dtype=float)

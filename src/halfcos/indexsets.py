@@ -6,7 +6,6 @@ lexicographic order so that coefficient vectors are reproducible run to run.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +47,6 @@ class IndexSet:
 
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, k):
-        key = tuple(int(x) for x in k)
-        i = bisect.bisect_left(self.members, key)
-        return i < len(self.members) and self.members[i] == key
 
     def as_array(self) -> np.ndarray:
         """Members as an (n, d) integer array in lexicographic order."""

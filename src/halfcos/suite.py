@@ -17,7 +17,6 @@ import numpy as np
 from .besov import (
     BesovParams,
     _level_cap,
-    _per_factor,
     _tensor_report,
     difference_seminorm,
     hpc_besov_norm,
@@ -35,6 +34,7 @@ from .grids import (
     GridFunction,
     _check_grid_size,
     _grid_axis,
+    _per_factor,
     cos_basis,
     exp_basis,
     hpc_synthesize,

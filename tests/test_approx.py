@@ -3,6 +3,7 @@ mask predicates, and closed-form coefficient tails."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,6 +219,39 @@ def test_exact_tail_matches_fsum_of_the_box_walk(name, kmax, N_list):
             assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
+def _former_cross_tail(squares, suffix, rest, bound, ax):
+    """The tail recursion as it stood with a vectorised last-but-one axis."""
+    n = min(bound, len(squares[ax]))
+    inner = bound // np.arange(1, n + 1)
+    if ax + 2 == len(squares):
+        inner = suffix[-1][np.minimum(inner, len(suffix[-1]) - 1)]
+    else:
+        inner = np.array([_former_cross_tail(squares, suffix, rest, int(b), ax + 1) for b in inner])
+    return float(np.sum(squares[ax][:n] * inner)) + suffix[ax][n] * rest[ax + 1]
+
+
+def _former_exact_projection_error(member, N, kmax):
+    """exact_projection_error with its separate d = 1 branch, kept as the oracle."""
+    squares = [np.square(c) for c in member.coefficient_vectors(kmax)]
+    suffix = [np.append(np.cumsum(sq[::-1])[::-1], 0.0) for sq in squares]
+    rest = [math.prod(float(s[0]) for s in suffix[i:]) for i in range(member.d + 1)]
+    if member.d == 1:
+        return math.sqrt(suffix[0][min(N, kmax + 1)])
+    return math.sqrt(_former_cross_tail(squares, suffix, rest, N, 0))
+
+
+@pytest.mark.parametrize("name, kmax", [("kink1", 4096), ("kink2", 512), ("exp3", 40)])
+def test_one_tail_recursion_equals_the_two_branch_form_bit_for_bit(name, kmax):
+    # the last axis is the recursion's own base case in every d; N runs from
+    # 1, where the whole box but c_0^d is tail, past kmax
+    member = get_member(name)
+    vectors = member.coefficient_vectors(kmax)  # once, as projection_error_rate reads them
+    table = SimpleNamespace(d=member.d, coefficient_vectors=lambda _: vectors)
+    for N in range(1, kmax + 3):
+        got = exact_projection_error(table, N, kmax)
+        assert got.hex() == _former_exact_projection_error(table, N, kmax).hex(), N
+
+
 @pytest.mark.parametrize("d, N", [(1, 9), (2, 12), (3, 10)])
 def test_design_matrix_matches_the_column_loop(d, N):
     pts = np.random.default_rng(d).random((40, d))
@@ -262,6 +296,10 @@ def test_rate_entry_points_reject_bad_input():
         projection_error_rate(get_member("kink1"), [4, 0])
     with pytest.raises(ConfigError, match="N must be >= 1"):
         ls_error_experiment(get_member("kink1"), N=0)
+    with pytest.raises(ConfigError, match="cross order N must be an int, got 2.5"):
+        projection_error_rate(get_member("kink2"), [2.5, 4, 8])
+    with pytest.raises(ConfigError, match="cross order N must be an int, got 2.5"):
+        ls_error_experiment(get_member("kink1"), N=2.5, seed=1)
     with pytest.raises(ConfigError, match="no closed-form coefficients"):
         projection_error_rate(get_member("bspline2_1"), [2, 4, 8])
     for n_list in ([2, 3], [2]):
@@ -317,3 +355,11 @@ def test_ls_recover_refuses_points_of_another_dimension():
 def test_exact_projection_error_refuses_a_negative_box():
     with pytest.raises(ConfigError, match="kmax must be >= 0, got -1"):
         exact_projection_error(get_member("kink2"), 4, kmax=-1)
+
+
+def test_coefficient_box_entry_points_refuse_a_non_int_kmax():
+    kink1 = get_member("kink1")
+    for call in (lambda: kink1.hpc_map(2.5), lambda: exact_projection_error(kink1, 3, 2.5),
+                 lambda: projection_error_rate(kink1, [2, 4, 8], kmax=2.5)):
+        with pytest.raises(ConfigError, match="coefficient box kmax must be an int, got 2.5"):
+            call()

@@ -53,22 +53,30 @@ TEST_ONLY_PUBLIC = {
     "halfcos.besov.in_hpc_regime": "ROADMAP item 3(c), the verdicts' parameter window",
     "halfcos.besov.holder_pairing_check": "acceptance criterion 9",
     "halfcos.wavelets.psi_support": "ROADMAP item 3(a), the support test of the analysis",
+    "halfcos.grids.rho": "ROADMAP item 3(a), the reflection f o rho that cw and diff read",
     "halfcos.wavelets.biorthogonality_residual_1d": "acceptance criterion 3",
 }
 
 
 def _used_names(path) -> set:
     """Identifiers, attribute names and string constants that a file uses,
-    less its __all__ entries; a def's own name is not a use."""
+    less its __all__ entries; a def's own name is not a use. A bare name
+    counts only in a file that imports it or binds it at module level, so a
+    local variable does not stand in for a public function of the same name."""
     tree = ast.parse(path.read_text())
     exported = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                 for n in ast.walk(node.value)}
+    bound = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    bound |= {n.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     used = set()
     for node in ast.walk(tree):
         if id(node) in exported:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and node.id in bound:
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)

@@ -244,8 +244,12 @@ def test_synthesis_refuses_a_large_grid_before_allocating(monkeypatch):
      "coefficient box size must be an int, got 2.5"),
     (lambda: GridFunction.from_callable(np.cos, 1, 40), "m=40 asks for a level-40 grid in d=1"),
     (lambda: GridFunction.from_callable(np.cos, 0, 3), "a grid needs d >= 1 axes, got d=0"),
+    (lambda: hpc_analyze_dense(GridFunction(UNIT, 3, np.exp(1j * np.arange(9))), 3),
+     "hpc_analyze_dense needs real samples, got a complex grid function"),
+    (lambda: hpc_synthesize_dense(np.ones(3, dtype=complex), 3),
+     "hpc_synthesize_dense needs real coefficients, got a complex tensor"),
 ], ids=["synth-m-1", "synth-m2.5", "synth-m40", "synth-0d", "fourier-m40", "fourier-m2.5",
-        "analyze-size2.5", "sample-m40", "sample-0d"])
+        "analyze-size2.5", "sample-m40", "sample-0d", "analyze-complex", "synth-complex"])
 def test_dense_layer_refuses_bad_input_before_allocating(call, message):
     # each refusal comes before any grid-sized array: an 8 TiB request would
     # be a MemoryError, and nothing past a few KB is traced
@@ -274,6 +278,13 @@ def test_grid_level_must_be_nonnegative():
         GridFunction(UNIT, -1, np.zeros(2))
     with pytest.raises(ConfigError, match="grid level"):
         GridFunction.from_callable(np.cos, 1, -2, SYM)
+
+
+def test_from_callable_names_both_shapes_of_an_output_that_does_not_broadcast():
+    with pytest.raises(ResolutionMismatchError, match=r"f gave shape \(3,\), not broadcastable to \(9,\)"):
+        GridFunction.from_callable(lambda x: np.ones(3), 1, 3)
+    with pytest.raises(ResolutionMismatchError, match=r"shape \(2, 9\), not broadcastable to \(9, 9\)"):
+        GridFunction.from_callable(lambda x, y: np.ones((2, 9)), 2, 3)
 
 
 @settings(max_examples=30, deadline=None)
