@@ -144,7 +144,7 @@ def ls_error_experiment(
     against the projection error of the same cross; returns a dict with both
     errors, the sample count, and the design condition number. weights
     names the sampling weights; only 'uniform' is implemented."""
-    _check_int(N, 1, "cross order N")
+    N = _check_int(N, 1, "cross order N")
     _check_grid_size(grid_level, member.d, UNIT, f"--grid-level {grid_level}")
     if weights != "uniform":
         raise ConfigError(
@@ -166,8 +166,7 @@ def ls_error_experiment(
     cells = n_samples * card
     _check_size(cells, f"--N {N} with --oversample {oversample}",
                 f"a least-squares design of {n_samples} x {card} = {cells} cells")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_int(seed, 0, "seed")
     K = hyperbolic_cross(N, d, signed=False)
     rng = np.random.default_rng(seed)
     pts = rng.random((n_samples, d))
@@ -216,6 +215,7 @@ def exact_projection_error(member, N: int, kmax: int) -> float:
     O((kmax + 1)^d), and for decaying coefficients the sum stays within about
     1e-15 relative of the correctly rounded one, as suffix sums add smallest first.
     """
+    _check_int(N, 1, "cross order N")
     _check_kmax(kmax)
     squares = [np.square(c) for c in member.coefficient_vectors(kmax)]
     # suffix[i][j] is the sum of squares[i][j:], with suffix[i][kmax + 1] = 0

@@ -24,6 +24,7 @@ from .grids import (
     GridFunction,
     _alias_free_level,
     _check_grid_size,
+    _check_int,
     _gauss_legendre,
     _grid_axis,
     _per_factor,
@@ -268,7 +269,7 @@ def hpc_besov_norm(
     d = f_coeffs.d
     kmax = f_coeffs.top_frequency()
     exact_cap = _level_cap(kmax)
-    J = exact_cap if J_max is None else int(J_max)
+    J = _check_int(exact_cap if J_max is None else J_max, 0, "truncation level J_max")
     if grid_level is None:
         kmax_used = min(2 ** (J + 1), max(kmax, 1))
         grid_level = _alias_free_level(kmax_used, 4)
@@ -394,15 +395,13 @@ def difference_seminorm(
     """
     if not tensor_factors:
         raise ConfigError("tensor_factors has zero axes; give one factor per axis")
-    if m < 1:
-        raise ConfigError(f"difference order m={m} must be >= 1")
+    _check_int(m, 1, "difference order m")
+    _check_int(J_max, 0, "truncation level J_max")
     if m <= params.r:
         raise ConfigError(f"difference order m={m} must exceed r={params.r}")
     top = np.finfo(float)  # C(m, m // 2) >= 2^m / (m + 1) > top.max once m >= 2 top.maxexp
     if m >= 2 * top.maxexp or math.comb(m, m // 2) > float(top.max):
         raise ConfigError(f"difference order m={m} has binomial weights past the float range")
-    if J_max < 0:
-        raise ConfigError(f"truncation level J_max must be >= 0, got {J_max}")
     _check_grid_size(grid_level, 1, SYM, f"grid_level {grid_level}")  # the 1-D axes it makes
     x1 = _grid_axis(SYM, grid_level)
 

@@ -147,9 +147,8 @@ def _cmd_coeffs(cfg: dict) -> list:
     if kmax < 1:
         raise ConfigError(f"--kmax must be >= 1, got {kmax}")
     if cfg["mode"] == "gibbs":
-        level = 12 if cfg["grid_level"] is None else cfg["grid_level"]
         lines = ["k,abs_sine_coef_k,abs_hpc_coef_k2"]
-        for k, jump, smooth in gibbs_demo(member, kmax, grid_level=level):
+        for k, jump, smooth in gibbs_demo(member, kmax, grid_level=cfg["grid_level"]):
             lines.append(f"{k},{jump:.12e},{smooth:.12e}")
         return lines
     rows = coefficient_decay_report(member.sample(kmax, cfg["grid_level"]), kmax)
@@ -175,10 +174,7 @@ def _cmd_norms(cfg: dict) -> list:
 
 def _cmd_cubature(cfg: dict) -> list:
     member = _member(cfg)
-    shifts = cfg["shifts"]
-    if shifts < 0:
-        raise ConfigError(f"--shifts must be >= 0 (0: no shift), got {shifts}")
-    if shifts > 0:
+    if cfg["shifts"] > 0:
         _require_seed(cfg)
     if cfg["rule"] == "fibonacci":
         if member.d != 2:
@@ -195,7 +191,7 @@ def _cmd_cubature(cfg: dict) -> list:
         member.integral,
         indices,
         transform="tent" if cfg["tent"] else "plain",
-        shifts=shifts,
+        shifts=cfg["shifts"],
         seed=cfg["seed"] or 0,
         log_exponent=cfg["log_exponent"],
         skip_smallest=cfg["skip"],

@@ -26,6 +26,7 @@ from .grids import (
     _alias_free_level,
     _check_aliasing,
     _check_grid_size,
+    _check_int,
     _check_kmax,
     _check_size,
     _per_factor,
@@ -137,13 +138,14 @@ class TestFunction:
 
     def sample(self, kmax: int, grid_level: int = None) -> GridFunction:
         """Samples on the level-grid_level unit-cube grid, by default the
-        least alias-free level >= 6, for coefficients up to kmax. The size
-        is checked before sampling and the aliasing after, so that a
-        negative level is the ConfigError of the sampling."""
+        least alias-free level >= 6, for coefficients up to kmax (an int >= 0).
+        The size is checked before sampling and the aliasing after, so that a
+        fractional or negative level is the ConfigError of the sampling."""
+        kmax = _check_kmax(kmax)
         if grid_level is None:
             m, source = _alias_free_level(kmax, 6), f"--kmax {kmax}"
         else:
-            m, source = int(grid_level), f"--grid-level {grid_level}"
+            m, source = grid_level, f"--grid-level {grid_level}"
         _check_grid_size(m, self.d, UNIT, source)
         g = GridFunction.from_callable(self, self.d, m, UNIT)
         _check_aliasing(m, kmax)
@@ -151,7 +153,6 @@ class TestFunction:
 
     def hpc_map_numeric(self, kmax: int, grid_level: int = None) -> CoefficientMap:
         """Coefficients by aliasing-checked dense transform on the box."""
-        _check_kmax(kmax)
         box = hpc_analyze_dense(self.sample(kmax, grid_level), kmax + 1)
         return CoefficientMap.from_box(box, ~(np.abs(box) <= 1e-15))  # keeps NaN
 
@@ -253,8 +254,7 @@ def band_family(scale: int = 0) -> list:
     Each part is (coef, order, width, shift): coef * N_order(width x - shift),
     supported in (0,1), with exact integral coef / width. A negative scale
     would move supports off [0, 1], and is refused."""
-    if scale < 0:
-        raise ConfigError(f"band_family scale must be >= 0, got {scale}")
+    scale = _check_int(scale, 0, "band_family scale")
     count = 16 * 2**scale + 1 if scale <= 64 else math.inf  # 2^scale takes scale bits
     _check_size(count, f"band_family scale {scale}", f"{count} breakpoints per member")
     w4, w8, w16 = 4 * 2**scale, 8 * 2**scale, 16 * 2**scale
@@ -298,13 +298,15 @@ def h2_family() -> list:
     return [reg["exp2"], reg["monomial2"], reg["smoothper2"]]
 
 
-def gibbs_demo(member: TestFunction, k_max: int, grid_level: int = 12) -> list:
+def gibbs_demo(member: TestFunction, k_max: int, grid_level: int = None) -> list:
     """Rows (k, |periodic sine coefficient| * k, |cosine coefficient| * k^2)
     for k = 1..k_max: the first column stays bounded away from zero for a
-    step-like member (periodization jump), the second stays bounded."""
+    step-like member (periodization jump), the second stays bounded. The
+    samples are member.sample(k_max, grid_level), at level 12 if grid_level
+    is None, with its refusals; ConfigError for a member with d != 1."""
     if member.d != 1:
         raise ConfigError("gibbs mode needs a univariate function")
-    g = member.sample(k_max, grid_level)
+    g = member.sample(k_max, 12 if grid_level is None else grid_level)
     x, vals = g.axis_points(), g.values
     w = g.axis_weights()
     dense = hpc_analyze_dense(g, k_max + 1)

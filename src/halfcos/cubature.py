@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import _check_size, tent
+from .grids import _check_int, _check_size, tent
 
 __all__ = [
     "CubatureRule",
@@ -53,8 +53,7 @@ class CubatureRule:
 
 def fibonacci_number(n: int) -> int:
     """b_1 = b_2 = 1, b_n = b_{n-1} + b_{n-2}."""
-    if n < 1:
-        raise ConfigError("Fibonacci index starts at 1")
+    _check_int(n, 1, "Fibonacci index n")
     a, b = 1, 1
     for _ in range(n - 2):
         a, b = b, a + b
@@ -63,8 +62,9 @@ def fibonacci_number(n: int) -> int:
 
 def rank1_lattice(z, n: int) -> CubatureRule:
     """Nodes {frac(j z / n) : j = 0..n-1}, weights 1/n."""
-    if n < 1 or np.ndim(z) != 1 or len(z) == 0:
-        raise ConfigError(f"a rank-1 lattice needs n >= 1 and a nonempty z, got n={n}, z={z}")
+    n = _check_int(n, 1, "rank-1 lattice size n")
+    if np.ndim(z) != 1 or len(z) == 0:
+        raise ConfigError(f"a rank-1 lattice needs a nonempty z, got z={z}")
     _check_size(n * len(z), f"rank-1 lattice n={n}", f"{n} x {len(z)} node coordinates")
     z = np.asarray([int(t) % n for t in z], dtype=np.int64)  # so that j * z fits in int64
     j = np.arange(n, dtype=np.int64)
@@ -73,8 +73,7 @@ def rank1_lattice(z, n: int) -> CubatureRule:
 
 def _check_fibonacci_index(index: int) -> None:
     """Raise ConfigError unless fibonacci_rule(index) is admitted."""
-    if index < 2:
-        raise ConfigError("Fibonacci rule needs index >= 2")
+    _check_int(index, 2, "Fibonacci rule index")
     # 2 b_index node coordinates; past index 40 (b_40 > 10^8) b_index is not formed
     count = 2 * fibonacci_number(index) if index <= 40 else math.inf
     _check_size(count, f"Fibonacci index {index}", f"a rule of 2 x b_{index} node coordinates")
@@ -132,7 +131,7 @@ def _generating_integers(d: int, alpha: int) -> np.ndarray:
     pairs of those of a 2d-dimensional net. Built once per (d, alpha) and
     returned read-only."""
     dims = alpha * d
-    if not 1 <= dims <= len(_NET_TABLE) + 1:
+    if dims > len(_NET_TABLE) + 1:
         raise ConfigError(
             f"direction-number table covers 1 to {len(_NET_TABLE) + 1} dimensions, got {dims}"
         )
@@ -173,7 +172,7 @@ def _interlace_pairs(ints: np.ndarray) -> np.ndarray:
 
 def _check_net_level(m: int) -> None:
     """Raise ConfigError unless digital_net admits m."""
-    if m < 0 or m > 20:
+    if _check_int(m, 0, "net level m") > 20:
         raise ConfigError("m must lie in 0..20")
 
 
@@ -181,7 +180,8 @@ def digital_net(m: int, d: int, alpha: int = 1) -> CubatureRule:
     """Base-2 net with 2^m points; alpha=2 interlaces a 2d-dimensional net
     into d dimensions, the canonical order-2 construction."""
     _check_net_level(m)
-    if alpha not in (1, 2):
+    _check_int(d, 1, "dimension d")
+    if _check_int(alpha, 1, "interlacing factor alpha") > 2:
         raise ConfigError("interlacing factor must be 1 or 2")
     nodes = _net_points_int(m, _generating_integers(d, alpha)).astype(np.float64)
     nodes *= 2.0 ** (-alpha * _NBITS)
@@ -239,12 +239,11 @@ class RateFit:
 def fit_rate(ns, errors, log_exponent: float, skip_smallest: int) -> RateFit:
     """Least-squares line through (log2 n, log2 err) after dropping the
     skip_smallest first points and every zero error; a positive
-    log_exponent divides err by (log2 n)^exponent first. Raises ConfigError
-    for a negative skip_smallest, and unless at least two points remain."""
+    log_exponent divides err by (log2 n)^exponent first. ConfigError unless
+    log_exponent is finite, skip_smallest an int >= 0 and two points remain."""
     if not math.isfinite(log_exponent):
         raise ConfigError(f"log_exponent must be finite, got {log_exponent}")
-    if skip_smallest < 0:
-        raise ConfigError(f"skip must be >= 0, got {skip_smallest}")
+    _check_int(skip_smallest, 0, "skip")
     xs, ys = [], []
     for n, e in zip(ns[skip_smallest:], errors[skip_smallest:]):
         if e <= 0.0:
@@ -286,17 +285,18 @@ def convergence_experiment(
 ) -> RateFit:
     """Error table and least-squares slope of log2(err) against log2(n).
 
-    rule_for_n maps an index to a CubatureRule; transform='tent' wraps each
-    rule; shifts > 0 averages the absolute errors of that many random
-    shifts of each rule, drawn from a fresh default_rng(seed) per rule
-    (shift first, then tent). A positive log_exponent divides errors by
-    (log2 n)^exponent before fitting. The smallest points are excluded from
-    the fit to suppress preasymptotics.
+    rule_for_n maps an index to a CubatureRule; transform is 'plain' or
+    'tent', which wraps each rule; shifts > 0 averages the absolute errors of
+    that many random shifts of each rule, drawn from a fresh default_rng(seed)
+    per rule (shift first, then tent). A positive log_exponent divides errors
+    by (log2 n)^exponent before fitting. The smallest points are excluded
+    from the fit to suppress preasymptotics.
     """
-    if shifts < 0:
-        raise ConfigError(f"shifts must be >= 0 (0: no shift), got {shifts}")
-    if shifts > 0 and seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if transform not in ("plain", "tent"):
+        raise ConfigError(f"transform must be 'plain' or 'tent', got {transform!r}")
+    _check_int(shifts, 0, "shifts")
+    if shifts > 0:
+        _check_int(seed, 0, "seed")
     ns, errors = [], []
     for idx in n_indices:
         rule = rule_for_n(idx)

@@ -321,16 +321,18 @@ def _check_size(count, source: str, what: str):
         raise ConfigError(f"{source} asks for {what}, over the limit of {_MAX_GRID_POINTS} = 2^24")
 
 
-def _check_int(value, least: int, what: str) -> None:
-    """ConfigError unless value is an int (numpy's included) >= least."""
+def _check_int(value, least: int, what: str) -> int:
+    """ConfigError, naming the argument what, unless value is an int (numpy's
+    included) >= least. Returns it as a Python int: sizes formed from that cannot wrap."""
     if not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what} must be an int, got {value!r}")
     if value < least:
         raise ConfigError(f"{what} must be >= {least}, got {value}")
+    return int(value)
 
 
-def _check_kmax(kmax: int) -> None:
-    _check_int(kmax, 0, "coefficient box kmax")
+def _check_kmax(kmax: int) -> int:
+    return _check_int(kmax, 0, "coefficient box kmax")
 
 
 def _check_grid_size(m: int, d: int, domain: str, source: str):

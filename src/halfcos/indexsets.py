@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .grids import _check_int
 
 __all__ = [
     "plus_l1",
@@ -34,8 +35,7 @@ class IndexSet:
     members: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError("dimension must be >= 1")
+        _check_int(self.d, 1, "dimension d")
         uniq = sorted(set(tuple(int(x) for x in m) for m in self.members))
         for m in uniq:
             if len(m) != self.d:
@@ -75,8 +75,8 @@ def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
     image under componentwise absolute value and indexes the half-period
     cosine system; the enumeration meets each member once.
     """
-    if N < 1 or d < 1:
-        raise ConfigError("need N >= 1 and d >= 1")
+    _check_int(N, 1, "cross order N")
+    _check_int(d, 1, "dimension d")
     members = tuple(_enumerate_cross(d, N, signed))
     return IndexSet(d=d, members=members)
 
@@ -84,9 +84,11 @@ def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
 def cross_size(N: int, d: int) -> int:
     """Number of members of hyperbolic_cross(N, d, signed=False), counted on
     Python ints without enumerating them: the d-tuples of positive integers
-    1 + k_i whose product is at most N. Takes about N (log N)^(d-2) steps."""
-    if N < 1 or d < 1:
-        raise ConfigError("need N >= 1 and d >= 1")
-    if d == 1:
-        return N
-    return sum(cross_size(N // a, d - 1) for a in range(1, N + 1))
+    1 + k_i whose product is at most N. Takes about N (log N)^(d-2) steps.
+    ConfigError unless N and d are ints >= 1, checked once, not per recursion."""
+    N = _check_int(N, 1, "cross order N")
+    d = _check_int(d, 1, "dimension d")
+
+    def count(n, e):
+        return n if e == 1 else sum(count(n // a, e - 1) for a in range(1, n + 1))
+    return count(N, d)

@@ -33,6 +33,7 @@ from .grids import (
     CoefficientMap,
     GridFunction,
     _check_grid_size,
+    _check_int,
     _grid_axis,
     _per_factor,
     cos_basis,
@@ -70,13 +71,10 @@ def _rel(a: float, b: float) -> float:
 
 def identity_suite(d: int, seed: int, n_funcs: int = 10, m: int = 5) -> dict:
     """Max relative residual per identity over n_funcs random inputs."""
-    if d < 1:
-        raise ConfigError(f"dimension d must be >= 1, got {d}")
-    if n_funcs < 1:
-        raise ConfigError(f"n_funcs must be >= 1, got {n_funcs}: no function would be checked")
+    _check_int(d, 1, "dimension d")
+    _check_int(n_funcs, 1, "n_funcs")
     _check_grid_size(m, d, SYM, f"--d {d}")  # the periodized grid, the largest
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_int(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     res = {
         "cosine-reflection": 0.0,
@@ -166,8 +164,7 @@ def norm_comparison(
     for kind in compare:
         if kind not in ("cw", "diff", "hpc"):
             raise ConfigError(f"unknown norm kind {kind!r} in --compare")
-    if J < 0:
-        raise ConfigError(f"truncation level J must be >= 0, got {J}")
+    _check_int(J, 0, "truncation level J")
     # Input bounds, kept so that no exit code moves: the routes below work on
     # 1-D tables in any d and build no level-(J + 3) grid in d dimensions.
     if member.d > 2 and "cw" in compare:
@@ -222,7 +219,6 @@ def ratio_table(
     params: BesovParams,
     scales=(0, 1, 2),
     J: int = 6,
-    compare=("cw", "diff", "hpc"),
     strict: bool = False,
 ) -> list:
     """Rows (scale, name, hpc, cw, diff, cw/hpc, diff/hpc) over the
@@ -230,7 +226,7 @@ def ratio_table(
     rows = []
     for s in scales:
         for member in band_family(s):
-            reports = norm_comparison(member, params, compare=compare, J=J, strict=strict)
+            reports = norm_comparison(member, params, J=J, strict=strict)
             row = {"scale": s, "name": member.name}
             for kind, rep in reports.items():
                 row[kind] = rep.value

@@ -21,6 +21,7 @@ from .grids import (
     UNIT,
     CoefficientMap,
     GridFunction,
+    _check_int,
     _check_size,
     _gauss_legendre,
     _grid_axis,
@@ -211,15 +212,14 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
     1 / max|r| and the dropped tail is at most
     2 sum_r |r^(w-1) / P'(r)| |r|^(n_max+1) / (1 - |r|), with equality for
     the hat's single root. Raises TruncationError when that bound is at or
-    above tol; ConfigError for a non-int eps or a tol not > 0, NaN included.
+    above tol; ConfigError unless n_max is an int >= 0 within _check_size,
+    eps an int >= -1 (lower levels are zero) and tol > 0, NaN excluded.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ConfigError(f"n_max must be an int >= 0, got {n_max!r}")
+    n_max = _check_int(n_max, 0, "n_max")
     _check_size(2 * n_max + 1, f"n_max={n_max}", f"{2 * n_max + 1} dual coefficients")
-    if not isinstance(eps, (int, np.integer)) or not tol > 0:
-        raise ConfigError(f"a dual needs an int level and a tol > 0, got eps={eps!r}, tol={tol!r}")
-    if eps < -1:
-        raise ConfigError(f"level {eps} is identically zero and has no dual")
+    _check_int(eps, -1, "dual level eps")
+    if not tol > 0:
+        raise ConfigError(f"tol must be > 0, got {tol!r}")
     g = gram_sequence(eps)
     w = max(g)
     poly = np.array([g[n] for n in range(w, -w - 1, -1)])  # P, highest power first
@@ -344,7 +344,8 @@ def _check_side(value, name: str):
 def _analyze(f, J: int, box, kind: str, f_breaks, prune: float) -> dict:
     """(jbar, kbar) -> 2^{|jbar_+|} <f, w_{jbar,kbar}> over |jbar|_inf <= J
     for the primal or dual tensor wavelets, keeping magnitudes above prune
-    and NaN values, which the norm routes refuse."""
+    and NaN values, which the norm routes refuse; J is an int >= -1."""
+    _check_int(J, -1, "wavelet level J")
     _check_side(kind, "kind")
     for b in box:  # each axis's finest grid, 2^(J+1) cells per unit, before any is made
         if not -math.inf < b[0] <= b[1] < math.inf:

@@ -764,7 +764,7 @@ def test_difference_refuses_a_negative_level_or_no_difference():
     with pytest.raises(ConfigError, match="J_max must be >= 0, got -1"):
         difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors, J_max=-1)
     # with r < 0, m > r alone would admit m = 0: an L_p mean with no difference
-    with pytest.raises(ConfigError, match="m=0 must be >= 1"):
+    with pytest.raises(ConfigError, match="difference order m must be >= 1, got 0"):
         difference_seminorm(params=BesovParams(-0.5, 2.0, 2.0), tensor_factors=factors, m=0)
     rep = difference_seminorm(params=BesovParams(1.0, 2.0, 2.0), tensor_factors=factors, J_max=0)
     assert list(rep.level_terms) == [(0,)]

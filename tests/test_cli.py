@@ -251,7 +251,7 @@ def test_gnuplot_companion(tmp_path, capsys):
           "--grid-level", "0"], 3, "grid level m=0"),
         (["coeffs", "--fn", "kink1d", "--kmax", "4", "--grid-level", "0"], 3, "grid level m=0"),
         (["cubature", "--rule", "net", "--fn", "exp1", "--shifts", "-2"], 2,
-         "--shifts must be >= 0"),
+         "shifts must be >= 0"),
         (["approx", "--fn", "kink1d", "--kmax", "-5"], 2, "kmax must be >= 0"),
         # sizes past the dense-grid limit are refused before any allocation
         (["recover", "--fn", "kink1d", "--N", "3", "--seed", "1", "--grid-level", "40"], 2,

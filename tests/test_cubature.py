@@ -161,8 +161,8 @@ def test_weights_are_rational_and_uniform():
 
 @pytest.mark.parametrize(
     "make, message",
-    [(lambda: rank1_lattice((1, 3), 0), "n >= 1"),  # was ZeroDivisionError
-     (lambda: rank1_lattice((1, 3), -3), "n >= 1"),  # was ValueError
+    [(lambda: rank1_lattice((1, 3), 0), "n must be >= 1"),  # was ZeroDivisionError
+     (lambda: rank1_lattice((1, 3), -3), "n must be >= 1"),  # was ValueError
      (lambda: rank1_lattice((), 8), "nonempty z"),  # was a 0-D rule
      (lambda: digital_net(3, 0), "got 0"),  # was a 0-D rule
      (lambda: digital_net(3, -1), "got -1"),  # was ValueError

@@ -43,7 +43,7 @@ def test_cross_size_counts_the_unsigned_cross(d):
 def test_cross_size_refuses_what_hyperbolic_cross_refuses(N, d):
     # d = 0 recursed without end; N < 1 counted an empty cross
     for count in (cross_size, hyperbolic_cross):
-        with pytest.raises(ConfigError, match="need N >= 1 and d >= 1"):
+        with pytest.raises(ConfigError, match="(cross order N|dimension d) must be >= 1, got"):
             count(N, d)
 
 

@@ -217,13 +217,13 @@ def test_dual_decay_base():
 
 @pytest.mark.parametrize(
     "kwargs, error, message",
-    [({"n_max": -1}, ConfigError, "n_max must be an int >= 0"),
-     ({"n_max": 2.5}, ConfigError, "n_max must be an int >= 0")]
+    [({"n_max": -1}, ConfigError, "n_max must be >= 0, got -1"),
+     ({"n_max": 2.5}, ConfigError, "n_max must be an int, got 2.5")]
     + [({"n_max": n}, TruncationError, f"above tolerance 1.0e-10 at n_max={n}") for n in range(6)]
-    + [({"n_max": 0, "tol": tol}, ConfigError, f"a tol > 0, got eps=-1, tol={tol}")
+    + [({"n_max": 0, "tol": tol}, ConfigError, f"tol must be > 0, got {tol}")
        for tol in (math.nan, -1.0, 0.0)]
     + [({"eps": 0.5, "n_max": 20, "tol": 1.0}, ConfigError,
-        "an int level and a tol > 0, got eps=0.5")],
+        "dual level eps must be an int, got 0.5")],
     ids=[str(n) for n in (-1, 2.5, *range(6))] + ["tol-nan", "tol-1", "tol0", "eps0.5"],
 )
 def test_dual_n_max_contract(kwargs, error, message):
@@ -252,7 +252,7 @@ def test_generators_are_the_level_minus_one_and_zero_wavelets():
     assert mother().values == (0.0, 1 / 12, -0.5, 5 / 6, -0.5, 1 / 12, 0.0)
     assert gram_sequence(3) == gram_sequence(0) != gram_sequence(-1)
     assert gram_sequence(-2) == {}
-    with pytest.raises(ConfigError, match="level -2 is identically zero"):
+    with pytest.raises(ConfigError, match="dual level eps must be >= -1, got -2"):
         dual_coefficients(-2)
 
 
