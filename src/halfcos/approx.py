@@ -138,18 +138,12 @@ def ls_error_experiment(
     oversample: float = 4.0,
     seed: int = 0,
     grid_level: int = 10,
-    weights: str = "uniform",
 ):
     """Recovery error of iid-uniform sampling with logarithmic oversampling
     against the projection error of the same cross; returns a dict with both
-    errors, the sample count, and the design condition number. weights
-    names the sampling weights; only 'uniform' is implemented."""
+    errors, the sample count, and the design condition number."""
     N = _check_int(N, 1, "cross order N")
     _check_grid_size(grid_level, member.d, UNIT, f"--grid-level {grid_level}")
-    if weights != "uniform":
-        raise ConfigError(
-            f"weights={weights!r}: only 'uniform' sampling weights are implemented"
-        )
     if not math.isfinite(oversample):
         raise ConfigError(f"oversample must be finite, got {oversample}")
     d = member.d
@@ -227,17 +221,12 @@ def exact_projection_error(member, N: int, kmax: int) -> float:
 def projection_error_rate(
     member,
     N_list,
-    p: float = 2.0,
     kmax: int = 512,
     log_exponent: float = 0.0,
     skip_smallest: int = 1,
 ):
     """L2 errors against dim(cross) with a least-squares slope fit in log2
     coordinates; a positive log_exponent divides (log2 n)^e out first."""
-    if p != 2:
-        raise ConfigError(
-            f"p={p}: the closed-form projection error is an L2 quantity (Parseval); use p=2"
-        )
     for N in N_list:
         _check_int(N, 1, "cross order N")
     _check_kmax(kmax)

@@ -36,7 +36,7 @@ from .cubature import (
     fibonacci_rule,
 )
 from .errors import ConfigError, HalfcosError
-from .grids import coefficient_decay_report
+from .grids import _check_int, coefficient_decay_report
 from .suite import identity_suite, norm_comparison, route_ratios
 
 
@@ -143,9 +143,7 @@ def _cmd_identities(cfg: dict) -> list:
 
 def _cmd_coeffs(cfg: dict) -> list:
     member = _member(cfg)
-    kmax = cfg["kmax"]
-    if kmax < 1:
-        raise ConfigError(f"--kmax must be >= 1, got {kmax}")
+    kmax = _check_int(cfg["kmax"], 1, "--kmax")
     if cfg["mode"] == "gibbs":
         lines = ["k,abs_sine_coef_k,abs_hpc_coef_k2"]
         for k, jump, smooth in gibbs_demo(member, kmax, grid_level=cfg["grid_level"]):
@@ -208,7 +206,6 @@ def _cmd_approx(cfg: dict) -> list:
     fit = projection_error_rate(
         member,
         n_list,
-        p=cfg["p"],
         kmax=cfg["kmax"],
         log_exponent=cfg["log_exponent"],
         skip_smallest=cfg["skip"],
@@ -225,7 +222,6 @@ def _cmd_recover(cfg: dict) -> list:
         oversample=cfg["oversample"],
         seed=cfg["seed"],
         grid_level=cfg["grid_level"],
-        weights=cfg["weights"],
     )
     return [
         "N,dim,samples,ls_error,projection_error,condition,normal_residual",
@@ -238,8 +234,6 @@ def _cmd_recover(cfg: dict) -> list:
 
 
 def _cmd_testfns(cfg: dict) -> list:
-    if cfg["action"] != "list":
-        raise ConfigError(f"unknown testfns action {cfg['action']!r}")
     lines = ["name,d,integral,tag"]
     for name, tf in sorted(corpus().items()):
         lines.append(f"{name},{tf.d},{tf.integral:.12g},{tf.tag}")
@@ -306,7 +300,8 @@ _COMMANDS = {
         [
             ("--fn", None, {}),
             ("--N-list", "2,3,4,6,8,11,16,23,32,45,64,91,128", {}),
-            ("--p", 2.0, _FLOAT),
+            ("--p", 2.0, {"type": float, "choices": [2.0],
+                          "help": "L2 only: the error is a Parseval sum"}),
             ("--kmax", 512, _INT),
             ("--log-exponent", 0.0, _FLOAT),
             ("--skip", 1, _INT),
@@ -325,7 +320,7 @@ _COMMANDS = {
     ),
     "testfns": (
         "list the test function corpus", _cmd_testfns, None,
-        [("action", "list", {"nargs": "?"})],
+        [("action", "list", {"nargs": "?", "choices": ["list"], "metavar": "action"})],
     ),
 }
 

@@ -226,7 +226,6 @@ class RateFit:
     slope: float
     intercept: float
     residual: float
-    log_exponent: float = 0.0
 
     def csv_rows(self) -> str:
         lines = ["n,error,log2n,log2err"]
@@ -262,14 +261,8 @@ def fit_rate(ns, errors, log_exponent: float, skip_smallest: int) -> RateFit:
     resid = float(
         np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.asarray(ys)) ** 2))
     )
-    return RateFit(
-        ns=ns,
-        errors=errors,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=resid,
-        log_exponent=log_exponent,
-    )
+    return RateFit(ns=ns, errors=errors, slope=float(slope), intercept=float(intercept),
+                   residual=resid)
 
 
 def convergence_experiment(

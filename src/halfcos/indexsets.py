@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grids import _check_int
+from .grids import _check_int, _check_size
 
 __all__ = [
     "plus_l1",
@@ -68,27 +68,42 @@ def _enumerate_cross(d: int, budget: int, signed: bool):
             yield (k,) + tail
 
 
+def _count(N: int, d: int, signed: bool) -> int:
+    """Number of members of hyperbolic_cross(N, d, signed), counted on Python
+    ints without enumerating them: the d-tuples of positive integers
+    a_i = 1 + |k_i| whose product is at most N, each a_i > 1 weighed by 2
+    (k_i = +-(a_i - 1)) when signed. Takes about N (log N)^(d-2) steps."""
+    w = 2 if signed else 1
+    if d == 1:
+        return 1 + w * (N - 1)
+    return _count(N, d - 1, signed) + w * sum(_count(N // a, d - 1, signed) for a in range(2, N + 1))
+
+
+def _checked_count(N, d, signed: bool) -> int:
+    """_count, once N and d are ints >= 1 and the cross fits _check_size.
+    The cross holds the N members (k, 0, ..., 0), so a larger N is refused
+    before it is counted."""
+    N = _check_int(N, 1, "cross order N")
+    d = _check_int(d, 1, "dimension d")
+    _check_size(N, f"cross order N={N}", f"a cross of at least {N} members in d={d}")
+    count = _count(N, d, signed)
+    _check_size(count, f"cross order N={N}", f"a cross of {count} members in d={d}")
+    return count
+
+
 def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
     """Frequencies k with prod_i (1 + |k_i|) <= N.
 
     With signed=False the set is its nonnegative part, which is also its
     image under componentwise absolute value and indexes the half-period
-    cosine system; the enumeration meets each member once.
+    cosine system; the enumeration meets each member once. ConfigError
+    unless N and d are ints >= 1 and the cross holds at most 2^24 members.
     """
-    _check_int(N, 1, "cross order N")
-    _check_int(d, 1, "dimension d")
-    members = tuple(_enumerate_cross(d, N, signed))
-    return IndexSet(d=d, members=members)
+    _checked_count(N, d, signed)
+    return IndexSet(d=d, members=tuple(_enumerate_cross(d, N, signed)))
 
 
 def cross_size(N: int, d: int) -> int:
-    """Number of members of hyperbolic_cross(N, d, signed=False), counted on
-    Python ints without enumerating them: the d-tuples of positive integers
-    1 + k_i whose product is at most N. Takes about N (log N)^(d-2) steps.
-    ConfigError unless N and d are ints >= 1, checked once, not per recursion."""
-    N = _check_int(N, 1, "cross order N")
-    d = _check_int(d, 1, "dimension d")
-
-    def count(n, e):
-        return n if e == 1 else sum(count(n // a, e - 1) for a in range(1, n + 1))
-    return count(N, d)
+    """Number of members of hyperbolic_cross(N, d, signed=False), with the
+    checks and refusals of hyperbolic_cross."""
+    return _checked_count(N, d, False)

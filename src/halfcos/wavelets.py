@@ -11,6 +11,7 @@ quadratic, so per-cell Simpson is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,7 +189,6 @@ class DualCoefficientSequence:
     bi-infinite sequence and a closed-form bound on sum_{|n|>n_max} |a_n|,
     the part that the truncation drops."""
 
-    eps: int
     n_max: int
     coefficients: np.ndarray  # index n + n_max
     decay_base: float
@@ -235,7 +235,7 @@ def dual_coefficients(eps: int, n_max: int = 40, tol: float = 1e-10) -> DualCoef
             f"dual tail {tail:.3e} above tolerance {tol:.1e} at n_max={n_max}"
         )
     return DualCoefficientSequence(
-        eps=eps, n_max=n_max, coefficients=a, decay_base=1.0 / float(mod.max()), tail_bound=tail
+        n_max=n_max, coefficients=a, decay_base=1.0 / float(mod.max()), tail_bound=tail
     )
 
 
@@ -244,28 +244,28 @@ def dual_father_closed_form(n: int) -> float:
     return SQRT3 * (SQRT3 - 2.0) ** abs(n)
 
 
-_DUAL_CACHE: dict = {}
+@functools.lru_cache(maxsize=None)
+def _dual_generator(eps: int) -> PiecewiseLinear:
+    """The dual generator sum_n a_n psi_{eps,n} of level kind eps (-1 or 0)
+    at dual_coefficients' default truncation, built once per kind."""
+    seq = dual_coefficients(eps)
+    n_max = seq.n_max
+    gen = psi_piecewise(eps, 0)
+    step = gen.breakpoints[1]  # grid of the primal shifts: 1 or 1/2
+    bp = -n_max + step * np.arange(round((2 * n_max + gen.support[1]) / step) + 1)
+    vals = np.zeros_like(bp)
+    for n in range(-n_max, n_max + 1):
+        vals += seq.a(n) * gen(bp - n)
+    return PiecewiseLinear(tuple(bp), tuple(vals))
 
 
 def dual_piecewise(l: int, k: int) -> PiecewiseLinear:
     """Truncated dual wavelet as an exact piecewise-linear function: the
-    dilate and shift dual_{min(l,0),0}(2^l x - k) (x - k at level -1) of a
-    generator sum_n a_n psi_{min(l,0),n}, built once per level kind from
-    dual_coefficients at its default truncation."""
+    dilate and shift dual_{min(l,0),0}(2^l x - k) (x - k at level -1) of
+    the generator _dual_generator(min(l, 0))."""
     if l < -1:
         return psi_piecewise(l, k)
-    key = min(l, 0)
-    if key not in _DUAL_CACHE:
-        seq = dual_coefficients(key)
-        n_max = seq.n_max
-        gen = psi_piecewise(key, 0)
-        step = gen.breakpoints[1]  # grid of the primal shifts: 1 or 1/2
-        bp = -n_max + step * np.arange(round((2 * n_max + gen.support[1]) / step) + 1)
-        vals = np.zeros_like(bp)
-        for n in range(-n_max, n_max + 1):
-            vals += seq.a(n) * gen(bp - n)
-        _DUAL_CACHE[key] = PiecewiseLinear(tuple(bp), tuple(vals))
-    gen = _DUAL_CACHE[key]
+    gen = _dual_generator(min(l, 0))
     scale = 1.0 if l == -1 else 2.0**l
     return PiecewiseLinear(tuple((k + np.asarray(gen.breakpoints)) / scale), gen.values)
 

@@ -307,11 +307,6 @@ def test_rate_entry_points_reject_bad_input():
             projection_error_rate(get_member("kink1"), n_list, kmax=64)
 
 
-def test_projection_rate_is_an_l2_quantity():
-    with pytest.raises(ConfigError, match="L2"):
-        projection_error_rate(get_member("kink1"), [2, 4, 8, 16], kmax=256, p=1.0)
-
-
 def test_ls_experiment_checks_aliasing_and_sample_count():
     with pytest.raises(AliasingError):
         ls_error_experiment(get_member("kink1"), N=4, seed=1, grid_level=0)
@@ -326,14 +321,6 @@ def test_ls_experiment_checks_aliasing_and_sample_count():
 def test_ls_experiment_refuses_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         ls_error_experiment(get_member("kink1"), N=4, seed=-1)
-
-
-def test_ls_experiment_rejects_unknown_weights():
-    for weights in ("christoffel", "Uniform", None):
-        with pytest.raises(ConfigError, match="only 'uniform'"):
-            ls_error_experiment(get_member("kink1"), N=4, seed=1, weights=weights)
-    row = ls_error_experiment(get_member("kink1"), N=4, seed=1, weights="uniform")
-    assert row == ls_error_experiment(get_member("kink1"), N=4, seed=1)
 
 
 def test_ls_recover_names_an_underdetermined_design():

@@ -305,7 +305,6 @@ def test_rate_fit_log_correction_steepens_slope():
         log_exponent=1.0,
     )
     assert corr.slope < base.slope
-    assert corr.log_exponent == 1.0
 
 
 def test_rate_fit_rejects_exact_integrands():

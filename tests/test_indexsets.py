@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from halfcos.besov import phi
 from halfcos.errors import ConfigError
-from halfcos.indexsets import IndexSet, cross_size, hyperbolic_cross, plus_l1
+from halfcos.indexsets import IndexSet, _count, cross_size, hyperbolic_cross, plus_l1
 from closed_forms import cross_cardinality_check
 
 
@@ -37,13 +37,26 @@ def test_cross_matches_box_scan(N, d, signed):
 def test_cross_size_counts_the_unsigned_cross(d):
     for N in range(1, 40):
         assert cross_size(N, d) == len(hyperbolic_cross(N, d, signed=False))
+        assert _count(N, d, True) == len(hyperbolic_cross(N, d, signed=True))
 
 
-@pytest.mark.parametrize("N,d", [(5, 0), (0, 2), (-3, 1), (0, 0)])
+def test_a_cross_of_order_two_holds_the_axes_and_the_origin():
+    # a bound of N (1 + ln N)^(d-1) members would refuse it
+    assert len(hyperbolic_cross(2, 40, signed=True)) == 81
+    assert cross_size(2, 40) == 41
+
+
+# (2**40, 1) raised MemoryError and (2**40, 2) counted 2^40 divisors; the
+# exact count of (2**21, 2) is over the limit, unsigned and signed
+@pytest.mark.parametrize("N,d", [(5, 0), (0, 2), (-3, 1), (0, 0), (2**40, 1), (2**40, 2),
+                                 (2**21, 2)])
 def test_cross_size_refuses_what_hyperbolic_cross_refuses(N, d):
     # d = 0 recursed without end; N < 1 counted an empty cross
+    least = "at least " if N > 2**24 else ""
+    message = (f"(cross order N|dimension d) must be >= 1, got"
+               f"|cross order N={N} asks for a cross of {least}[0-9]+ members in d={d}")
     for count in (cross_size, hyperbolic_cross):
-        with pytest.raises(ConfigError, match="(cross order N|dimension d) must be >= 1, got"):
+        with pytest.raises(ConfigError, match=message):
             count(N, d)
 
 
