@@ -19,7 +19,6 @@ import numpy as np
 from .cubature import fit_rate
 from .errors import ConditionError, ConfigError
 from .grids import (
-    _MAX_GRID_POINTS,
     UNIT,
     CoefficientMap,
     GridFunction,
@@ -233,11 +232,6 @@ def projection_error_rate(
     # an input bound on --kmax; the tail walks the cross, not this box
     box = (kmax + 1) ** member.d
     _check_size(box, f"--kmax {kmax}", f"a coefficient box of {box} entries in d={member.d}")
-    for N in N_list:  # the cross has at most N (1 + ln N)^(d-1) members
-        # an N past the limit is refused as it is: a huge int times a float overflows
-        bound = N if N > _MAX_GRID_POINTS else N * (1.0 + math.log(N)) ** (member.d - 1)
-        _check_size(bound, f"--N-list {N}",
-                    f"a cross of up to N (1 + ln N)^(d-1) members in d={member.d}")
     dims = [cross_size(N, member.d) for N in N_list]
     vectors = member.coefficient_vectors(kmax)  # once for the table, read by each N
     table = SimpleNamespace(d=member.d, coefficient_vectors=lambda _: vectors)

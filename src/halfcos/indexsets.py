@@ -2,6 +2,7 @@
 
 Multi-indices are plain tuples of ints. Index sets keep their members in
 lexicographic order so that coefficient vectors are reproducible run to run.
+One walk over the axes, with no recursion and no sort, counts and builds the cross.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ class IndexSet:
                 raise ConfigError("member dimension mismatch")
         object.__setattr__(self, "members", tuple(uniq))
 
+    @classmethod
+    def _sorted(cls, d: int, members: tuple) -> IndexSet:
+        """An IndexSet over members already sorted, distinct and of dimension d, unchecked."""
+        out = cls(d)
+        object.__setattr__(out, "members", members)
+        return out
+
     def __iter__(self):
         return iter(self.members)
 
@@ -55,55 +63,47 @@ class IndexSet:
         return np.array(self.members, dtype=np.int64)
 
 
-def _enumerate_cross(d: int, budget: int, signed: bool):
-    """All k in Z^d (or N_0^d) with prod(1+|k_i|) <= budget."""
-    if d == 0:
-        yield ()
-        return
-    kmax = budget - 1
-    lo = -kmax if signed else 0
-    for k in range(lo, kmax + 1):
-        rest = budget // (1 + abs(k))
-        for tail in _enumerate_cross(d - 1, rest, signed):
-            yield (k,) + tail
-
-
-def _count(N: int, d: int, signed: bool) -> int:
-    """Number of members of hyperbolic_cross(N, d, signed), counted on Python
-    ints without enumerating them: the d-tuples of positive integers
-    a_i = 1 + |k_i| whose product is at most N, each a_i > 1 weighed by 2
-    (k_i = +-(a_i - 1)) when signed. Takes about N (log N)^(d-2) steps."""
-    w = 2 if signed else 1
-    if d == 1:
-        return 1 + w * (N - 1)
-    return _count(N, d - 1, signed) + w * sum(_count(N // a, d - 1, signed) for a in range(2, N + 1))
-
-
-def _checked_count(N, d, signed: bool) -> int:
-    """_count, once N and d are ints >= 1 and the cross fits _check_size.
-    The cross holds the N members (k, 0, ..., 0), so a larger N is refused
-    before it is counted."""
+def _walk(N, d, signed: bool, build: bool):
+    """The cross of order N in d dimensions, one axis at a time. Each row, a prefix of a
+    member, holds its budget N // prod (1 + |k_i|) and takes the k with 1 + |k| <= budget in
+    ascending order, so rows stay lexicographic; a stage, never larger than the cross, is
+    refused before np.repeat makes it. Returns the count, or with build the members."""
     N = _check_int(N, 1, "cross order N")
     d = _check_int(d, 1, "dimension d")
+    # the cross holds the N members (k, 0, ..., 0); this also keeps every array in int64
     _check_size(N, f"cross order N={N}", f"a cross of at least {N} members in d={d}")
-    count = _count(N, d, signed)
-    _check_size(count, f"cross order N={N}", f"a cross of {count} members in d={d}")
-    return count
+    budget, stages = np.array([N], dtype=np.int64), []
+    for axis in range(d):
+        n = 2 * budget - 1 if signed else budget
+        total = int(n.sum())  # before the last axis, a lower bound on the cross
+        least = "at least " if axis < d - 1 else ""
+        _check_size(total, f"cross order N={N}", f"a cross of {least}{total} members in d={d}")
+        if axis == d - 1 and not build:
+            return total
+        parent = np.repeat(np.arange(len(n)), n)
+        lo = 1 - budget if signed else 0
+        k = np.arange(total) - (np.cumsum(n) - n - lo)[parent]
+        budget = budget[parent] // (1 + np.abs(k))
+        stages.append((parent, k))
+    columns, at = [], np.arange(total)
+    for parent, k in reversed(stages):  # one gather per column, from the last stage back
+        columns.append(k[at].tolist())
+        at = parent[at]
+    return tuple(zip(*reversed(columns)))
 
 
 def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
-    """Frequencies k with prod_i (1 + |k_i|) <= N.
+    """Frequencies k with prod_i (1 + |k_i|) <= N, in lexicographic order (_walk).
 
     With signed=False the set is its nonnegative part, which is also its
     image under componentwise absolute value and indexes the half-period
-    cosine system; the enumeration meets each member once. ConfigError
-    unless N and d are ints >= 1 and the cross holds at most 2^24 members.
+    cosine system. ConfigError unless N and d are ints >= 1 and the cross
+    holds at most 2^24 members.
     """
-    _checked_count(N, d, signed)
-    return IndexSet(d=d, members=tuple(_enumerate_cross(d, N, signed)))
+    return IndexSet._sorted(d, _walk(N, d, signed, build=True))
 
 
 def cross_size(N: int, d: int) -> int:
-    """Number of members of hyperbolic_cross(N, d, signed=False), with the
-    checks and refusals of hyperbolic_cross."""
-    return _checked_count(N, d, False)
+    """Number of members of hyperbolic_cross(N, d, signed=False), counted by
+    the same walk without building its last axis, with the same refusals."""
+    return _walk(N, d, False, build=False)

@@ -269,9 +269,9 @@ def test_gnuplot_companion(tmp_path, capsys):
         (["recover", "--fn", "kink2d", "--N", "256", "--seed", "1"], 2,
          "--N 256 with --oversample 4.0 asks for a least-squares design"),
         (["approx", "--fn", "kink1d", "--N-list", "2,4,30000000", "--kmax", "64"], 2,
-         "--N-list 30000000 asks for a cross of up to N (1 + ln N)^(d-1) members in d=1"),
+         "cross order N=30000000 asks for a cross of at least 30000000 members in d=1"),
         (["approx", "--fn", "kink2d", "--N-list", "2,2000000", "--kmax", "64"], 2,
-         "--N-list 2000000 asks for a cross of up to N (1 + ln N)^(d-1) members in d=2"),
+         "cross order N=2000000 asks for a cross of 29326296 members in d=2"),
         # a Fibonacci rule past 2^24 node coordinates is refused before b_index is formed
         (["cubature", "--rule", "fibonacci", "--fn", "kink2d", "--nmin", "60", "--nmax", "61"],
          2, "Fibonacci index 60 asks for a rule of 2 x b_60 node coordinates"),

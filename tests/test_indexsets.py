@@ -1,33 +1,29 @@
 """Index-set enumeration against brute-force box scans."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfcos.besov import phi
 from halfcos.errors import ConfigError
-from halfcos.indexsets import IndexSet, _count, cross_size, hyperbolic_cross, plus_l1
+from halfcos.indexsets import IndexSet, cross_size, hyperbolic_cross, plus_l1
 from closed_forms import cross_cardinality_check
 
 
 def brute_cross(N, d, signed):
-    out = []
     rng = range(-N, N + 1) if signed else range(0, N + 1)
-    for k in np.ndindex(*([len(list(rng))] * d)):
-        kk = tuple(sorted(rng)[i] for i in k)
-        prod = 1
-        for x in kk:
-            prod *= 1 + abs(x)
-        if prod <= N:
-            out.append(kk)
-    return sorted(set(out))
+    return [k for k in itertools.product(rng, repeat=d) if math.prod(1 + abs(x) for x in k) <= N]
 
 
 def test_small_helpers():
     assert plus_l1((-1, 0, 2)) == 2
 
 
-@pytest.mark.parametrize("N,d,signed", [(4, 1, True), (4, 2, True), (4, 2, False), (6, 3, False), (8, 2, True)])
+@pytest.mark.parametrize("N,d,signed", [(4, 1, True), (4, 2, True), (4, 2, False), (6, 3, False), (8, 2, True),
+                                        (6, 4, True), (9, 4, False)])
 def test_cross_matches_box_scan(N, d, signed):
     got = hyperbolic_cross(N, d, signed=signed).members
     assert list(got) == brute_cross(N, d, signed)
@@ -37,13 +33,27 @@ def test_cross_matches_box_scan(N, d, signed):
 def test_cross_size_counts_the_unsigned_cross(d):
     for N in range(1, 40):
         assert cross_size(N, d) == len(hyperbolic_cross(N, d, signed=False))
-        assert _count(N, d, True) == len(hyperbolic_cross(N, d, signed=True))
+    for N in range(1, 8 if d == 4 else 12):
+        assert len(hyperbolic_cross(N, d, signed=True)) == len(brute_cross(N, d, True))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_the_walk_yields_members_sorted_and_distinct(d):
+    # hyperbolic_cross skips IndexSet's sort and dedup, trusting the walk's order
+    for N in range(1, 25):
+        for signed in (True, False):
+            members = hyperbolic_cross(N, d, signed=signed).members
+            assert members == tuple(sorted(set(members)))
 
 
 def test_a_cross_of_order_two_holds_the_axes_and_the_origin():
     # a bound of N (1 + ln N)^(d-1) members would refuse it
     assert len(hyperbolic_cross(2, 40, signed=True)) == 81
     assert cross_size(2, 40) == 41
+    # a recursion over the axes raised RecursionError here
+    assert cross_size(1, 5000) == 1
+    assert len(hyperbolic_cross(1, 5000)) == 1
+    assert len(hyperbolic_cross(2, 2000)) == 4001
 
 
 # (2**40, 1) raised MemoryError and (2**40, 2) counted 2^40 divisors; the
