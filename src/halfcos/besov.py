@@ -10,6 +10,7 @@ behaviour of the level terms is fitted and reported as a tail bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -167,11 +168,21 @@ def _lp(values, p: float, mean: bool = False) -> float:
     return float((np.mean(a**p) if mean else np.sum(a**p)) ** (1.0 / p))
 
 
+@functools.lru_cache(maxsize=64)
+def _phi_table(j: int, size: int, torus: bool) -> np.ndarray:
+    """phi_j at the cosine frequencies 0..size-1, or with torus at the signed
+    FFT frequencies of a torus axis of size nodes: a read-only 1-D table,
+    built once per key and the same bits as phi builds."""
+    table = phi(j, (signed_fft_freqs(size) if torus else np.arange(size)).astype(float))
+    table.flags.writeable = False
+    return table
+
+
 def _dense_block(dense: np.ndarray, jbar, grid_level: int) -> GridFunction:
     """Block jbar of a cosine map from its dense box: the weighted cosine
     sum  sum_k phi_jbar(k) fhat(k) c_k  on the unit grid of grid_level."""
-    ks = np.arange(dense.shape[0], dtype=float)
-    return hpc_synthesize_dense(_weigh(dense, [phi(int(j), ks) for j in jbar]), grid_level)
+    weights = [_phi_table(int(j), dense.shape[0], False) for j in jbar]
+    return hpc_synthesize_dense(_weigh(dense, weights), grid_level)
 
 
 def _level_cap(kmax: int) -> int:
@@ -322,16 +333,18 @@ def periodization_block_identity(f_coeffs: CoefficientMap, jbar, p: float, grid_
     The pipelines share no transform code; equality is the periodization
     principle for blocks. The torus side reads the unit samples through
     their mirror index and transforms only the slots where phi_{j_i} is
-    nonzero (pruned FFTs), never the DCT-I. p = inf compares sup values (no
-    2^d factor). p and the torus grid, the largest, are checked first."""
+    nonzero (pruned FFTs), never the DCT-I. The phi_j weights of both sides
+    come from _phi_table, built once per level and size with phi's bits, so
+    per input only the transforms and the norms run. p = inf compares sup
+    values (no 2^d factor). p and the torus grid, the largest, are checked
+    first."""
     d = f_coeffs.d
     if not 0.0 < p <= INF:
         raise ConfigError(f"p must lie in (0, inf], got {p}")
     _check_grid_size(grid_level, d, SYM, f"grid_level {grid_level}")
     box = f_coeffs.dense(f_coeffs.top_frequency())
     g_unit = hpc_synthesize_dense(box, grid_level)
-    freqs = signed_fft_freqs(2 ** (grid_level + 1)).astype(float)  # phi_j is even: phi_j(|k|)
-    weights = [phi(int(j), freqs) for j in jbar]
+    weights = [_phi_table(int(j), 2 ** (grid_level + 1), True) for j in jbar]  # phi_j is even
     slots = [w != 0.0 for w in weights]
     dense = fourier_analyze_dense(g_unit, slots)
     weighted = _weigh(dense, [w[keep] for w, keep in zip(weights, slots)])

@@ -186,18 +186,27 @@ class GridFunction:
         return cls(domain=domain, m=m, values=vals)
 
     def integrate(self) -> complex:
-        w = self.axis_weights()
+        """Tensor quadrature, contracting the last axis d times. Each step is the
+        np.dot of the (-1, n) reshape with the weights that np.tensordot makes,
+        so the BLAS calls and the bits are tensordot's, without its overhead."""
+        w, n = self.axis_weights(), self.axis_size
         out = self.values
         for _ in range(self.d):
-            out = np.tensordot(out, w, axes=([-1], [0]))
+            out = np.dot(out.reshape(-1, n), w).reshape(out.shape[:-1])
         return complex(out) if np.iscomplexobj(self.values) else float(out)
 
     def inner(self, other: "GridFunction"):
-        """Quadrature approximation of the integral of f times conj(g)."""
+        """Quadrature approximation of the integral of f times conj(g). A real g
+        is multiplied as it is, with no conjugate copy and the same bits. A
+        complex g is kept as f * conj(g): numpy already writes a large product
+        into the conjugate copy, the temporary it elides, with the operands
+        swapped, so an explicit out= in either order would change the last
+        bit of a complex f on one side of numpy's elision threshold."""
         if (self.domain, self.m) != (other.domain, other.m):
             raise ResolutionMismatchError("grids do not match")
-        prod = GridFunction(self.domain, self.m, self.values * np.conj(other.values))
-        return prod.integrate()
+        g = other.values
+        return GridFunction(self.domain, self.m,
+                            self.values * (np.conj(g) if np.iscomplexobj(g) else g)).integrate()
 
     def lp_norm(self, p) -> float:
         """L_p quadrature norm; p = inf is the grid maximum of |f|."""
@@ -255,13 +264,15 @@ def cos_basis(kbar, *axes):
 
 def exp_basis(kbar, *axes):
     """Tensor exponential 2^(-d/2) exp(i pi k . x) on the torus; the axes
-    broadcast as in cos_basis."""
+    broadcast as in cos_basis. The factor 2^(-d/2) scales the product in
+    place, with the bits of the out-of-place product."""
     d = len(kbar)
     out = None
     for k, x in zip(kbar, axes):
         t = np.exp(1j * np.pi * k * np.asarray(x, dtype=float))
         out = t if out is None else out * t
-    return 2.0 ** (-d / 2.0) * out
+    out *= 2.0 ** (-d / 2.0)
+    return out
 
 
 @dataclass

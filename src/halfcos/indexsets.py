@@ -66,25 +66,39 @@ class IndexSet:
 def _walk(N, d, signed: bool, build: bool):
     """The cross of order N in d dimensions, one axis at a time. Each row, a prefix of a
     member, holds its budget N // prod (1 + |k_i|) and takes the k with 1 + |k| <= budget in
-    ascending order, so rows stay lexicographic; a stage, never larger than the cross, is
-    refused before np.repeat makes it. Returns the count, or with build the members."""
+    ascending order, so rows stay lexicographic. Returns the count, or with build the members.
+
+    The cross holds at least 1 + d(N - 1) members, the origin and the N - 1 points
+    (0, ..., k, ..., 0) of each axis; with build each is a tuple of d entries. That bound,
+    then each stage, a lower bound on the cross, are refused, in entries with build, before
+    np.repeat makes the stage, so the stages together stay within the limit. A count drops
+    the rows of budget 1, which end in zeros only, as one member each."""
     N = _check_int(N, 1, "cross order N")
     d = _check_int(d, 1, "dimension d")
-    # the cross holds the N members (k, 0, ..., 0); this also keeps every array in int64
-    _check_size(N, f"cross order N={N}", f"a cross of at least {N} members in d={d}")
-    budget, stages = np.array([N], dtype=np.int64), []
+    per = d if build else 1
+
+    def check(count: int, least: str):
+        entries = f" ({per * count} entries)" if per > 1 else ""
+        _check_size(per * count, f"cross order N={N}",
+                    f"a cross of {least}{count} members in d={d}{entries}")
+
+    check(1 + d * (N - 1), "at least ")  # this also keeps every array in int64
+    budget, stages, done = np.array([N], dtype=np.int64), [], 0
     for axis in range(d):
         n = 2 * budget - 1 if signed else budget
-        total = int(n.sum())  # before the last axis, a lower bound on the cross
-        least = "at least " if axis < d - 1 else ""
-        _check_size(total, f"cross order N={N}", f"a cross of {least}{total} members in d={d}")
+        total = done + int(n.sum())
+        check(total, "at least " if axis < d - 1 else "")
         if axis == d - 1 and not build:
             return total
         parent = np.repeat(np.arange(len(n)), n)
         lo = 1 - budget if signed else 0
-        k = np.arange(total) - (np.cumsum(n) - n - lo)[parent]
+        k = np.arange(len(parent)) - (np.cumsum(n) - n - lo)[parent]
         budget = budget[parent] // (1 + np.abs(k))
-        stages.append((parent, k))
+        if build:
+            stages.append((parent, k))
+        else:
+            done += int(np.count_nonzero(budget == 1))
+            budget = budget[budget > 1]
     columns, at = [], np.arange(total)
     for parent, k in reversed(stages):  # one gather per column, from the last stage back
         columns.append(k[at].tolist())
@@ -97,13 +111,14 @@ def hyperbolic_cross(N: int, d: int, signed: bool = True) -> IndexSet:
 
     With signed=False the set is its nonnegative part, which is also its
     image under componentwise absolute value and indexes the half-period
-    cosine system. ConfigError unless N and d are ints >= 1 and the cross
-    holds at most 2^24 members.
+    cosine system. ConfigError unless N and d are ints >= 1 and the d |cross|
+    tuple entries it returns are at most 2^24.
     """
     return IndexSet._sorted(d, _walk(N, d, signed, build=True))
 
 
 def cross_size(N: int, d: int) -> int:
     """Number of members of hyperbolic_cross(N, d, signed=False), counted by
-    the same walk without building its last axis, with the same refusals."""
+    the same walk without building its last axis. ConfigError unless N and d
+    are ints >= 1 and the cross holds at most 2^24 members."""
     return _walk(N, d, False, build=False)

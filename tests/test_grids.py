@@ -949,3 +949,81 @@ def test_alias_free_level_equals_the_former_float_formulas():
         grids._check_aliasing(level, k)  # admitted, and one level lower is not
         with pytest.raises(AliasingError):
             grids._check_aliasing(level - 1, k)
+
+
+# Grids of the oracle tests: (domain, m) with 33, 64 and 1025 points per axis.
+_ORACLE_GRIDS = [(d, domain, m) for d in (1, 2, 3) for domain, m in ((UNIT, 5), (SYM, 5))]
+_ORACLE_GRIDS += [(d, UNIT, 10) for d in (1, 2)]
+
+
+def _oracle_values(d, n, complex_, seed):
+    """Random samples with +0.0, -0.0 and NaN entries, in C order, again with the NaN
+    replaced, transposed, reversed along axis 0, and as every other entry of a wider array."""
+    rng = np.random.default_rng(seed)
+    wide = rng.normal(size=(n,) * (d - 1) + (2 * n,))
+    if complex_:
+        wide = wide + 1j * rng.normal(size=wide.shape)
+    flat = wide.reshape(-1)
+    flat[rng.integers(0, flat.size, 4)] = 0.0
+    flat[rng.integers(0, flat.size, 4)] = -0.0
+    flat[rng.integers(0, flat.size, 2)] = np.nan
+    c_order = np.ascontiguousarray(wide[..., ::2])
+    clean = np.nan_to_num(c_order, nan=1.5)  # an integral that is a number, too
+    return [c_order, clean, c_order.T, c_order[::-1], wide[..., ::2]]
+
+
+def _bytes(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _tensordot_integral(values, w):
+    out = values
+    for _ in range(values.ndim):
+        out = np.tensordot(out, w, axes=([-1], [0]))
+    return complex(out) if np.iscomplexobj(values) else float(out)
+
+
+@pytest.mark.parametrize("d, domain, m", _ORACLE_GRIDS)
+def test_integrate_and_inner_equal_the_tensordot_formulas_byte_for_byte(d, domain, m):
+    n = 2**m + 1 if domain == UNIT else 2 ** (m + 1)
+    w = GridFunction(domain, m, np.zeros((n,) * d)).axis_weights()
+    for complex_ in (False, True):
+        for seed, a in enumerate(_oracle_values(d, n, complex_, 10 * d + m)):
+            f = GridFunction(domain, m, a)
+            assert _bytes(f.integrate()) == _bytes(_tensordot_integral(a, w))
+            for b in _oracle_values(d, n, seed % 2 == 1, seed)[:3]:
+                want = _tensordot_integral(a * np.conj(b), w)
+                assert _bytes(f.inner(GridFunction(domain, m, b))) == _bytes(want)
+            assert np.array_equal(f.values, a, equal_nan=True)  # no argument is written
+
+
+@pytest.mark.parametrize("kbar", [(3,), (-2,), (2, -5), (0, 4, 7), (-3, 1, 2)])
+def test_exp_basis_equals_the_out_of_place_scaling_byte_for_byte(kbar):
+    d = len(kbar)
+    x = -1.0 + np.arange(64) * 2.0**-5
+    x[[3, 7, 11]] = 0.0, -0.0, np.nan
+    for axes in (np.ix_(*[x] * d), np.meshgrid(*[x] * d, indexing="ij"), [0.25] * d, [-0.0] * d):
+        out = None
+        for k, t in zip(kbar, axes):
+            e = np.exp(1j * np.pi * k * np.asarray(t, dtype=float))
+            out = e if out is None else out * e
+        got = exp_basis(kbar, *axes)
+        assert _bytes(got) == _bytes(2.0 ** (-d / 2) * out)
+        assert np.ndim(got) == 0 or (got.flags.writeable and got.flags.owndata)
+
+
+def test_phi_tables_are_cached_read_only_and_phi_stays_fresh():
+    ks = signed_fft_freqs(64).astype(float)
+    table = besov._phi_table(2, 64, True)
+    assert besov._phi_table(2, 64, True) is table and not table.flags.writeable
+    assert _bytes(table) == _bytes(besov.phi(2, ks))
+    assert _bytes(besov._phi_table(3, 17, False)) == _bytes(besov.phi(3, np.arange(17.0)))
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    assert besov._phi_table.cache_info().maxsize == 64
+    fresh = besov.phi(2, ks)
+    assert fresh.flags.writeable and fresh is not besov.phi(2, ks)
+    # the blocks weighted by the tables are new, writeable grids
+    box = CoefficientMap("hpc", 2, {(3, 5): 1.0, (0, 1): -2.0}).dense(5)
+    block = besov._dense_block(box, (1, 2), 5).values
+    assert block.flags.writeable and not np.shares_memory(block, table)

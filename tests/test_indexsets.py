@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,51 @@ def test_cross_size_refuses_what_hyperbolic_cross_refuses(N, d):
     for count in (cross_size, hyperbolic_cross):
         with pytest.raises(ConfigError, match=message):
             count(N, d)
+
+
+# Before the 1 + d(N - 1) bound and the bound on tuple entries, cross_size(2**24, 2) built
+# a first stage of 2^24 rows (542 MB peak) and then refused, and hyperbolic_cross(2, 10000)
+# built its 2 * 10^8 tuple entries. The call runs in a process forked by a fresh interpreter,
+# whose peak RSS getrusage then reads: an exec'd child reports the peak of the process that
+# started it.
+_REFUSAL_CHILD = """
+import os, resource, time
+from halfcos.errors import ConfigError
+from halfcos.indexsets import cross_size, hyperbolic_cross
+if os.fork() == 0:
+    start = time.perf_counter()
+    try:
+        {call}
+    except ConfigError as exc:
+        print(exc)
+    print(time.perf_counter() - start, flush=True)
+    os._exit(0)
+os.wait()
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("call, words", [
+    ("cross_size(2**24, 2)", "a cross of at least 33554431 members in d=2, over"),
+    ("hyperbolic_cross(2**24, 2)", "at least 33554431 members in d=2 (67108862 entries)"),
+    ("hyperbolic_cross(2, 10000)", "at least 10001 members in d=10000 (100010000 entries)"),
+])
+def test_cross_refusals_come_before_any_stage_is_built(call, words):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _REFUSAL_CHILD.format(call=call)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    message, seconds, peak_kb = proc.stdout.splitlines()
+    assert words in message and "over the limit of 16777216 = 2^24" in message
+    assert float(seconds) < 0.2
+    assert int(peak_kb) < 150 * 1024  # numpy alone; a 2^24-row stage is over 400 MB
+
+
+def test_hyperbolic_cross_bounds_its_tuple_entries_and_cross_size_its_members():
+    # 2d + 1 signed members of d entries each (hyperbolic_cross(2, 2000) above: 8,002,000)
+    with pytest.raises(ConfigError, match=r"at least 5793 members in d=2897 \(16782321 entries\)"):
+        hyperbolic_cross(2, 2897)
+    assert cross_size(2, 2897) == 2898  # 2898 members, counted without their entries
 
 
 def test_signed_cross_cardinality_d2():

@@ -99,6 +99,30 @@ def test_identity_suite_in_three_dimensions_keeps_its_bits(seed):
     assert {name: value.hex() for name, value in res.items()} == _D3_RESIDUALS[seed]
 
 
+# float.hex of identity_suite(d, seed, n_funcs=4) in d = 1 and 2: the tables
+# the suite reuses and the steps it runs in place leave every bit where it was
+_D12_RESIDUALS = {
+    (1, 1): {"cosine-reflection": "0x0.0p+0", "scalar-product": "0x0.0p+0",
+             "coefficient-relation": "0x1.ef434d516a8bfp-54", "approx-transfer": "0x1.ba50957824035p-53",
+             "cubature-transfer": "0x0.0p+0", "block-identity": "0x1.ba73bd7aa4f8cp-53"},
+    (1, 2): {"cosine-reflection": "0x0.0p+0", "scalar-product": "0x1.ee51d19ce9257p-52",
+             "coefficient-relation": "0x1.132a50a54e928p-55", "approx-transfer": "0x1.df71c490d1057p-52",
+             "cubature-transfer": "0x0.0p+0", "block-identity": "0x1.12dabaa58d2b9p-54"},
+    (2, 1): {"cosine-reflection": "0x1.0000000000000p-52", "scalar-product": "0x1.8c3cfaa1d7a63p-50",
+             "coefficient-relation": "0x1.13ed7ec720fd8p-56", "approx-transfer": "0x1.a93faeea1d934p-53",
+             "cubature-transfer": "0x0.0p+0", "block-identity": "0x1.91ca3410d07a7p-53"},
+    (2, 2): {"cosine-reflection": "0x1.0000000000000p-52", "scalar-product": "0x1.87afec5283e4ap-52",
+             "coefficient-relation": "0x1.26d38646675d6p-56", "approx-transfer": "0x1.eed82a20d894ap-53",
+             "cubature-transfer": "0x0.0p+0", "block-identity": "0x1.a359700d9711dp-108"},
+}
+
+
+@pytest.mark.parametrize("d, seed", sorted(_D12_RESIDUALS))
+def test_identity_suite_in_one_and_two_dimensions_keeps_its_bits(d, seed):
+    res = identity_suite(d, seed, n_funcs=4)
+    assert {name: value.hex() for name, value in res.items()} == _D12_RESIDUALS[(d, seed)]
+
+
 def test_identity_suite_is_deterministic():
     a = identity_suite(1, seed=7, n_funcs=3)
     b = identity_suite(1, seed=7, n_funcs=3)

@@ -4,9 +4,10 @@ A traced run (`--trace 1`) fails when a function that the workload must call
 (`EXPECTED` in `perfbench/tracing.py`) is never reached: the worker exits 1.
 It also fails when a hook cannot read its arguments (a renamed parameter,
 say): the items raise, so the run is not correct, or exits 1 when the raising
-items never reach a later expected call. Both are checked here, on the two
-workloads whose routes change most often. The trace file goes under the
-git-ignored `perfbench/out/`.
+items never reach a later expected call. Both are checked here, on the three
+compute workloads. On identities this also fails a change that stops calling
+one of the dense functions that `EXPECTED["identities"]` pins. The trace file
+goes under the git-ignored `perfbench/out/`.
 
 The untraced runs check printed output against the references: cli-readme
 compares the sha256 of each README command's stdout, and identities its
@@ -33,7 +34,7 @@ def _run(workload, *flags):
     assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]
 
 
-@pytest.mark.parametrize("workload", ["norms", "rates"])
+@pytest.mark.parametrize("workload", ["norms", "identities", "rates"])
 def test_traced_benchmark_run_is_correct(workload):
     _run(workload, "--trace", "1")
 
